@@ -11,9 +11,9 @@ import numpy as np
 
 from kronspec import (
     GeneratorSpec,
+    KroneckerLaplacian,
     correlation_profile,
     generate_connected_pair,
-    kronecker_graph,
     laplacian,
     mean_rms_ratio,
     normalized_estimate,
@@ -33,10 +33,10 @@ g1, g2 = generate_connected_pair(
 )
 print(f"factors: n={g1.n} (m={g1.edge_count}), n={g2.n} (m={g2.edge_count})")
 
-product = kronecker_graph(g1, g2)
-lap_product = laplacian(product)
-exact = sym_eigenvalues(lap_product)
-print(f"product: n={product.n}, m={product.edge_count}, lambda_max={exact[-1]:.2f}")
+op = KroneckerLaplacian.of(g1, g2)
+exact = sym_eigenvalues(op.dense())
+edges = 2 * g1.edge_count * g2.edge_count  # each factor edge pair gives two product edges
+print(f"product: n={g1.n * g2.n}, m={edges}, lambda_max={exact[-1]:.2f}")
 
 d1, d2 = np.sort(g1.degrees), np.sort(g2.degrees)
 mu1, mu2 = sym_eigenvalues(laplacian(g1)), sym_eigenvalues(laplacian(g2))
@@ -55,8 +55,8 @@ for name, est in (("w-basis (correlated)", w_est), ("v-basis (uncorrelated)", v_
 # first-row correlation coefficients vs the degree closed form
 w1 = sym_eig(laplacian(g1)).eigenvectors
 w2 = sym_eig(laplacian(g2)).eigenvectors
-row = [(0, j) for j in range(1, 6)]
-profile = correlation_profile(lap_product, w1, w2, pairs=row)
+# the profile is row-major over (i, j) with (0, 0) dropped: row 0 leads
+row = correlation_profile(op, w1, w2)[: g2.n - 1]
 print()
-print("r(1, j) observed:", " ".join(f"{profile[p]:.8f}" for p in row))
+print("r(1, j) observed:", " ".join(f"{r:.8f}" for r in row[:5]))
 print("mean/RMS formula:", f"{mean_rms_ratio(g1.degrees):.8f}")

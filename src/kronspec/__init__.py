@@ -2,6 +2,7 @@
 
 from .graphs import (
     Graph,
+    KroneckerLaplacian,
     build_graph,
     edge_density,
     from_adjacency,

@@ -19,7 +19,13 @@ import numpy as np
 
 from .estimators import Ordering, OrderingKind, normalized_estimate, sayama_spectrum
 from .generators import GeneratorSpec, generate_connected
-from .graphs import kronecker_graph, laplacian, normalized_laplacian, read_edge_list, write_edge_list
+from .graphs import (
+    KroneckerLaplacian,
+    laplacian,
+    normalized_laplacian,
+    read_edge_list,
+    write_edge_list,
+)
 from .experiments import (
     ExperimentConfig,
     FIGURES,
@@ -55,7 +61,7 @@ def _cmd_estimate(args) -> int:
     mu2 = sym_eigenvalues(laplacian(g2))
     lam1 = sym_eigenvalues(normalized_laplacian(g1))
     lam2 = sym_eigenvalues(normalized_laplacian(g2))
-    exact = sym_eigenvalues(laplacian(kronecker_graph(g1, g2)))
+    exact = sym_eigenvalues(KroneckerLaplacian.of(g1, g2).dense())
     sayama = np.sort(sayama_spectrum(mu1, d1, mu2, d2, ordering).values)
     normalized = np.sort(normalized_estimate(lam1, d1, lam2, d2, ordering).values)
 

@@ -14,12 +14,13 @@ the worker pool used for the independent runs (default: sequential).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from hashlib import sha256
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .generators import (
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import edge_density, kronecker_graph, laplacian, normalized_laplacian
+from .graphs import KroneckerLaplacian, edge_density, laplacian, normalized_laplacian
 from .metrics import (
     DensityCurve,
     ErrorProfile,
@@ -60,11 +61,22 @@ BASES = ("laplacian", "normalized")
 
 def worker_count() -> int:
     env = os.environ.get("KRONSPEC_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+    if not env.strip():
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(
+            f"KRONSPEC_THREADS must be an integer worker count, got {env!r}"
+        ) from None
 
 
 def version_string() -> str:
-    """git-describe of the working tree, falling back to the package version."""
+    """git-describe of the working tree, falling back to the package version.
+
+    Starts a subprocess on every call; report writers stamp their files
+    through the once-per-process :func:`_version` instead.
+    """
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
@@ -80,6 +92,11 @@ def version_string() -> str:
     from kronspec import __version__
 
     return f"kronspec-{__version__}"
+
+
+@functools.cache
+def _version() -> str:
+    return version_string()
 
 
 @dataclass(frozen=True)
@@ -157,6 +174,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = dict(data)
+        unknown = sorted(set(known) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(
             model=known["model"],
             orders=tuple(known["orders"]),
@@ -248,9 +268,8 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     d1 = np.sort(g1.degrees)
     d2 = np.sort(g2.degrees)
 
-    product = kronecker_graph(g1, g2)
-    lap_product = laplacian(product)
-    actual = sym_eigenvalues(lap_product)
+    op = KroneckerLaplacian.of(g1, g2)
+    actual = sym_eigenvalues(op.dense())
 
     errors: dict[Estimator, np.ndarray] = {}
     for estimator in config.estimators:
@@ -260,14 +279,10 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
 
     correlations = None
     if config.compute_correlations:
-        pair_order = correlation_pairs(g1.n, g2.n)
-        correlations = {}
-        for basis, (b1, b2) in {
-            "laplacian": (lap1.eigenvectors, lap2.eigenvectors),
-            "normalized": (norm1.eigenvectors, norm2.eigenvectors),
-        }.items():
-            profile = correlation_profile(lap_product, b1, b2, skip_first=True)
-            correlations[basis] = np.array([profile[p] for p in pair_order])
+        correlations = {
+            "laplacian": correlation_profile(op, lap1.eigenvectors, lap2.eigenvectors),
+            "normalized": correlation_profile(op, norm1.eigenvectors, norm2.eigenvectors),
+        }
 
     return RunRecord(
         run_index=run_index,
@@ -385,7 +400,7 @@ def _fmt(x) -> str:
 
 
 def _comment(config_hash: str) -> str:
-    return f"# kronspec={version_string()} config={config_hash}\n"
+    return f"# kronspec={_version()} config={config_hash}\n"
 
 
 def write_error_profile_csv(path: str, profile: ErrorProfile, config_hash: str) -> None:
@@ -447,7 +462,7 @@ def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
     config_dict = bundle.config.to_dict()
     config_dict.pop("output_dir")  # the manifest sits inside it already
     manifest = {
-        "version": version_string(),
+        "version": _version(),
         "config": config_dict,
         "config_hash": config_hash,
         "files": files,
@@ -497,7 +512,7 @@ def reproduce_figure(
     out.mkdir(parents=True, exist_ok=True)
 
     panels: dict[str, str] = {}
-    version = version_string()
+    version = _version()
     for density in recipe["densities"]:
         config = ExperimentConfig(
             model=recipe["model"],
@@ -547,7 +562,7 @@ def theory_suite(
     report = checks.full_report(
         seed=seed, er_draws=er_draws, graph_count=graph_count, pair_count=pair_count
     )
-    report["version"] = version_string()
+    report["version"] = _version()
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)

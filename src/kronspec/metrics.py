@@ -3,7 +3,8 @@
 Four families of measurements:
 
 * correlation profiles: the cosine between x and L x for every candidate
-  eigenvector x = u_i kron v_j, which is 1 exactly when x is an eigenvector;
+  eigenvector x = u_i kron v_j, which is 1 exactly when x is an eigenvector,
+  computed in closed form from the factors of a :class:`KroneckerLaplacian`;
 * percentage-error vectors between sorted estimated and sorted exact
   spectra, with the matched zero eigenvalue dropped from both;
 * aggregation of per-run error vectors into median and 5/95-percentile
@@ -22,6 +23,7 @@ from scipy.special import ndtr
 from scipy.stats import chi2
 
 from .estimators import EstimatedSpectrum
+from .graphs import KroneckerLaplacian
 
 # percentile convention for all error bands: linear interpolation
 PERCENTILE_METHOD = "linear"
@@ -58,47 +60,70 @@ class DensityCurve:
     meta: dict = field(default_factory=dict)
 
 
-def correlation_profile(
-    lap: np.ndarray,
-    basis1: np.ndarray,
-    basis2: np.ndarray,
-    skip_first: bool = True,
-    pairs: list[tuple[int, int]] | None = None,
-    block: int = 512,
-) -> dict[tuple[int, int], float]:
-    """Cosine between u_i kron v_j and L (u_i kron v_j) for all column pairs.
+def _factor_terms(basis: np.ndarray, degrees: np.ndarray, adjacency: np.ndarray):
+    """Per-column factor quantities behind the product cosines.
 
-    Indices are 0-based; with ``skip_first`` the (0, 0) pair is omitted
-    (its image under a product Laplacian is the zero vector), leaving
-    n1*n2 - 1 values. An explicit ``pairs`` list restricts the profile to
-    those pairs instead. Work proceeds in column blocks so memory stays at
-    O(dim * block) beyond the matrix itself.
+    For each column u: a = D u and c = A u, split as c = alpha a + c_perp
+    with c_perp orthogonal to a. Returns (u'u, u'a, u'c, |a|^2, alpha,
+    |c_perp|^2), each of length n.
     """
-    lap = np.asarray(lap, dtype=np.float64)
-    dim = lap.shape[0]
-    n1, n2 = basis1.shape[1], basis2.shape[1]
-    if basis1.shape[0] * basis2.shape[0] != dim:
+    basis = np.asarray(basis, dtype=np.float64)
+    a = degrees[:, None] * basis
+    c = adjacency @ basis
+    a_sq = np.einsum("ij,ij->j", a, a)
+    # a = 0 forces c = 0 (an isolated vertex has no neighbours), so alpha = 0 is exact
+    alpha = np.divide(
+        np.einsum("ij,ij->j", a, c), a_sq, out=np.zeros_like(a_sq), where=a_sq > 0
+    )
+    c_perp = c - alpha * a
+    return (
+        np.einsum("ij,ij->j", basis, basis),
+        np.einsum("ij,ij->j", basis, a),
+        np.einsum("ij,ij->j", basis, c),
+        a_sq,
+        alpha,
+        np.einsum("ij,ij->j", c_perp, c_perp),
+    )
+
+
+def correlation_profile(
+    op: KroneckerLaplacian, basis1: np.ndarray, basis2: np.ndarray
+) -> np.ndarray:
+    """Cosine between x = u_i kron v_j and L x for every column pair (i, j).
+
+    Returns a flat array of n1*n2 - 1 values in row-major (i, j) order with
+    (0, 0) dropped (its image under a product Laplacian is the zero vector),
+    the order of ``experiments.correlation_pairs``; row i = 0 is
+    ``profile[:n2 - 1]``. Every cosine comes from factor-level quantities in
+    O(n^3 + n1 n2), no N x N matrix: with a = D1 u, c = A1 u, b = D2 v and
+    e = A2 v,
+
+    * x'Lx = (u'a)(v'b) - (u'c)(v'e);
+    * L x = a(x)b - c(x)e. Splitting c = alpha a + c_perp and
+      e = beta b + e_perp gives L x = (1 - alpha beta) a(x)b - alpha a(x)e_perp
+      - beta c_perp(x)b - c_perp(x)e_perp, four mutually orthogonal terms, so
+      ||L x||^2 is a sum of nonnegative squares with no cancellation.
+    """
+    if basis1.shape[0] != len(op.degrees1) or basis2.shape[0] != len(op.degrees2):
         raise ValueError(
-            f"basis dimensions {basis1.shape[0]}x{basis2.shape[0]} do not match matrix dim {dim}"
+            f"basis dimensions {basis1.shape[0]}x{basis2.shape[0]} do not match factor "
+            f"orders {len(op.degrees1)}x{len(op.degrees2)}"
         )
-    if pairs is None:
-        pairs = [(i, j) for i in range(n1) for j in range(n2)]
-        if skip_first:
-            pairs = pairs[1:]
-    out: dict[tuple[int, int], float] = {}
-    for start in range(0, len(pairs), block):
-        chunk = pairs[start:start + block]
-        x = np.empty((dim, len(chunk)))
-        for c, (i, j) in enumerate(chunk):
-            x[:, c] = np.kron(basis1[:, i], basis2[:, j])
-        lx = lap @ x
-        num = np.einsum("dc,dc->c", x, lx)
-        den = np.linalg.norm(lx, axis=0) * np.linalg.norm(x, axis=0)
-        for c, (i, j) in enumerate(chunk):
-            if den[c] == 0.0:
-                raise ValueError(f"pair ({i}, {j}) maps to the zero vector; cosine undefined")
-            out[(i, j)] = float(num[c] / den[c])
-    return out
+    u_sq, u_a, u_c, a_sq, alpha, cp_sq = _factor_terms(basis1, op.degrees1, op.adjacency1)
+    v_sq, v_b, v_e, b_sq, beta, ep_sq = _factor_terms(basis2, op.degrees2, op.adjacency2)
+    numerator = np.outer(u_a, v_b) - np.outer(u_c, v_e)
+    image_sq = (
+        (1.0 - np.outer(alpha, beta)) ** 2 * np.outer(a_sq, b_sq)
+        + np.outer(alpha ** 2 * a_sq, ep_sq)
+        + np.outer(cp_sq, beta ** 2 * b_sq)
+        + np.outer(cp_sq, ep_sq)
+    )
+    denominator = (np.sqrt(image_sq) * np.sqrt(np.outer(u_sq, v_sq))).ravel()[1:]
+    if not denominator.all():
+        k = int(np.argmin(denominator != 0)) + 1
+        pair = divmod(k, basis2.shape[1])
+        raise ValueError(f"pair {pair} maps to the zero vector; cosine undefined")
+    return numerator.ravel()[1:] / denominator
 
 
 def percentage_errors(

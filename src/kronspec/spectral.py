@@ -30,13 +30,23 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
+SYMMETRY_BLOCK = 256
+
+
 def _check_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
+    """Require ``max|m - m.T| <= tol * max(1, max|m|)``.
+
+    Compares row blocks with the matching column blocks, so the check needs
+    O(SYMMETRY_BLOCK * n) extra memory rather than N x N temporaries.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > tol * scale:
-        raise ValueError("matrix is not symmetric")
+    limit = tol * max(1.0, float(m.max()), -float(m.min()))
+    for i in range(0, m.shape[0], SYMMETRY_BLOCK):
+        rows = m[i:i + SYMMETRY_BLOCK]
+        if np.abs(rows - m[:, i:i + SYMMETRY_BLOCK].T).max() > limit:
+            raise ValueError("matrix is not symmetric")
     return m
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kronspec import experiments
 from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import (
     ExperimentConfig,
@@ -14,6 +15,7 @@ from kronspec.experiments import (
     run_experiment,
     run_single,
     theory_suite,
+    worker_count,
 )
 
 
@@ -138,6 +140,13 @@ def test_config_validation():
         ExperimentConfig(model="WS", orders=(30, 50), density=0.02)
 
 
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown config keys: run, sede"):
+        ExperimentConfig.from_dict(
+            {"model": "ER", "orders": [10, 12], "density": 0.4, "run": 5, "sede": 1}
+        )
+
+
 def test_generation_failure_names_run():
     config = cycle_config(orders=(6, 8))  # even cycles: bipartite pair, no retry escape
     with pytest.raises(RuntimeError, match="run 0"):
@@ -168,6 +177,29 @@ def test_theory_suite_report(tmp_path):
     assert written["staircase_limit"]["pass"] is True
     assert report["normalized_decomposition"]["pass"] is True
     assert "version" in written
+
+
+def test_worker_count_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("KRONSPEC_THREADS", "auto")
+    with pytest.raises(ValueError, match="KRONSPEC_THREADS must be an integer.*'auto'"):
+        worker_count()
+    monkeypatch.setenv("KRONSPEC_THREADS", " 3 ")
+    assert worker_count() == 3
+    monkeypatch.setenv("KRONSPEC_THREADS", "")
+    assert worker_count() == 1
+
+
+def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(experiments, "version_string", lambda: calls.append(1) or "v-test")
+    experiments._version.cache_clear()
+    try:
+        run_experiment(cycle_config(runs=1, output_dir=str(tmp_path)))
+        assert experiments._version() == "v-test"
+        assert calls == [1]
+        assert "kronspec=v-test" in (tmp_path / "runs.csv").read_text()
+    finally:
+        experiments._version.cache_clear()
 
 
 def test_worker_pool_env(tmp_path, monkeypatch):

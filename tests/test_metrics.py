@@ -6,7 +6,14 @@ import pytest
 from kronspec.checks import complete_graph, cycle_graph
 from kronspec.estimators import normalized_estimate
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import build_graph, kronecker_graph, laplacian, normalized_laplacian
+from kronspec.experiments import correlation_pairs
+from kronspec.graphs import (
+    KroneckerLaplacian,
+    build_graph,
+    kronecker_graph,
+    laplacian,
+    normalized_laplacian,
+)
 from kronspec.metrics import (
     aggregate_profile,
     chi_squared_normality,
@@ -16,55 +23,72 @@ from kronspec.metrics import (
     normality_pass_count,
     percentage_errors,
 )
-from kronspec.spectral import sym_eig, sym_eigenvalues
+from kronspec.spectral import cosine, sym_eig, sym_eigenvalues
 from kronspec.theory import mean_rms_ratio
 
 
 def test_correlation_profile_regular_factors_all_one():
     c4, k3 = cycle_graph(4), complete_graph(3)
-    lap_product = laplacian(kronecker_graph(c4, k3))
     w1 = sym_eig(laplacian(c4)).eigenvectors
     w2 = sym_eig(laplacian(k3)).eigenvectors
-    profile = correlation_profile(lap_product, w1, w2, skip_first=True)
-    assert len(profile) == 11
-    assert all(abs(r - 1.0) <= 1e-9 for r in profile.values())
+    profile = correlation_profile(KroneckerLaplacian.of(c4, k3), w1, w2)
+    assert profile.shape == (11,)
+    assert np.abs(profile - 1.0).max() <= 1e-9
 
 
 def test_correlation_profile_first_row_is_mean_over_rms():
     g = generate_connected(GeneratorSpec("ER", 12, 0.4, seed=51))
     h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=52))
-    lap_product = laplacian(kronecker_graph(g, h))
     w1 = sym_eig(laplacian(g)).eigenvectors
     w2 = sym_eig(laplacian(h)).eigenvectors
-    profile = correlation_profile(lap_product, w1, w2)
-    expected = mean_rms_ratio(g.degrees)
-    row = [profile[(0, j)] for j in range(1, h.n)]
-    assert np.abs(np.array(row) - expected).max() <= 1e-10
-    assert max(row) - min(row) <= 1e-10
+    profile = correlation_profile(KroneckerLaplacian.of(g, h), w1, w2)
+    row = profile[: h.n - 1]
+    assert np.abs(row - mean_rms_ratio(g.degrees)).max() <= 1e-10
+    assert row.max() - row.min() <= 1e-10
 
 
 def test_correlation_profile_exact_eigenvector_gives_one():
-    m = np.diag([1.0, 2.0, 3.0, 4.0])
-    profile = correlation_profile(m, np.eye(2), np.eye(2), skip_first=False)
-    assert all(abs(r - 1.0) <= 1e-12 for r in profile.values())
+    # with a regular first factor, 1 kron w_j is an exact eigenvector of the
+    # product Laplacian (eigenvalue k * mu_j) even for an irregular second factor
+    g = cycle_graph(5)
+    h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=52))
+    assert len(set(h.degrees.tolist())) > 1
+    w1 = sym_eig(laplacian(g)).eigenvectors
+    w2 = sym_eig(laplacian(h)).eigenvectors
+    profile = correlation_profile(KroneckerLaplacian.of(g, h), w1, w2)
+    assert np.abs(profile[: h.n - 1] - 1.0).max() <= 1e-12
+    assert np.abs(profile[h.n - 1:] - 1.0).max() > 1e-3  # later rows are not eigenvectors
 
 
 def test_correlation_profile_values_in_range():
     g = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=61))
     h = generate_connected(GeneratorSpec("ER", 8, 0.4, seed=62))
-    lap_product = laplacian(kronecker_graph(g, h))
     v1 = sym_eig(normalized_laplacian(g)).eigenvectors
     v2 = sym_eig(normalized_laplacian(h)).eigenvectors
-    profile = correlation_profile(lap_product, v1, v2)
-    values = np.array(list(profile.values()))
-    assert values.min() >= -1e-12  # PSD quadratic form
-    assert values.max() <= 1.0 + 1e-12
+    profile = correlation_profile(KroneckerLaplacian.of(g, h), v1, v2)
+    assert profile.min() >= -1e-12  # PSD quadratic form
+    assert profile.max() <= 1.0 + 1e-12
 
 
 def test_correlation_profile_restricted_pairs():
-    m = np.diag([1.0, 2.0, 3.0, 4.0])
-    profile = correlation_profile(m, np.eye(2), np.eye(2), pairs=[(1, 1)])
-    assert set(profile) == {(1, 1)}
+    # a subset of pairs is read off the flat profile by correlation_pairs index
+    g = generate_connected(GeneratorSpec("ER", 7, 0.5, seed=71))
+    h = generate_connected(GeneratorSpec("ER", 6, 0.5, seed=72))
+    v1 = sym_eig(normalized_laplacian(g)).eigenvectors
+    v2 = sym_eig(normalized_laplacian(h)).eigenvectors
+    profile = correlation_profile(KroneckerLaplacian.of(g, h), v1, v2)
+    lap_product = laplacian(kronecker_graph(g, h))
+    index = {pair: k for k, pair in enumerate(correlation_pairs(g.n, h.n))}
+    for i, j in [(0, 1), (1, 0), (3, 2), (g.n - 1, h.n - 1)]:
+        x = np.kron(v1[:, i], v2[:, j])
+        assert abs(profile[index[(i, j)]] - cosine(x, lap_product @ x)) <= 1e-12
+
+
+def test_correlation_profile_rejects_mismatched_bases():
+    g, h = cycle_graph(5), complete_graph(3)
+    w1 = sym_eig(laplacian(g)).eigenvectors
+    with pytest.raises(ValueError, match="do not match"):
+        correlation_profile(KroneckerLaplacian.of(g, h), w1, w1)
 
 
 def test_percentage_errors_scaling():

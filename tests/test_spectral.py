@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kronspec.graphs import build_graph, kronecker_graph, laplacian, normalized_laplacian
-from kronspec.spectral import cosine, kron_vec, sym_eig, sym_eigenvalues
+from kronspec.spectral import SYMMETRY_BLOCK, cosine, kron_vec, sym_eig, sym_eigenvalues
 
 
 def test_k2_laplacian_spectrum():
@@ -55,6 +55,26 @@ def test_sign_convention_is_deterministic():
 def test_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+def test_asymmetry_in_last_block_raises():
+    # the check walks row blocks; a defect in the final, partial block counts too
+    n = 2 * SYMMETRY_BLOCK + 37
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((n, n))
+    m = m + m.T
+    sym_eigenvalues(m)
+    m[n - 1, 3] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigenvalues(m)
+
+
+def test_symmetry_tolerance_scales_with_largest_entry():
+    m = np.array([[0.0, 1e6], [1e6 + 1e-5, 0.0]])  # relative gap 1e-11
+    assert np.allclose(sym_eigenvalues(m), [-1e6, 1e6])
+    m[1, 0] = 1e6 + 1e-3  # relative gap 1e-9, above the 1e-10 default
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigenvalues(m)
 
 
 def test_connected_laplacian_kernel_is_ones():
