@@ -30,8 +30,8 @@ mu2, d2 = sym_eigenvalues(laplacian(k3)), np.sort(k3.degrees)
 lam1 = sym_eigenvalues(normalized_laplacian(c4))
 lam2 = sym_eigenvalues(normalized_laplacian(k3))
 
-from_laplacian = np.sort(sayama_spectrum(mu1, d1, mu2, d2).values)
-from_normalized = np.sort(normalized_estimate(lam1, d1, lam2, d2).values)
+from_laplacian = np.sort(sayama_spectrum(mu1, d1, mu2, d2))
+from_normalized = np.sort(normalized_estimate(lam1, d1, lam2, d2))
 
 print("C4 (x) K3: 12 vertices,", product.edge_count, "edges")
 print(f"{'exact':>10} {'w-basis':>10} {'v-basis':>10}")

@@ -9,7 +9,6 @@ from .graphs import (
     is_bipartite,
     is_connected,
     kronecker_graph,
-    kronecker_matrix,
     laplacian,
     normalized_laplacian,
     normalized_laplacian_of,
@@ -27,14 +26,12 @@ from .generators import (
     generate_connected_pair,
     watts_strogatz,
 )
-from .spectral import SpectralDecomposition, cosine, kron_vec, sym_eig, sym_eigenvalues
+from .spectral import SpectralDecomposition, cosine, sym_eig, sym_eigenvalues
 from .estimators import (
-    EstimatedSpectrum,
     Estimator,
     Ordering,
     OrderingKind,
     apply_ordering,
-    estimated_eigenvector,
     normalized_estimate,
     sayama_spectrum,
 )

@@ -20,6 +20,7 @@ from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
     build_graph,
+    cycle_graph,
     kronecker_graph,
     laplacian,
     normalized_laplacian,
@@ -61,10 +62,6 @@ def _first_row_cosines(op: KroneckerLaplacian, basis1, basis2) -> np.ndarray:
 
 def star_graph(n: int):
     return build_graph(n, [(0, v) for v in range(1, n)])
-
-
-def cycle_graph(n: int):
-    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def complete_graph(n: int):
@@ -183,9 +180,9 @@ def sayama_nonnegativity_sweep(graph_count: int = 1000, n_max: int = 40, seed: i
     for t in range(0, graph_count - 1, 2):
         mu_a, lam_a, d_a = spectra[t]
         mu_b, lam_b, d_b = spectra[t + 1]
-        min_sayama = min(min_sayama, float(sayama_spectrum(mu_a, d_a, mu_b, d_b).values.min()))
+        min_sayama = min(min_sayama, float(sayama_spectrum(mu_a, d_a, mu_b, d_b).min()))
         min_normalized = min(
-            min_normalized, float(normalized_estimate(lam_a, d_a, lam_b, d_b).values.min())
+            min_normalized, float(normalized_estimate(lam_a, d_a, lam_b, d_b).min())
         )
     observed = {
         "bound_failures": bound_failures,

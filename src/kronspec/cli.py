@@ -17,22 +17,18 @@ import sys
 
 import numpy as np
 
-from .estimators import Ordering, OrderingKind, normalized_estimate, sayama_spectrum
+from .estimators import Estimator, Ordering, OrderingKind
 from .generators import GeneratorSpec, generate_connected
-from .graphs import (
-    KroneckerLaplacian,
-    laplacian,
-    normalized_laplacian,
-    read_edge_list,
-    write_edge_list,
-)
+from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
 from .experiments import (
     ExperimentConfig,
     FIGURES,
+    estimate_spectrum,
+    factor_spectra,
     reproduce_figure,
     run_experiment,
     theory_suite,
-    version_string,
+    write_csv,
 )
 from .spectral import sym_eigenvalues
 
@@ -55,28 +51,24 @@ def _cmd_estimate(args) -> int:
     g1 = read_edge_list(args.factor1)
     g2 = read_edge_list(args.factor2)
     ordering = Ordering(kind=OrderingKind(args.ordering), randomization_seed=args.seed)
-    d1 = np.sort(g1.degrees)
-    d2 = np.sort(g2.degrees)
-    mu1 = sym_eigenvalues(laplacian(g1))
-    mu2 = sym_eigenvalues(laplacian(g2))
-    lam1 = sym_eigenvalues(normalized_laplacian(g1))
-    lam2 = sym_eigenvalues(normalized_laplacian(g2))
+    f1, f2 = factor_spectra(g1), factor_spectra(g2)
     exact = sym_eigenvalues(KroneckerLaplacian.of(g1, g2).dense())
-    sayama = np.sort(sayama_spectrum(mu1, d1, mu2, d2, ordering).values)
-    normalized = np.sort(normalized_estimate(lam1, d1, lam2, d2, ordering).values)
-
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        out.write(f"# kronspec={version_string()} ordering={ordering.kind.value}\n")
-        out.write("rank,exact,estimate_sayama,estimate_normalized\n")
-        for k in range(len(exact)):
-            out.write(
-                f"{k + 1},{float(exact[k])!r},{float(sayama[k])!r},{float(normalized[k])!r}\n"
-            )
-    finally:
-        if args.output:
-            out.close()
-            print(f"wrote {args.output}: {len(exact)} eigenvalues")
+    sayama, normalized = (
+        np.sort(estimate_spectrum(estimator, f1, f2, ordering)).tolist()
+        for estimator in (Estimator.SAYAMA_LAPLACIAN, Estimator.NORMALIZED_LAPLACIAN)
+    )
+    rows = (
+        f"{k},{e!r},{s!r},{n!r}"
+        for k, (e, s, n) in enumerate(zip(exact.tolist(), sayama, normalized), start=1)
+    )
+    write_csv(
+        args.output or sys.stdout,
+        f"ordering={ordering.kind.value}",
+        "rank,exact,estimate_sayama,estimate_normalized",
+        rows,
+    )
+    if args.output:
+        print(f"wrote {args.output}: {len(exact)} eigenvalues")
     return 0
 
 

@@ -9,9 +9,11 @@ and the eigenvalue order controlled by a heuristic:
 * the normalized-Laplacian estimate combines factor normalized-Laplacian
   eigenvalues lam as ``(lam_i + lam'_j - lam_i*lam'_j) * d_i * d'_j``.
 
-The corresponding estimated eigenvectors are Kronecker products of factor
-eigenvector columns. The correlated ordering (eigenvalues ascending, like
-the degrees) is the default and the most accurate heuristic.
+Both return the n1*n2 estimated eigenvalues as a flat float64 array in
+row-major order over the (reordered) factor indices; the corresponding
+estimated eigenvectors are Kronecker products of factor eigenvector columns.
+The correlated ordering (eigenvalues ascending, like the degrees) is the
+default and the most accurate heuristic.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .spectral import kron_vec
 
 # factor eigenvalues closer to zero than this (relative to the spectrum
 # scale) are snapped to exactly 0.0, so the estimate of the product's zero
@@ -72,30 +72,9 @@ class Ordering:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Ordering":
-        return cls(
-            kind=OrderingKind(data.get("kind", "Correlated")),
-            randomization_seed=int(data.get("randomization_seed", 0)),
-            swap_count=data.get("swap_count"),
-        )
-
-
-@dataclass(frozen=True)
-class EstimatedSpectrum:
-    """All n1*n2 estimated eigenvalues with factor-spectrum provenance.
-
-    ``values[t]`` was produced from factor eigenvalue indices ``pairs[t]``
-    (indices into the input spectra, after the ordering permutation), so the
-    matching estimated eigenvector is basis1[:, pairs[t, 0]] kron
-    basis2[:, pairs[t, 1]].
-    """
-
-    values: np.ndarray       # (n1*n2,)
-    pairs: np.ndarray        # (n1*n2, 2) int
-    method: Estimator
-    ordering: Ordering
-
-    def __len__(self) -> int:
-        return len(self.values)
+        """Inverse of :meth:`to_dict`; absent keys take the field defaults."""
+        coerce = {"kind": OrderingKind, "randomization_seed": int}
+        return cls(**{key: coerce[key](v) if key in coerce else v for key, v in data.items()})
 
 
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:
@@ -144,7 +123,7 @@ def _check_factors(values1, d1, values2, d2):
             raise ValueError("degree sequences must be sorted ascending")
 
 
-def _combine(values1, d1, values2, d2, ordering, method, cell) -> EstimatedSpectrum:
+def _combine(values1, d1, values2, d2, ordering, cell) -> np.ndarray:
     _check_factors(values1, d1, values2, d2)
     perm1 = apply_ordering(values1, ordering, seed_salt=1)
     perm2 = apply_ordering(values2, ordering, seed_salt=2)
@@ -152,14 +131,10 @@ def _combine(values1, d1, values2, d2, ordering, method, cell) -> EstimatedSpect
     e2 = _snap_zeros(np.asarray(values2, dtype=np.float64)[perm2])
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
-    grid = cell(e1[:, None], d1[:, None], e2[None, :], d2[None, :])
-    pairs = np.stack(
-        [np.repeat(perm1, len(e2)), np.tile(perm2, len(e1))], axis=1
-    )
-    return EstimatedSpectrum(values=grid.ravel(), pairs=pairs, method=method, ordering=ordering)
+    return cell(e1[:, None], d1[:, None], e2[None, :], d2[None, :]).ravel()
 
 
-def sayama_spectrum(mu1, d1, mu2, d2, ordering: Ordering = Ordering()) -> EstimatedSpectrum:
+def sayama_spectrum(mu1, d1, mu2, d2, ordering: Ordering = Ordering()) -> np.ndarray:
     """Estimate from factor Laplacian eigenvalues: mu_i*d'_j + d_i*mu'_j - mu_i*mu'_j.
 
     ``d1`` and ``d2`` must be sorted ascending; the ordering controls how the
@@ -167,23 +142,19 @@ def sayama_spectrum(mu1, d1, mu2, d2, ordering: Ordering = Ordering()) -> Estima
     eigenvalues is exactly 0.
     """
     return _combine(
-        mu1, d1, mu2, d2, ordering, Estimator.SAYAMA_LAPLACIAN,
+        mu1, d1, mu2, d2, ordering,
         lambda e1, dd1, e2, dd2: e1 * dd2 + dd1 * e2 - e1 * e2,
     )
 
 
-def normalized_estimate(lam1, d1, lam2, d2, ordering: Ordering = Ordering()) -> EstimatedSpectrum:
+def normalized_estimate(lam1, d1, lam2, d2, ordering: Ordering = Ordering()) -> np.ndarray:
     """Estimate from factor normalized-Laplacian eigenvalues.
 
     Each value is ``(lam_i + lam'_j - lam_i*lam'_j) * d_i * d'_j``, which is
     nonnegative for any ordering since every lam lies in [0, 2].
     """
     return _combine(
-        lam1, d1, lam2, d2, ordering, Estimator.NORMALIZED_LAPLACIAN,
+        lam1, d1, lam2, d2, ordering,
         lambda e1, dd1, e2, dd2: (e1 + e2 - e1 * e2) * dd1 * dd2,
     )
 
-
-def estimated_eigenvector(i: int, j: int, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
-    """Kronecker product of eigenvector columns i of basis1 and j of basis2."""
-    return kron_vec(basis1[:, i], basis2[:, j])

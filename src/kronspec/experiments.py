@@ -1,15 +1,18 @@
 """Experiment orchestration: seeded runs, aggregation, and report bundles.
 
 One run generates a connected factor pair, decomposes the factor Laplacians
-and normalized Laplacians, builds the exact product-Laplacian spectrum, and
-evaluates both estimators against it. A full experiment repeats this over
-independent per-run seeds derived from a master seed and aggregates
-percentage-error profiles and correlation-coefficient densities.
+and normalized Laplacians (:func:`factor_spectra`), builds the exact
+product-Laplacian spectrum, and evaluates both estimators against it
+(:func:`estimate_spectrum`); the CLI ``estimate`` command goes through the
+same two functions. A full experiment repeats this over independent per-run
+seeds derived from a master seed and aggregates percentage-error profiles
+and correlation-coefficient densities.
 
 Everything written to disk is a pure function of the config: per-run seeds
-come from (master_seed, run index, role), and CSV/JSON emission is fully
-deterministic. The KRONSPEC_THREADS environment variable caps the size of
-the worker pool used for the independent runs (default: sequential).
+come from (master_seed, run index, role), and every CSV table goes through
+the one deterministic writer :func:`write_csv`. The KRONSPEC_THREADS
+environment variable caps the size of the worker pool used for the
+independent runs (default: sequential).
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
+from itertools import chain, repeat
 from pathlib import Path
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
 from .estimators import (
-    EstimatedSpectrum,
     Estimator,
     Ordering,
     OrderingKind,
@@ -42,7 +46,7 @@ from .generators import (
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import KroneckerLaplacian, edge_density, laplacian, normalized_laplacian
+from .graphs import Graph, KroneckerLaplacian, edge_density, laplacian, normalized_laplacian
 from .metrics import (
     DensityCurve,
     ErrorProfile,
@@ -51,7 +55,7 @@ from .metrics import (
     kde,
     percentage_errors,
 )
-from .spectral import sym_eig, sym_eigenvalues
+from .spectral import SpectralDecomposition, sym_eig, sym_eigenvalues
 
 REFERENCE_ORDERS = ((30, 50), (50, 100), (100, 200))
 REFERENCE_DENSITIES = (0.10, 0.30, 0.65)
@@ -97,6 +101,19 @@ def version_string() -> str:
 @functools.cache
 def _version() -> str:
     return version_string()
+
+
+# from_dict's coercion of each JSON value to its field type
+_COERCE = {
+    "orders": tuple,
+    "density": float,
+    "runs": int,
+    "estimators": lambda names: tuple(Estimator(e) for e in names),
+    "ordering": lambda o: Ordering.from_dict(o) if o is not None else None,
+    "master_seed": int,
+    "ws_beta": float,
+    "compute_correlations": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -173,30 +190,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = dict(data)
-        unknown = sorted(set(known) - {f.name for f in fields(cls)})
+        """Inverse of :meth:`to_dict`; absent keys take the field defaults.
+
+        Values are coerced to the field types (e.g. ``"density": 1`` becomes
+        1.0), so equal configs hash equally however their JSON spells them.
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(
-            model=known["model"],
-            orders=tuple(known["orders"]),
-            density=float(known["density"]),
-            runs=int(known.get("runs", 100)),
-            estimators=tuple(
-                Estimator(e) for e in known.get(
-                    "estimators", ["SayamaLaplacian", "NormalizedLaplacian"]
-                )
-            ),
-            ordering=(
-                Ordering.from_dict(known["ordering"])
-                if known.get("ordering") is not None
-                else None
-            ),
-            master_seed=int(known.get("master_seed", 0)),
-            output_dir=known.get("output_dir"),
-            ws_beta=float(known.get("ws_beta", DEFAULT_WS_BETA)),
-            compute_correlations=bool(known.get("compute_correlations", True)),
-        )
+        return cls(**{key: _COERCE[key](v) if key in _COERCE else v for key, v in data.items()})
 
     def config_hash(self) -> str:
         hashed = self.to_dict()
@@ -252,6 +254,32 @@ def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
     return "Uncorrelated[per-run seed]"
 
 
+class FactorSpectra(NamedTuple):
+    """What both estimators need from one factor graph."""
+
+    laplacian: SpectralDecomposition
+    normalized: SpectralDecomposition
+    degrees: np.ndarray  # ascending
+
+
+def factor_spectra(g: Graph) -> FactorSpectra:
+    """Both eigendecompositions of one factor (Laplacian, normalized) and its sorted degrees."""
+    return FactorSpectra(
+        sym_eig(laplacian(g)), sym_eig(normalized_laplacian(g)), np.sort(g.degrees)
+    )
+
+
+def estimate_spectrum(
+    estimator: Estimator, f1: FactorSpectra, f2: FactorSpectra, ordering: Ordering
+) -> np.ndarray:
+    """The n1*n2 estimated product eigenvalues of one estimator, unsorted."""
+    if estimator == Estimator.SAYAMA_LAPLACIAN:
+        basis1, basis2, combine = f1.laplacian, f2.laplacian, sayama_spectrum
+    else:
+        basis1, basis2, combine = f1.normalized, f2.normalized, normalized_estimate
+    return combine(basis1.eigenvalues, f1.degrees, basis2.eigenvalues, f2.degrees, ordering)
+
+
 def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     """Generate one factor pair and measure both estimators against the truth."""
     started = time.perf_counter()
@@ -261,27 +289,25 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     except Exception as exc:
         raise RuntimeError(f"run {run_index}: factor generation failed") from exc
 
-    lap1 = sym_eig(laplacian(g1))
-    lap2 = sym_eig(laplacian(g2))
-    norm1 = sym_eig(normalized_laplacian(g1))
-    norm2 = sym_eig(normalized_laplacian(g2))
-    d1 = np.sort(g1.degrees)
-    d2 = np.sort(g2.degrees)
-
+    f1, f2 = factor_spectra(g1), factor_spectra(g2)
     op = KroneckerLaplacian.of(g1, g2)
     actual = sym_eigenvalues(op.dense())
-
-    errors: dict[Estimator, np.ndarray] = {}
-    for estimator in config.estimators:
-        ordering = resolve_ordering(config, estimator, run_index)
-        estimated = estimate_spectrum(estimator, lap1, norm1, d1, lap2, norm2, d2, ordering)
-        errors[estimator] = percentage_errors(estimated, actual)
+    errors = {
+        estimator: percentage_errors(
+            estimate_spectrum(estimator, f1, f2, resolve_ordering(config, estimator, run_index)),
+            actual,
+        )
+        for estimator in config.estimators
+    }
 
     correlations = None
     if config.compute_correlations:
+        # each basis name in BASES is also the FactorSpectra field holding that basis
         correlations = {
-            "laplacian": correlation_profile(op, lap1.eigenvectors, lap2.eigenvectors),
-            "normalized": correlation_profile(op, norm1.eigenvectors, norm2.eigenvectors),
+            basis: correlation_profile(
+                op, getattr(f1, basis).eigenvectors, getattr(f2, basis).eigenvectors
+            )
+            for basis in BASES
         }
 
     return RunRecord(
@@ -292,25 +318,6 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
         correlations=correlations,
         wall_time=time.perf_counter() - started,
     )
-
-
-def estimate_spectrum(
-    estimator: Estimator,
-    lap_eig1,
-    norm_eig1,
-    d1: np.ndarray,
-    lap_eig2,
-    norm_eig2,
-    d2: np.ndarray,
-    ordering: Ordering,
-) -> EstimatedSpectrum:
-    if estimator == Estimator.SAYAMA_LAPLACIAN:
-        return sayama_spectrum(lap_eig1.eigenvalues, d1, lap_eig2.eigenvalues, d2, ordering)
-    return normalized_estimate(norm_eig1.eigenvalues, d1, norm_eig2.eigenvalues, d2, ordering)
-
-
-def _run_single_star(args) -> RunRecord:
-    return run_single(*args)
 
 
 @dataclass
@@ -335,11 +342,10 @@ class ExperimentBundle:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     """Execute all runs, aggregate, and (if output_dir is set) write reports."""
-    args = [(config, i) for i in range(config.runs)]
     workers = worker_count()
     if workers > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_single_star, args))
+            records = list(pool.map(run_single, repeat(config), range(config.runs)))
     else:
         records = [run_single(config, i) for i in range(config.runs)]
     records.sort(key=lambda r: r.run_index)
@@ -399,64 +405,84 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _comment(config_hash: str) -> str:
-    return f"# kronspec={_version()} config={config_hash}\n"
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def write_error_profile_csv(path: str, profile: ErrorProfile, config_hash: str) -> None:
+def write_csv(dest: str | Path | IO[str], note: str, header: str, rows: Iterable[str]) -> None:
+    """Write one report table: ``# kronspec=<version> <note>``, the header, then the rows.
+
+    Each row is one formatted CSV line without its newline. ``dest`` is a
+    path or an open text stream.
+    """
+    lines = (f"{line}\n" for line in chain([f"# kronspec={_version()} {note}", header], rows))
+    if hasattr(dest, "write"):
+        dest.writelines(lines)
+    else:
+        with open(dest, "w") as fh:
+            fh.writelines(lines)
+
+
+def _error_table(profile: ErrorProfile) -> tuple[str, Iterable[str]]:
     meta = profile.meta
-    with open(path, "w") as fh:
-        fh.write(_comment(config_hash))
-        fh.write("rank,median,p5,p95,estimator,ordering,model,density,n1,n2,runs\n")
-        for k, rank in enumerate(profile.ranks):
-            fh.write(
-                f"{rank},{_fmt(profile.median[k])},{_fmt(profile.p5[k])},{_fmt(profile.p95[k])},"
-                f"{meta['estimator']},{meta['ordering']},{meta['model']},{_fmt(meta['density'])},"
-                f"{meta['n1']},{meta['n2']},{meta['runs']}\n"
-            )
+    tail = (
+        f"{meta['estimator']},{meta['ordering']},{meta['model']},{_fmt(meta['density'])},"
+        f"{meta['n1']},{meta['n2']},{meta['runs']}"
+    )
+    rows = (
+        f"{rank},{_fmt(profile.median[k])},{_fmt(profile.p5[k])},{_fmt(profile.p95[k])},{tail}"
+        for k, rank in enumerate(profile.ranks)
+    )
+    return "rank,median,p5,p95,estimator,ordering,model,density,n1,n2,runs", rows
 
 
-def write_density_curve_csv(path: str, curve: DensityCurve, config_hash: str) -> None:
+def _density_table(curve: DensityCurve) -> tuple[str, Iterable[str]]:
     meta = curve.meta
-    with open(path, "w") as fh:
-        fh.write(_comment(config_hash))
-        fh.write("grid,density,bandwidth,basis,ordering,model,density_target,n1,n2,runs\n")
-        for k in range(len(curve.grid)):
-            fh.write(
-                f"{_fmt(curve.grid[k])},{_fmt(curve.density[k])},{_fmt(curve.bandwidth)},"
-                f"{meta['basis']},{meta['ordering']},{meta['model']},{_fmt(meta['density'])},"
-                f"{meta['n1']},{meta['n2']},{meta['runs']}\n"
-            )
+    tail = (
+        f"{_fmt(curve.bandwidth)},{meta['basis']},{meta['ordering']},{meta['model']},"
+        f"{_fmt(meta['density'])},{meta['n1']},{meta['n2']},{meta['runs']}"
+    )
+    rows = (
+        f"{_fmt(curve.grid[k])},{_fmt(curve.density[k])},{tail}" for k in range(len(curve.grid))
+    )
+    return "grid,density,bandwidth,basis,ordering,model,density_target,n1,n2,runs", rows
 
 
-def write_runs_csv(path: str, records: list[RunRecord], config_hash: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(_comment(config_hash))
-        fh.write("run,factor_seed1,factor_seed2,achieved_density1,achieved_density2\n")
-        for r in records:
-            fh.write(
-                f"{r.run_index},{r.factor_seeds[0]},{r.factor_seeds[1]},"
-                f"{_fmt(r.achieved_densities[0])},{_fmt(r.achieved_densities[1])}\n"
-            )
+def _runs_table(records: list[RunRecord]) -> tuple[str, Iterable[str]]:
+    rows = (
+        f"{r.run_index},{r.factor_seeds[0]},{r.factor_seeds[1]},"
+        f"{_fmt(r.achieved_densities[0])},{_fmt(r.achieved_densities[1])}"
+        for r in records
+    )
+    return "run,factor_seed1,factor_seed2,achieved_density1,achieved_density2", rows
+
+
+def _tables(bundle: ExperimentBundle):
+    """(kind, label, header, rows) of each error profile and density curve of a bundle."""
+    for estimator, profile in bundle.error_profiles.items():
+        yield ("error_profile", estimator.value, *_error_table(profile))
+    for basis, curve in bundle.density_curves.items():
+        if curve is not None:
+            yield ("density_curve", basis, *_density_table(curve))
+
+
+_BUNDLE_NAMES = {"error_profile": "errors_{}.csv", "density_curve": "correlation_density_{}.csv"}
 
 
 def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     config_hash = bundle.config.config_hash()
+    note = f"config={config_hash}"
     files: dict[str, str] = {}
 
-    for estimator, profile in bundle.error_profiles.items():
-        name = f"errors_{estimator.value}.csv"
-        write_error_profile_csv(str(out / name), profile, config_hash)
-        files[f"error_profile/{estimator.value}"] = name
-    for basis, curve in bundle.density_curves.items():
-        if curve is None:
-            continue
-        name = f"correlation_density_{basis}.csv"
-        write_density_curve_csv(str(out / name), curve, config_hash)
-        files[f"density_curve/{basis}"] = name
-    write_runs_csv(str(out / "runs.csv"), bundle.records, config_hash)
+    for kind, label, header, rows in _tables(bundle):
+        name = _BUNDLE_NAMES[kind].format(label)
+        write_csv(out / name, note, header, rows)
+        files[f"{kind}/{label}"] = name
+    write_csv(out / "runs.csv", note, *_runs_table(bundle.records))
     files["runs"] = "runs.csv"
 
     config_dict = bundle.config.to_dict()
@@ -467,9 +493,7 @@ def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
         "config_hash": config_hash,
         "files": files,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
     files["manifest"] = "manifest.json"
     bundle.files = {k: str(out / v) for k, v in files.items()}
 
@@ -507,12 +531,12 @@ def reproduce_figure(
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
     recipe = FIGURES[figure_id]
     kind = recipe["kind"]
+    panel_kind = "density_curve" if kind == "kde" else "error_profile"
     runs = runs_override if runs_override is not None else (5 if kind == "kde" else 100)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     panels: dict[str, str] = {}
-    version = _version()
     for density in recipe["densities"]:
         config = ExperimentConfig(
             model=recipe["model"],
@@ -524,24 +548,15 @@ def reproduce_figure(
         )
         bundle = run_experiment(config)
         tag = f"{recipe['model']}_{recipe['orders'][0]}x{recipe['orders'][1]}_d{int(density * 100)}"
-        config_hash = config.config_hash()
-        if kind == "kde":
-            for basis, curve in bundle.density_curves.items():
-                if curve is None:
-                    continue
-                name = f"{figure_id}_{tag}_{basis}.csv"
-                write_density_curve_csv(str(out / name), curve, config_hash)
-                panels[f"{tag}/{basis}"] = name
-        else:
-            for estimator, profile in bundle.error_profiles.items():
-                name = f"{figure_id}_{tag}_{estimator.value}.csv"
-                write_error_profile_csv(str(out / name), profile, config_hash)
-                panels[f"{tag}/{estimator.value}"] = name
+        for table_kind, label, header, rows in _tables(bundle):
+            if table_kind != panel_kind:
+                continue
+            name = f"{figure_id}_{tag}_{label}.csv"
+            write_csv(out / name, f"config={config.config_hash()}", header, rows)
+            panels[f"{tag}/{label}"] = name
 
-    manifest = {"figure": figure_id, "version": version, "panels": panels}
-    with open(out / f"{figure_id}_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest = {"figure": figure_id, "version": _version(), "panels": panels}
+    _write_json(out / f"{figure_id}_manifest.json", manifest)
     return manifest
 
 
@@ -566,7 +581,5 @@ def theory_suite(
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "theory_report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "theory_report.json", report)
     return report

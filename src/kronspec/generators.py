@@ -14,11 +14,11 @@ report the achieved density alongside the requested one.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, from_adjacency, is_bipartite, is_connected
+from .graphs import Graph, cycle_graph, from_adjacency, is_bipartite, is_connected
 
 MODELS = ("ER", "WS", "BA", "CYCLE")
 
@@ -60,14 +60,7 @@ class GeneratorSpec:
             raise ValueError("max_retries must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "target_density": self.target_density,
-            "seed": self.seed,
-            "ws_beta": self.ws_beta,
-            "max_retries": self.max_retries,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
@@ -189,12 +182,6 @@ def density_to_params(spec: GeneratorSpec) -> dict:
     raise ValueError(f"unknown model {spec.model!r}")
 
 
-def _cycle(n: int) -> Graph:
-    from .graphs import build_graph
-
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def _draw(spec: GeneratorSpec, seed: int) -> Graph:
     params = density_to_params(spec)
     if spec.model == "ER":
@@ -203,12 +190,7 @@ def _draw(spec: GeneratorSpec, seed: int) -> Graph:
         return watts_strogatz(spec.n, params["k"], params["beta"], seed)
     if spec.model == "BA":
         return barabasi_albert(spec.n, params["m_attach"], seed)
-    return _cycle(spec.n)
-
-
-def generate(spec: GeneratorSpec) -> Graph:
-    """Single draw from the spec's model, no connectivity enforcement."""
-    return _draw(spec, spec.seed)
+    return cycle_graph(spec.n)
 
 
 def generate_connected(spec: GeneratorSpec) -> Graph:

@@ -2,8 +2,8 @@
 
 Provides the matrix constructions everything else is built on: adjacency,
 degree, Laplacian ``L = D - A`` and normalized Laplacian
-``I - D^{-1/2} A D^{-1/2}``, the Kronecker (direct) product of graphs and of
-matrices, the product Laplacian in factor form (:class:`KroneckerLaplacian`),
+``I - D^{-1/2} A D^{-1/2}``, the cycle graph, the Kronecker (direct) product
+of graphs, the product Laplacian in factor form (:class:`KroneckerLaplacian`),
 and a plain-text edge-list format.
 
 Graphs are immutable once built: the adjacency and degree arrays are marked
@@ -86,6 +86,11 @@ def from_adjacency(adjacency: np.ndarray) -> Graph:
     adjacency = adjacency.astype(np.int8)
     degrees = adjacency.sum(axis=1, dtype=np.int64)
     return Graph(n=n, adjacency=_frozen(adjacency), degrees=_frozen(degrees))
+
+
+def cycle_graph(n: int) -> Graph:
+    """The cycle C_n: vertex v adjacent to v - 1 and v + 1 (mod n)."""
+    return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -183,16 +188,6 @@ class KroneckerLaplacian:
         lap = np.kron(-self.adjacency1, self.adjacency2)
         np.fill_diagonal(lap, np.kron(self.degrees1, self.degrees2))
         return lap
-
-
-def kronecker_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix Kronecker product with the row-major index convention.
-
-    ``(A (x) B)[i*M + k, j*M + l] = A[i, j] * B[k, l]`` for B of M rows,
-    matching the vertex indexing of :func:`kronecker_graph`. Satisfies the
-    mixed-product property ``(A (x) B)(C (x) D) = AC (x) BD``.
-    """
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def is_connected(g: Graph) -> bool:

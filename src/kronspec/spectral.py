@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition and small vector utilities.
+"""Dense symmetric eigendecomposition and the cosine between two vectors.
 
 Everything downstream consumes spectra through :func:`sym_eig`, which wraps
 the LAPACK symmetric solver and pins down a reproducible eigenvector sign
@@ -24,10 +24,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.eigenvalues)
 
 
 SYMMETRY_BLOCK = 256
@@ -76,11 +72,6 @@ def sym_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
 def sym_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues only; cheaper than sym_eig when vectors are unused."""
     return np.linalg.eigvalsh(_check_symmetric(m, tol))
-
-
-def kron_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Kronecker product of vectors: entry i*|v| + k equals u[i] * v[k]."""
-    return np.kron(np.asarray(u), np.asarray(v))
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:

@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kronspec.checks import complete_graph, cycle_graph
 from kronspec.estimators import (
     Ordering,
     OrderingKind,
     apply_ordering,
-    estimated_eigenvector,
     normalized_estimate,
     sayama_spectrum,
 )
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import kronecker_graph, laplacian, normalized_laplacian
+from kronspec.graphs import (
+    KroneckerLaplacian,
+    is_bipartite,
+    kronecker_graph,
+    laplacian,
+    normalized_laplacian,
+)
 from kronspec.spectral import sym_eig, sym_eigenvalues
 
 
@@ -71,8 +78,8 @@ def test_k2_factors_match_exact_product():
     # both estimators reproduce the spectrum of K2 (x) K2: {0, 0, 2, 2}
     mu = np.array([0.0, 2.0])
     d = np.array([1, 1])
-    sayama = np.sort(sayama_spectrum(mu, d, mu, d).values)
-    normalized = np.sort(normalized_estimate(mu, d, mu, d).values)
+    sayama = np.sort(sayama_spectrum(mu, d, mu, d))
+    normalized = np.sort(normalized_estimate(mu, d, mu, d))
     from kronspec.graphs import build_graph
 
     k2 = build_graph(2, [(0, 1)])
@@ -90,8 +97,8 @@ def test_regular_factors_are_exact():
     mu2, d2 = sym_eigenvalues(laplacian(k3)), np.sort(k3.degrees)
     lam1 = sym_eigenvalues(normalized_laplacian(c4))
     lam2 = sym_eigenvalues(normalized_laplacian(k3))
-    assert np.abs(np.sort(sayama_spectrum(mu1, d1, mu2, d2).values) - exact).max() <= 1e-9
-    assert np.abs(np.sort(normalized_estimate(lam1, d1, lam2, d2).values) - exact).max() <= 1e-9
+    assert np.abs(np.sort(sayama_spectrum(mu1, d1, mu2, d2)) - exact).max() <= 1e-9
+    assert np.abs(np.sort(normalized_estimate(lam1, d1, lam2, d2)) - exact).max() <= 1e-9
 
 
 def test_estimates_contain_exact_zero():
@@ -102,11 +109,10 @@ def test_estimates_contain_exact_zero():
     lam1 = sym_eigenvalues(normalized_laplacian(g))
     lam2 = sym_eigenvalues(normalized_laplacian(h))
     for est in (sayama_spectrum(mu1, d1, mu2, d2), normalized_estimate(lam1, d1, lam2, d2)):
-        assert len(est) == g.n * h.n
-        assert 0.0 in est.values
-        # the zero sits at the pair of the two zero eigenvalues
-        where = np.nonzero(est.values == 0.0)[0]
-        assert any(tuple(est.pairs[t]) == (0, 0) for t in where)
+        assert est.shape == (g.n * h.n,)
+        # one zero, at the pair of the two (first, under Correlated) zero eigenvalues
+        assert np.count_nonzero(est == 0.0) == 1
+        assert est[0] == 0.0
 
 
 def test_nonnegativity_under_correlated_ordering():
@@ -117,8 +123,8 @@ def test_nonnegativity_under_correlated_ordering():
         mu2, d2 = sym_eigenvalues(laplacian(h)), np.sort(h.degrees)
         lam1 = sym_eigenvalues(normalized_laplacian(g))
         lam2 = sym_eigenvalues(normalized_laplacian(h))
-        assert sayama_spectrum(mu1, d1, mu2, d2).values.min() >= -1e-12
-        assert normalized_estimate(lam1, d1, lam2, d2).values.min() >= -1e-12
+        assert sayama_spectrum(mu1, d1, mu2, d2).min() >= -1e-12
+        assert normalized_estimate(lam1, d1, lam2, d2).min() >= -1e-12
 
 
 def test_normalized_nonnegative_under_any_ordering():
@@ -128,7 +134,7 @@ def test_normalized_nonnegative_under_any_ordering():
     lam2, d2 = sym_eigenvalues(normalized_laplacian(h)), np.sort(h.degrees)
     for kind in OrderingKind:
         est = normalized_estimate(lam1, d1, lam2, d2, Ordering(kind=kind, randomization_seed=1))
-        assert est.values.min() >= -1e-12
+        assert est.min() >= -1e-12
 
 
 def test_orderings_differ_on_irregular_factors():
@@ -137,9 +143,9 @@ def test_orderings_differ_on_irregular_factors():
     assert len(set(g.degrees.tolist())) > 1  # irregular by construction
     mu1, d1 = sym_eigenvalues(laplacian(g)), np.sort(g.degrees)
     mu2, d2 = sym_eigenvalues(laplacian(h)), np.sort(h.degrees)
-    correlated = np.sort(sayama_spectrum(mu1, d1, mu2, d2, Ordering()).values)
+    correlated = np.sort(sayama_spectrum(mu1, d1, mu2, d2, Ordering()))
     anti = np.sort(
-        sayama_spectrum(mu1, d1, mu2, d2, Ordering(kind=OrderingKind.ANTI_CORRELATED)).values
+        sayama_spectrum(mu1, d1, mu2, d2, Ordering(kind=OrderingKind.ANTI_CORRELATED))
     )
     assert not np.allclose(correlated, anti)
 
@@ -151,21 +157,12 @@ def test_length_mismatch_raises():
         normalized_estimate([0.0, 1.0], [2, 1], [0.0, 1.0], [1, 1])  # degrees not ascending
 
 
-def test_estimated_eigenvector():
-    basis1 = np.eye(3)
-    basis2 = np.eye(2)
-    vec = estimated_eigenvector(1, 0, basis1, basis2)
-    expected = np.zeros(6)
-    expected[2] = 1.0
-    assert np.array_equal(vec, expected)
-
-
 def test_first_pair_is_ones_direction_for_laplacian_basis():
     g = generate_connected(GeneratorSpec("ER", 10, 0.5, seed=8))
     h = generate_connected(GeneratorSpec("ER", 8, 0.5, seed=9))
     w1 = sym_eig(laplacian(g)).eigenvectors
     w2 = sym_eig(laplacian(h)).eigenvectors
-    vec = estimated_eigenvector(0, 0, w1, w2)
+    vec = np.kron(w1[:, 0], w2[:, 0])
     ones = np.ones(g.n * h.n) / np.sqrt(g.n * h.n)
     assert np.linalg.norm(vec - ones) <= 1e-9
     # exact eigenvector for eigenvalue 0 of the product Laplacian
@@ -181,9 +178,79 @@ def test_first_normalized_pair_is_not_product_eigenvector():
     assert len(set(g.degrees.tolist())) > 1
     v1 = sym_eig(normalized_laplacian(g)).eigenvectors
     v2 = sym_eig(normalized_laplacian(h)).eigenvectors
-    vec = estimated_eigenvector(0, 0, v1, v2)
+    vec = np.kron(v1[:, 0], v2[:, 0])
     lap_product = laplacian(kronecker_graph(g, h))
     image = lap_product @ vec
     # residual of the best eigenvalue fit stays far from zero
     best = image @ vec
     assert np.linalg.norm(image - best * vec) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# property tests: invariants over random connected factor pairs
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+ORDERINGS = st.builds(
+    Ordering, kind=st.sampled_from(OrderingKind), randomization_seed=st.integers(0, 2**32 - 1)
+)
+
+
+@st.composite
+def factor_graphs(draw, regular=False):
+    """A small connected graph: ER, WS or BA, or (regular=True) a ring lattice or odd cycle."""
+    n = draw(st.integers(5, 11))
+    if regular:
+        if draw(st.booleans()):
+            return cycle_graph(n | 1)
+        # WS without rewiring is the k-regular ring lattice
+        return generate_connected(GeneratorSpec("WS", n, 0.5, seed=0, ws_beta=0.0))
+    model = draw(st.sampled_from(("ER", "WS", "BA")))
+    density = draw(st.sampled_from((0.3, 0.5, 0.7)))
+    return generate_connected(GeneratorSpec(model, n, density, draw(st.integers(0, 2**32 - 1))))
+
+
+@st.composite
+def factor_pairs(draw, regular=False):
+    g, h = draw(factor_graphs(regular)), draw(factor_graphs(regular))
+    # Weichsel: connected factors give a connected product unless both are bipartite
+    assume(not (is_bipartite(g) and is_bipartite(h)))
+    return g, h
+
+
+def both_estimates(g, h, ordering):
+    d1, d2 = np.sort(g.degrees), np.sort(h.degrees)
+    mu1, mu2 = sym_eigenvalues(laplacian(g)), sym_eigenvalues(laplacian(h))
+    lam1 = sym_eigenvalues(normalized_laplacian(g))
+    lam2 = sym_eigenvalues(normalized_laplacian(h))
+    return (
+        sayama_spectrum(mu1, d1, mu2, d2, ordering),
+        normalized_estimate(lam1, d1, lam2, d2, ordering),
+    )
+
+
+@PROPERTY
+@given(factor_pairs(), ORDERINGS)
+def test_property_exactly_one_zero(pair, ordering):
+    g, h = pair
+    for est in both_estimates(g, h, ordering):
+        assert est.shape == (g.n * h.n,)
+        assert np.count_nonzero(est == 0.0) == 1
+        if ordering.kind == OrderingKind.CORRELATED:
+            assert est[0] == 0.0
+
+
+@PROPERTY
+@given(factor_pairs(), ORDERINGS)
+def test_property_normalized_estimate_nonnegative(pair, ordering):
+    _, normalized = both_estimates(*pair, ordering)
+    assert normalized.min() >= 0.0
+
+
+@PROPERTY
+@given(factor_pairs(regular=True), ORDERINGS)
+def test_property_regular_factors_exact(pair, ordering):
+    g, h = pair
+    exact = sym_eigenvalues(KroneckerLaplacian.of(g, h).dense())
+    for est in both_estimates(g, h, ordering):
+        assert np.abs(np.sort(est) - exact).max() <= 1e-9

@@ -128,6 +128,14 @@ def test_config_json_round_trip():
     assert back.config_hash() == config.config_hash()
     default = ExperimentConfig.from_dict({"model": "ER", "orders": [10, 12], "density": 0.4})
     assert default.ordering is None
+    assert default == ExperimentConfig(model="ER", orders=(10, 12), density=0.4)
+    # JSON spellings of the same values load to the same config and hash
+    spelled = ExperimentConfig.from_dict(
+        {"model": "CYCLE", "orders": [9, 7], "density": 1, "runs": 2.0, "ws_beta": 0}
+    )
+    typed = ExperimentConfig(model="CYCLE", orders=(9, 7), density=1.0, runs=2, ws_beta=0.0)
+    assert spelled == typed
+    assert json.dumps(spelled.to_dict()) == json.dumps(typed.to_dict())
 
 
 def test_config_validation():

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronspec.graphs import (
     build_graph,
@@ -12,7 +14,6 @@ from kronspec.graphs import (
     is_bipartite,
     is_connected,
     kronecker_graph,
-    kronecker_matrix,
     laplacian,
     normalized_laplacian,
     normalized_laplacian_of,
@@ -157,20 +158,6 @@ def test_kronecker_degrees_multiply():
         assert product.degrees[i * h.n + k] == g.degrees[i] * h.degrees[k]
 
 
-def test_kronecker_matrix_identity_and_scalar():
-    assert np.array_equal(kronecker_matrix(np.eye(2), np.eye(3)), np.eye(6))
-    assert np.array_equal(kronecker_matrix([[0, 1], [1, 0]], [[2]]), [[0, 2], [2, 0]])
-
-
-def test_kronecker_matrix_mixed_product():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-        left = kronecker_matrix(a, b) @ kronecker_matrix(c, d)
-        right = kronecker_matrix(a @ c, b @ d)
-        assert np.abs(left - right).max() <= 1e-10
-
-
 def test_product_laplacian_identity():
     # L of the product equals D1 (x) D2 - A1 (x) A2
     g, h = triangle(), star4()
@@ -227,3 +214,20 @@ def test_edge_list_file_round_trip(tmp_path):
 def test_read_edge_list_rejects_malformed():
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO("3 2\n0 1\n"))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else [])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(graphs())
+def test_property_edge_list_round_trip(g):
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    back = read_edge_list(io.StringIO(buf.getvalue()))
+    assert back.n == g.n
+    assert np.array_equal(back.adjacency, g.adjacency)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kronspec.graphs import build_graph, kronecker_graph, laplacian, normalized_laplacian
-from kronspec.spectral import SYMMETRY_BLOCK, cosine, kron_vec, sym_eig, sym_eigenvalues
+from kronspec.spectral import SYMMETRY_BLOCK, cosine, sym_eig, sym_eigenvalues
 
 
 def test_k2_laplacian_spectrum():
@@ -122,14 +122,6 @@ def test_colinearity_of_ones_kron_eigenvector():
         lhs = lap_product @ np.kron(ones, w)
         rhs = eig_h.eigenvalues[j] * np.kron(dvec, w)
         assert np.linalg.norm(lhs - rhs) <= 1e-8
-
-
-def test_kron_vec():
-    assert np.array_equal(kron_vec([1, 0], [0, 1]), [0, 1, 0, 0])
-    assert np.array_equal(kron_vec(np.ones(3), np.ones(2)), np.ones(6))
-    u = np.array([0.6, 0.8])
-    v = np.array([1.0, 0.0, 0.0])
-    assert abs(np.linalg.norm(kron_vec(u, v)) - 1.0) <= 1e-14
 
 
 def test_cosine():
