@@ -1,12 +1,13 @@
 """Experiment orchestration: seeded runs, aggregation, and report bundles.
 
 One run generates a connected factor pair, decomposes the factor Laplacians
-and normalized Laplacians (:func:`factor_spectra`), builds the exact
-product-Laplacian spectrum, and evaluates both estimators against it
+and normalized Laplacians (:func:`factor_spectra`), takes the exact
+product-Laplacian spectrum (:func:`product_spectrum`, solved once per
+distinct product in a process), and evaluates both estimators against it
 (:func:`estimate_spectrum`); the CLI ``estimate`` command goes through the
-same two functions. A full experiment repeats this over independent per-run
-seeds derived from a master seed and aggregates percentage-error profiles
-and correlation-coefficient densities.
+same three functions. A full experiment repeats this over independent
+per-run seeds derived from a master seed and aggregates percentage-error
+profiles and correlation-coefficient densities.
 
 Everything written to disk is a pure function of the config: per-run seeds
 come from (master_seed, run index, role), and every CSV table goes through
@@ -61,6 +62,10 @@ REFERENCE_ORDERS = ((30, 50), (50, 100), (100, 200))
 REFERENCE_DENSITIES = (0.10, 0.30, 0.65)
 
 BASES = ("laplacian", "normalized")
+
+# Exact product spectra kept per process before the least recently used
+# one is dropped.
+SPECTRUM_CACHE_ENTRIES = 2048
 
 
 def worker_count() -> int:
@@ -280,6 +285,32 @@ def estimate_spectrum(
     return combine(basis1.eigenvalues, f1.degrees, basis2.eigenvalues, f2.degrees, ordering)
 
 
+_spectra: dict[str, np.ndarray] = {}  # least recently used first
+
+
+def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
+    """Ascending exact eigenvalues of the product Laplacian, read-only.
+
+    A process solves each distinct product once: the spectrum is kept under
+    a SHA-256 of the factor arrays, so a repeated product (the same seeded
+    pair under another ordering) skips both the N x N build and the solve.
+    The factor order is part of the key.
+    """
+    digest = sha256()
+    for part in (op.degrees1, op.degrees2, op.adjacency1, op.adjacency2):
+        digest.update(f"{part.dtype.str}{part.shape}".encode())
+        digest.update(part.tobytes())
+    key = digest.hexdigest()
+    spectrum = _spectra.pop(key, None)
+    if spectrum is None:
+        spectrum = sym_eigenvalues(op.dense())
+        spectrum.setflags(write=False)
+    _spectra[key] = spectrum
+    if len(_spectra) > SPECTRUM_CACHE_ENTRIES:
+        _spectra.pop(next(iter(_spectra)))
+    return spectrum
+
+
 def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     """Generate one factor pair and measure both estimators against the truth."""
     started = time.perf_counter()
@@ -291,7 +322,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
 
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     op = KroneckerLaplacian.of(g1, g2)
-    actual = sym_eigenvalues(op.dense())
+    actual = product_spectrum(op)
     errors = {
         estimator: percentage_errors(
             estimate_spectrum(estimator, f1, f2, resolve_ordering(config, estimator, run_index)),
@@ -330,14 +361,6 @@ class ExperimentBundle:
     density_curves: dict[str, DensityCurve | None]
     correlation_samples: dict[str, np.ndarray]  # (runs, pairs) per basis
     files: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def pair_order(self) -> list[tuple[int, int]]:
-        return correlation_pairs(*self.config.orders)
-
-    def samples_by_pair(self, basis: str) -> dict[tuple[int, int], np.ndarray]:
-        matrix = self.correlation_samples[basis]
-        return {pair: matrix[:, k] for k, pair in enumerate(self.pair_order)}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentBundle:

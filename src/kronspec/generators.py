@@ -62,10 +62,6 @@ class GeneratorSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSpec":
-        return cls(**data)
-
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair is an edge independently with probability p."""

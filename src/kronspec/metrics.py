@@ -272,13 +272,8 @@ def chi_squared_normality(samples: np.ndarray, alpha: float = 0.05, dof_reductio
 
 
 def normality_pass_count(
-    samples_by_pair: dict[tuple[int, int], np.ndarray],
-    alpha: float = 0.05,
-    dof_reduction: int = 1,
+    samples: np.ndarray, alpha: float = 0.05, dof_reduction: int = 1
 ) -> tuple[int, int]:
-    """Count (i, j) pairs whose samples pass the chi-squared normality test."""
-    passed = 0
-    for samples in samples_by_pair.values():
-        if chi_squared_normality(samples, alpha, dof_reduction):
-            passed += 1
-    return passed, len(samples_by_pair)
+    """Count the columns of a (runs, pairs) sample matrix that pass the chi-squared test."""
+    passed = sum(chi_squared_normality(column, alpha, dof_reduction) for column in samples.T)
+    return passed, samples.shape[1]

@@ -10,6 +10,7 @@ from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import (
     ExperimentConfig,
     FIGURES,
+    product_spectrum,
     reproduce_figure,
     resolve_ordering,
     run_experiment,
@@ -17,6 +18,8 @@ from kronspec.experiments import (
     theory_suite,
     worker_count,
 )
+from kronspec.generators import generate_connected_pair
+from kronspec.graphs import KroneckerLaplacian
 
 
 def cycle_config(**overrides):
@@ -30,6 +33,24 @@ def cycle_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def er_op(seed, orders=(10, 12)):
+    config = ExperimentConfig(model="ER", orders=orders, density=0.4, master_seed=seed)
+    return KroneckerLaplacian.of(*generate_connected_pair(*config.run_specs(0)))
+
+
+@pytest.fixture
+def product_solves(monkeypatch):
+    """Start from an empty spectrum cache and record the order of every product solve."""
+    solved = []
+    solve = experiments.sym_eigenvalues
+    monkeypatch.setattr(
+        experiments, "sym_eigenvalues", lambda m: solved.append(m.shape[0]) or solve(m)
+    )
+    experiments._spectra.clear()
+    yield solved
+    experiments._spectra.clear()
 
 
 def test_cycle_debug_model_gives_zero_errors():
@@ -53,6 +74,7 @@ def test_run_single_record_shape():
 def test_experiment_is_deterministic_bytewise(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
+        experiments._spectra.clear()  # both runs solve their products afresh
         run_experiment(cycle_config(output_dir=str(out)))
     files1 = sorted(p.name for p in out1.iterdir())
     files2 = sorted(p.name for p in out2.iterdir())
@@ -210,7 +232,76 @@ def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
         experiments._version.cache_clear()
 
 
+def csv_bodies(out):
+    """Every CSV of a report directory without its version comment line."""
+    return {p.name: p.read_text().split("\n", 1)[1] for p in sorted(out.glob("*.csv"))}
+
+
 def test_worker_pool_env(tmp_path, monkeypatch):
     monkeypatch.setenv("KRONSPEC_THREADS", "2")
     bundle = run_experiment(cycle_config(runs=3, compute_correlations=False))
     assert [r.run_index for r in bundle.records] == [0, 1, 2]
+
+    # an ER config with correlations writes the same bytes pooled and sequentially
+    config = ExperimentConfig(model="ER", orders=(15, 20), density=0.4, runs=3, master_seed=9)
+
+    def run(name):
+        experiments._spectra.clear()  # every run solves its products afresh
+        out = tmp_path / name
+        run_experiment(ExperimentConfig.from_dict({**config.to_dict(), "output_dir": str(out)}))
+        return csv_bodies(out)
+
+    pooled = run("pool")
+    monkeypatch.delenv("KRONSPEC_THREADS")
+    assert pooled == run("sequential")
+
+
+def test_orderings_of_one_master_seed_solve_each_product_once(product_solves):
+    config = ExperimentConfig(model="ER", orders=(10, 12), density=0.4, runs=3, master_seed=4)
+    correlated = ExperimentConfig.from_dict(
+        {
+            **config.to_dict(),
+            "estimators": ["NormalizedLaplacian"],
+            "ordering": {"kind": "Correlated"},
+        }
+    )
+    default = run_experiment(config)
+    rerun = run_experiment(correlated)
+    assert product_solves == [120, 120, 120]
+    # the re-run reads the same exact spectra: its factor pairs are the same
+    assert [r.factor_seeds for r in rerun.records] == [r.factor_seeds for r in default.records]
+
+
+def test_product_spectrum_is_read_only_and_bitwise_fresh(product_solves):
+    op = er_op(seed=1)
+    spectrum = product_spectrum(op)
+    assert spectrum.tobytes() == np.linalg.eigvalsh(op.dense()).tobytes()
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 1.0
+    assert product_spectrum(er_op(seed=1)) is spectrum
+    assert product_solves == [120]
+
+
+def test_product_spectrum_misses_other_products(product_solves):
+    op = er_op(seed=1)
+    swapped = KroneckerLaplacian(op.degrees2, op.degrees1, op.adjacency2, op.adjacency1)
+    for other in (op, er_op(seed=2), swapped, er_op(seed=1, orders=(12, 10))):
+        product_spectrum(other)
+    assert product_solves == [120] * 4
+    assert len(experiments._spectra) == 4
+
+
+def test_spectrum_cache_bound_evicts_least_recently_used(product_solves, monkeypatch):
+    ops = [er_op(seed) for seed in (1, 2, 3)]
+    monkeypatch.setattr(experiments, "SPECTRUM_CACHE_ENTRIES", 2)
+    product_spectrum(ops[0])
+    product_spectrum(ops[1])
+    product_spectrum(ops[0])  # hit: ops[1] is now the least recently used
+    product_spectrum(ops[2])  # evicts ops[1]
+    assert len(experiments._spectra) == 2
+    assert product_solves == [120] * 3
+    product_spectrum(ops[0])
+    assert product_solves == [120] * 3
+    product_spectrum(ops[1])
+    assert product_solves == [120] * 4

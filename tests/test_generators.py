@@ -161,7 +161,7 @@ def test_spec_validation():
 
 def test_spec_round_trip():
     spec = GeneratorSpec("WS", 30, 0.3, seed=42, ws_beta=0.1)
-    assert GeneratorSpec.from_dict(spec.to_dict()) == spec
+    assert GeneratorSpec(**spec.to_dict()) == spec
 
 
 def test_generated_graphs_are_simple():

@@ -202,10 +202,10 @@ def test_normality_calibration_on_gaussian_samples():
     # the nominal rate; require at least 1 - 2*alpha
     rng = np.random.default_rng(101)
     alpha = 0.05
-    samples_by_pair = {
-        (0, j): rng.normal(j * 0.1, 1.0 + 0.01 * j, size=100) for j in range(400)
-    }
-    passed, total = normality_pass_count(samples_by_pair, alpha=alpha)
+    samples = np.column_stack(
+        [rng.normal(j * 0.1, 1.0 + 0.01 * j, size=100) for j in range(400)]
+    )
+    passed, total = normality_pass_count(samples, alpha=alpha)
     assert total == 400
     assert passed / total >= 1 - 2 * alpha
 
