@@ -12,13 +12,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .estimators import Estimator, Ordering, OrderingKind
-from .generators import GeneratorSpec, generate_connected
+from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
 from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
 from .experiments import (
     ExperimentConfig,
@@ -77,7 +78,7 @@ def _cmd_experiment(args) -> int:
         data = json.load(fh)
     config = ExperimentConfig.from_dict(data)
     if args.output_dir:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "output_dir": args.output_dir})
+        config = dataclasses.replace(config, output_dir=args.output_dir)
     if config.output_dir is None:
         print("error: no output_dir in config and no --output-dir given", file=sys.stderr)
         return 2
@@ -122,11 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="emit one connected random graph as an edge list")
-    p.add_argument("--model", choices=("ER", "WS", "BA", "CYCLE"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ws-beta", type=float, default=0.25)
+    p.add_argument("--ws-beta", type=float, default=DEFAULT_WS_BETA)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=_cmd_generate)
 

@@ -11,22 +11,18 @@ profiles and correlation-coefficient densities.
 
 Everything written to disk is a pure function of the config: per-run seeds
 come from (master_seed, run index, role), and every CSV table goes through
-the one deterministic writer :func:`write_csv`. The KRONSPEC_THREADS
-environment variable caps the size of the worker pool used for the
-independent runs (default: sequential).
+the one deterministic writer :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from hashlib import sha256
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -58,26 +54,11 @@ from .metrics import (
 )
 from .spectral import SpectralDecomposition, sym_eig, sym_eigenvalues
 
-REFERENCE_ORDERS = ((30, 50), (50, 100), (100, 200))
-REFERENCE_DENSITIES = (0.10, 0.30, 0.65)
-
 BASES = ("laplacian", "normalized")
 
 # Exact product spectra kept per process before the least recently used
 # one is dropped.
 SPECTRUM_CACHE_ENTRIES = 2048
-
-
-def worker_count() -> int:
-    env = os.environ.get("KRONSPEC_THREADS", "")
-    if not env.strip():
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"KRONSPEC_THREADS must be an integer worker count, got {env!r}"
-        ) from None
 
 
 def version_string() -> str:
@@ -125,9 +106,9 @@ _COERCE = {
 class ExperimentConfig:
     """One cell of the experiment grid plus reproducibility knobs.
 
-    The grid of the reference experiments uses orders from REFERENCE_ORDERS and
-    densities from REFERENCE_DENSITIES; other values are allowed (e.g. for
-    debugging with the CYCLE model, which ignores the density knob).
+    The reference figures (:data:`FIGURES`) fix the orders and densities of
+    their grids; other values are allowed (e.g. for debugging with the CYCLE
+    model, which ignores the density knob).
 
     ``ordering=None`` (the default) selects the per-estimator pairing that
     reproduces the reference error bands: Correlated for the Laplacian-basis
@@ -220,13 +201,8 @@ class RunRecord:
     factor_seeds: tuple[int, int]
     achieved_densities: tuple[float, float]
     errors: dict[Estimator, np.ndarray]
-    correlations: dict[str, np.ndarray] | None  # per basis, in correlation_pairs order
+    correlations: dict[str, np.ndarray] | None  # per basis, in correlation_profile order
     wall_time: float
-
-
-def correlation_pairs(n1: int, n2: int) -> list[tuple[int, int]]:
-    """Canonical (i, j) order of correlation samples: row-major, (0, 0) dropped."""
-    return [(i, j) for i in range(n1) for j in range(n2)][1:]
 
 
 def resolve_ordering(config: ExperimentConfig, estimator: Estimator, run_index: int) -> Ordering:
@@ -365,13 +341,7 @@ class ExperimentBundle:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     """Execute all runs, aggregate, and (if output_dir is set) write reports."""
-    workers = worker_count()
-    if workers > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_single, repeat(config), range(config.runs)))
-    else:
-        records = [run_single(config, i) for i in range(config.runs)]
-    records.sort(key=lambda r: r.run_index)
+    records = [run_single(config, i) for i in range(config.runs)]
 
     meta_common = {
         "model": config.model,

@@ -92,7 +92,7 @@ def correlation_profile(
 
     Returns a flat array of n1*n2 - 1 values in row-major (i, j) order with
     (0, 0) dropped (its image under a product Laplacian is the zero vector),
-    the order of ``experiments.correlation_pairs``; row i = 0 is
+    so pair (i, j) sits at index ``i * n2 + j - 1``; row i = 0 is
     ``profile[:n2 - 1]``. Every cosine comes from factor-level quantities in
     O(n^3 + n1 n2), no N x N matrix: with a = D1 u, c = A1 u, b = D2 v and
     e = A2 v,
@@ -125,29 +125,25 @@ def correlation_profile(
     return numerator.ravel()[1:] / denominator
 
 
-def percentage_errors(
-    estimated: np.ndarray, actual: np.ndarray, zero_tol: float | None = None
-) -> np.ndarray:
+def percentage_errors(estimated: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """Per-rank percentage error between sorted estimated and exact spectra.
 
     Both spectra are sorted ascending and rank 1 (the zero eigenvalue,
     matched exactly by construction) is dropped from both, so the result has
     n1*n2 - 1 entries: 100 * (est_k - act_k) / act_k. The exact spectrum
-    must contain exactly one eigenvalue below ``zero_tol`` (default:
-    1e-8 times the largest eigenvalue); more means the product was
-    disconnected and rank pairing is meaningless.
+    must contain exactly one eigenvalue at or below 1e-8 times its largest;
+    more means the product was disconnected and rank pairing is meaningless.
     """
     actual = np.asarray(actual, dtype=np.float64)
     if len(estimated) != len(actual):
         raise ValueError(f"length mismatch: {len(estimated)} estimated vs {len(actual)} actual")
     if np.any(np.diff(actual) < 0):
         raise ValueError("actual spectrum must be sorted ascending")
-    if zero_tol is None:
-        zero_tol = 1e-8 * max(float(actual[-1]), 1e-300)
-    zeros = int(np.sum(actual <= zero_tol))
+    cutoff = 1e-8 * max(float(actual[-1]), 1e-300)
+    zeros = int(np.sum(actual <= cutoff))
     if zeros != 1:
         raise ValueError(
-            f"expected exactly one zero eigenvalue, found {zeros} below {zero_tol:g} "
+            f"expected exactly one zero eigenvalue, found {zeros} below {cutoff:g} "
             "(disconnected product?)"
         )
     est = np.sort(estimated)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class SpectralDecomposition:
 SYMMETRY_BLOCK = 256
 
 
-def _check_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
-    """Require ``max|m - m.T| <= tol * max(1, max|m|)``.
+def _check_symmetric(m: np.ndarray) -> np.ndarray:
+    """Require ``max|m - m.T| <= SYMMETRY_TOL * max(1, max|m|)``.
 
     Compares row blocks with the matching column blocks, so the check needs
     O(SYMMETRY_BLOCK * n) extra memory rather than N x N temporaries.
@@ -38,7 +38,7 @@ def _check_symmetric(m: np.ndarray, tol: float) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    limit = tol * max(1.0, float(m.max()), -float(m.min()))
+    limit = SYMMETRY_TOL * max(1.0, float(m.max()), -float(m.min()))
     for i in range(0, m.shape[0], SYMMETRY_BLOCK):
         rows = m[i:i + SYMMETRY_BLOCK]
         if np.abs(rows - m[:, i:i + SYMMETRY_BLOCK].T).max() > limit:
@@ -57,21 +57,21 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def sym_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+def sym_eig(m: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Deterministic for a fixed input: eigenvalues ascending, each eigenvector
     sign-normalized so its first significant component is positive.
     Raises numpy.linalg.LinAlgError if the solver fails to converge.
     """
-    m = _check_symmetric(m, tol)
+    m = _check_symmetric(m)
     values, vectors = np.linalg.eigh(m)
     return SpectralDecomposition(eigenvalues=values, eigenvectors=_fix_signs(vectors))
 
 
-def sym_eigenvalues(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only; cheaper than sym_eig when vectors are unused."""
-    return np.linalg.eigvalsh(_check_symmetric(m, tol))
+    return np.linalg.eigvalsh(_check_symmetric(m))
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:

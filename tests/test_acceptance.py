@@ -6,9 +6,10 @@ per module and shared, and fixtures that draw the same seeded factor pairs
 reuse their exact product spectra; a full tier-1 run, this module included,
 took 136 to 258 s over five runs on a 2-core machine.
 
-Two criteria assert claimed thresholds verbatim even though measurement
-shows they cannot hold (markers: contested); each has a green companion
-test asserting the corrected statement. The README discusses both.
+Three criteria (9, 10 and 11) assert claimed thresholds verbatim even
+though measurement shows they cannot hold (markers: contested); each has a
+green companion test asserting the corrected statement. The README
+discusses all three.
 """
 
 import numpy as np

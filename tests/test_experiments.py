@@ -16,7 +16,6 @@ from kronspec.experiments import (
     run_experiment,
     run_single,
     theory_suite,
-    worker_count,
 )
 from kronspec.generators import generate_connected_pair
 from kronspec.graphs import KroneckerLaplacian
@@ -100,6 +99,7 @@ def test_er_small_bundle_contents(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     bundle = run_experiment(config)
+    assert [r.run_index for r in bundle.records] == [0, 1, 2]
     assert set(bundle.error_profiles) == set(config.estimators)
     assert bundle.correlation_samples["laplacian"].shape == (3, 119)
     assert bundle.density_curves["normalized"] is not None
@@ -209,16 +209,6 @@ def test_theory_suite_report(tmp_path):
     assert "version" in written
 
 
-def test_worker_count_rejects_non_integer(monkeypatch):
-    monkeypatch.setenv("KRONSPEC_THREADS", "auto")
-    with pytest.raises(ValueError, match="KRONSPEC_THREADS must be an integer.*'auto'"):
-        worker_count()
-    monkeypatch.setenv("KRONSPEC_THREADS", " 3 ")
-    assert worker_count() == 3
-    monkeypatch.setenv("KRONSPEC_THREADS", "")
-    assert worker_count() == 1
-
-
 def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(experiments, "version_string", lambda: calls.append(1) or "v-test")
@@ -230,30 +220,6 @@ def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
         assert "kronspec=v-test" in (tmp_path / "runs.csv").read_text()
     finally:
         experiments._version.cache_clear()
-
-
-def csv_bodies(out):
-    """Every CSV of a report directory without its version comment line."""
-    return {p.name: p.read_text().split("\n", 1)[1] for p in sorted(out.glob("*.csv"))}
-
-
-def test_worker_pool_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("KRONSPEC_THREADS", "2")
-    bundle = run_experiment(cycle_config(runs=3, compute_correlations=False))
-    assert [r.run_index for r in bundle.records] == [0, 1, 2]
-
-    # an ER config with correlations writes the same bytes pooled and sequentially
-    config = ExperimentConfig(model="ER", orders=(15, 20), density=0.4, runs=3, master_seed=9)
-
-    def run(name):
-        experiments._spectra.clear()  # every run solves its products afresh
-        out = tmp_path / name
-        run_experiment(ExperimentConfig.from_dict({**config.to_dict(), "output_dir": str(out)}))
-        return csv_bodies(out)
-
-    pooled = run("pool")
-    monkeypatch.delenv("KRONSPEC_THREADS")
-    assert pooled == run("sequential")
 
 
 def test_orderings_of_one_master_seed_solve_each_product_once(product_solves):
