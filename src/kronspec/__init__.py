@@ -45,7 +45,6 @@ from .metrics import (
     kde,
     normality_pass_count,
     percentage_errors,
-    silverman_bandwidth,
 )
 from .theory import (
     DegreeIndices,

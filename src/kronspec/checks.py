@@ -4,9 +4,9 @@ Each check function is a seeded, deterministic driver that measures the gap
 between a predicted quantity and what the estimators, or the product
 Laplacian applied to explicitly formed vectors, actually produce on
 generated graphs, returning ``{"inputs", "predicted", "observed", "pass"}``.
-``full_report`` packages them into the theory report emitted by the CLI;
-the acceptance tests call them individually and assert their stated
-tolerances.
+``experiments.theory_suite`` packages them into the theory report emitted
+by the CLI; the acceptance tests call them individually and assert their
+stated tolerances.
 """
 
 from __future__ import annotations
@@ -342,29 +342,3 @@ def rprime_bound_slack(pair_count: int = 50, seed: int = 41) -> dict:
         "pass": min_slack_corrected >= -1e-9,
     }
 
-
-def full_report(
-    seed: int = 12345,
-    er_draws: int = 100,
-    graph_count: int = 1000,
-    pair_count: int = 50,
-) -> dict:
-    """All theory checks, keyed by name, each {inputs, predicted, observed, pass}."""
-    report = {
-        "mean_rms_closed_forms": closed_form_mean_rms(),
-        "staircase_limit": staircase_limit(),
-        "asymptotic_inequality_grid": asymptotic_inequality_grid(),
-        "expected_r1j_grid": expected_r1j_grid(),
-        "expected_spectrum_small": expected_spectrum_gap(5, 7),
-        "expected_spectrum_desk": expected_spectrum_gap(30, 50),
-        "sayama_nonnegativity": sayama_nonnegativity_sweep(graph_count=graph_count, seed=seed),
-        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=er_draws, seed=seed),
-        "r1j_closed_form": r1j_closed_form_gap(seed=seed),
-        "colinearity": colinearity_residual(seed=seed),
-        "normalized_decomposition": normalized_decomposition_gaps(seed=seed),
-        "rprime_lower_bound": rprime_bound_slack(pair_count=pair_count, seed=seed),
-    }
-    report["all_pass"] = all(
-        entry.get("pass", True) for entry in report.values() if isinstance(entry, dict)
-    )
-    return report

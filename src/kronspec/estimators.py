@@ -63,16 +63,9 @@ class Ordering:
         if self.kind not in _RANDOMIZED and self.swap_count not in (None, 0):
             raise ValueError(f"swap_count must be 0 for ordering kind {self.kind.value}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "randomization_seed": self.randomization_seed,
-            "swap_count": self.swap_count,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "Ordering":
-        """Inverse of :meth:`to_dict`; absent keys take the field defaults."""
+        """Inverse of ``dataclasses.asdict``; absent keys take the field defaults."""
         coerce = {"kind": OrderingKind, "randomization_seed": int}
         return cls(**{key: coerce[key](v) if key in coerce else v for key, v in data.items()})
 

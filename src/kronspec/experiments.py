@@ -20,7 +20,7 @@ import functools
 import json
 import subprocess
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from hashlib import sha256
 from itertools import chain
 from pathlib import Path
@@ -161,18 +161,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "orders": list(self.orders),
-            "density": self.density,
-            "runs": self.runs,
-            "estimators": [e.value for e in self.estimators],
-            "ordering": self.ordering.to_dict() if self.ordering is not None else None,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "ws_beta": self.ws_beta,
-            "compute_correlations": self.compute_correlations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -342,25 +331,10 @@ class ExperimentBundle:
 def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
     """Execute all runs, aggregate, and (if output_dir is set) write reports."""
     records = [run_single(config, i) for i in range(config.runs)]
-
-    meta_common = {
-        "model": config.model,
-        "density": config.density,
-        "n1": config.orders[0],
-        "n2": config.orders[1],
-        "runs": config.runs,
-        "ws_beta": config.ws_beta,
+    error_profiles = {
+        estimator: aggregate_profile([r.errors[estimator] for r in records])
+        for estimator in config.estimators
     }
-    error_profiles = {}
-    for estimator in config.estimators:
-        error_profiles[estimator] = aggregate_profile(
-            [r.errors[estimator] for r in records],
-            meta={
-                "estimator": estimator.value,
-                "ordering": ordering_label(config, estimator),
-                **meta_common,
-            },
-        )
 
     density_curves: dict[str, DensityCurve | None] = {}
     correlation_samples: dict[str, np.ndarray] = {}
@@ -369,10 +343,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
             matrix = np.vstack([r.correlations[basis] for r in records])
             correlation_samples[basis] = matrix
             try:
-                # orderings play no role here: profiles depend on bases only
-                density_curves[basis] = kde(
-                    matrix.ravel(), meta={"basis": basis, "ordering": "-", **meta_common}
-                )
+                density_curves[basis] = kde(matrix.ravel())
             except ValueError:
                 # degenerate samples (e.g. exact estimates): no curve
                 density_curves[basis] = None
@@ -418,12 +389,16 @@ def write_csv(dest: str | Path | IO[str], note: str, header: str, rows: Iterable
             fh.writelines(lines)
 
 
-def _error_table(profile: ErrorProfile) -> tuple[str, Iterable[str]]:
-    meta = profile.meta
-    tail = (
-        f"{meta['estimator']},{meta['ordering']},{meta['model']},{_fmt(meta['density'])},"
-        f"{meta['n1']},{meta['n2']},{meta['runs']}"
-    )
+def _config_columns(config: ExperimentConfig) -> str:
+    """The ``model,density,n1,n2,runs`` columns that end every profile and density row."""
+    n1, n2 = config.orders
+    return f"{config.model},{_fmt(config.density)},{n1},{n2},{config.runs}"
+
+
+def _error_table(
+    profile: ErrorProfile, config: ExperimentConfig, estimator: Estimator
+) -> tuple[str, Iterable[str]]:
+    tail = f"{estimator.value},{ordering_label(config, estimator)},{_config_columns(config)}"
     rows = (
         f"{rank},{_fmt(profile.median[k])},{_fmt(profile.p5[k])},{_fmt(profile.p95[k])},{tail}"
         for k, rank in enumerate(profile.ranks)
@@ -431,12 +406,11 @@ def _error_table(profile: ErrorProfile) -> tuple[str, Iterable[str]]:
     return "rank,median,p5,p95,estimator,ordering,model,density,n1,n2,runs", rows
 
 
-def _density_table(curve: DensityCurve) -> tuple[str, Iterable[str]]:
-    meta = curve.meta
-    tail = (
-        f"{_fmt(curve.bandwidth)},{meta['basis']},{meta['ordering']},{meta['model']},"
-        f"{_fmt(meta['density'])},{meta['n1']},{meta['n2']},{meta['runs']}"
-    )
+def _density_table(
+    curve: DensityCurve, config: ExperimentConfig, basis: str
+) -> tuple[str, Iterable[str]]:
+    # orderings play no role here: correlation profiles depend on the bases only
+    tail = f"{_fmt(curve.bandwidth)},{basis},-,{_config_columns(config)}"
     rows = (
         f"{_fmt(curve.grid[k])},{_fmt(curve.density[k])},{tail}" for k in range(len(curve.grid))
     )
@@ -455,10 +429,10 @@ def _runs_table(records: list[RunRecord]) -> tuple[str, Iterable[str]]:
 def _tables(bundle: ExperimentBundle):
     """(kind, label, header, rows) of each error profile and density curve of a bundle."""
     for estimator, profile in bundle.error_profiles.items():
-        yield ("error_profile", estimator.value, *_error_table(profile))
+        yield ("error_profile", estimator.value, *_error_table(profile, bundle.config, estimator))
     for basis, curve in bundle.density_curves.items():
         if curve is not None:
-            yield ("density_curve", basis, *_density_table(curve))
+            yield ("density_curve", basis, *_density_table(curve, bundle.config, basis))
 
 
 _BUNDLE_NAMES = {"error_profile": "errors_{}.csv", "density_curve": "correlation_density_{}.csv"}
@@ -567,9 +541,23 @@ def theory_suite(
     """
     from . import checks
 
-    report = checks.full_report(
-        seed=seed, er_draws=er_draws, graph_count=graph_count, pair_count=pair_count
-    )
+    report = {
+        "mean_rms_closed_forms": checks.closed_form_mean_rms(),
+        "staircase_limit": checks.staircase_limit(),
+        "asymptotic_inequality_grid": checks.asymptotic_inequality_grid(),
+        "expected_r1j_grid": checks.expected_r1j_grid(),
+        "expected_spectrum_small": checks.expected_spectrum_gap(5, 7),
+        "expected_spectrum_desk": checks.expected_spectrum_gap(30, 50),
+        "sayama_nonnegativity": checks.sayama_nonnegativity_sweep(
+            graph_count=graph_count, seed=seed
+        ),
+        "er_r1j_monte_carlo": checks.er_r1j_monte_carlo(draws=er_draws, seed=seed),
+        "r1j_closed_form": checks.r1j_closed_form_gap(seed=seed),
+        "colinearity": checks.colinearity_residual(seed=seed),
+        "normalized_decomposition": checks.normalized_decomposition_gaps(seed=seed),
+        "rprime_lower_bound": checks.rprime_bound_slack(pair_count=pair_count, seed=seed),
+    }
+    report["all_pass"] = all(entry["pass"] for entry in report.values())
     report["version"] = _version()
     if output_dir is not None:
         out = Path(output_dir)

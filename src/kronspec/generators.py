@@ -14,7 +14,7 @@ report the achieved density alongside the requested one.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class GeneratorSpec:
             raise ValueError(f"ws_beta must be in [0, 1], got {self.ws_beta}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

@@ -16,7 +16,7 @@ Four families of measurements:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -30,6 +30,9 @@ PERCENTILE_METHOD = "linear"
 # grid points per block of kernel evaluations in kde: bounds its working
 # memory to KDE_BLOCK x samples instead of grid_size x samples
 KDE_BLOCK = 32
+
+# significance level of the chi-squared normality test
+NORMALITY_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class ErrorProfile:
     median: np.ndarray
     p5: np.ndarray
     p95: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,6 @@ class DensityCurve:
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
-    meta: dict = field(default_factory=dict)
 
 
 def _factor_terms(basis: np.ndarray, degrees: np.ndarray, adjacency: np.ndarray):
@@ -150,7 +151,7 @@ def percentage_errors(estimated: np.ndarray, actual: np.ndarray) -> np.ndarray:
     return 100.0 * (est[1:] - actual[1:]) / actual[1:]
 
 
-def aggregate_profile(error_vectors, meta: dict | None = None) -> ErrorProfile:
+def aggregate_profile(error_vectors) -> ErrorProfile:
     """Stack per-run error vectors and summarize per rank.
 
     Percentiles use linear interpolation; the summary always satisfies
@@ -168,22 +169,15 @@ def aggregate_profile(error_vectors, meta: dict | None = None) -> ErrorProfile:
         median=median,
         p5=p5,
         p95=p95,
-        meta=dict(meta or {}),
     )
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    """1.06 * sigma * m^(-1/5) with the sample standard deviation."""
-    samples = np.asarray(samples, dtype=np.float64)
-    sigma = float(np.std(samples, ddof=1))
-    return 1.06 * sigma * len(samples) ** (-0.2)
-
-
-def kde(samples: np.ndarray, grid_size: int = 512, meta: dict | None = None) -> DensityCurve:
+def kde(samples: np.ndarray, grid_size: int = 512) -> DensityCurve:
     """Gaussian kernel density estimate on an even grid.
 
-    The grid spans [min - 3h, max + 3h] with h the Silverman bandwidth, so
-    the curve integrates to 1 up to kernel tail mass. Needs at least two
+    The grid spans [min - 3h, max + 3h] with h the Silverman bandwidth
+    1.06 * sigma * m^(-1/5) (sigma the sample standard deviation), so the
+    curve integrates to 1 up to kernel tail mass. Needs at least two
     distinct samples. Kernels are evaluated KDE_BLOCK grid points at a time;
     each grid point's sum is the same whatever the block, so the curve does
     not depend on KDE_BLOCK.
@@ -191,7 +185,7 @@ def kde(samples: np.ndarray, grid_size: int = 512, meta: dict | None = None) -> 
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         raise ValueError("kernel density needs at least 2 samples")
-    h = silverman_bandwidth(samples)
+    h = 1.06 * float(np.std(samples, ddof=1)) * len(samples) ** (-0.2)
     if h <= 0.0:
         raise ValueError("zero-variance samples; kernel density degenerate")
     grid = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h, grid_size)
@@ -200,7 +194,7 @@ def kde(samples: np.ndarray, grid_size: int = 512, meta: dict | None = None) -> 
         z = (grid[start:start + KDE_BLOCK, None] - samples[None, :]) / h
         sums[start:start + KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
     density = sums / (len(samples) * h * math.sqrt(2 * math.pi))
-    return DensityCurve(grid=grid, density=density, bandwidth=h, meta=dict(meta or {}))
+    return DensityCurve(grid=grid, density=density, bandwidth=h)
 
 
 def fisher_z(samples: np.ndarray) -> np.ndarray:
@@ -215,18 +209,17 @@ def fisher_z(samples: np.ndarray) -> np.ndarray:
     return np.arctanh(np.clip(samples, -1 + 1e-15, 1 - 1e-15))
 
 
-def chi_squared_normality(samples: np.ndarray, alpha: float = 0.05, dof_reduction: int = 1) -> bool:
+def chi_squared_normality(samples: np.ndarray) -> bool:
     """Pearson chi-squared goodness-of-fit test against a fitted normal.
 
     Convention: Sturges binning (ceil(log2 m) + 1 bins over the sample
     range, outer bins extended to infinity), adjacent bins merged until
     every expected count reaches 5, and the normal fitted by sample mean
-    and (ddof=1) variance. Degrees of freedom are bins - dof_reduction
-    with a floor of 1: the default 1 is the conservative choice when the
-    parameters are estimated from the unbinned sample (the statistic is
-    then stochastically below a chi-squared with bins - 1 dof); pass 3 for
-    the classical binned-fit count. Returns True when the statistic stays
-    below the critical value at ``alpha``.
+    and (ddof=1) variance. Degrees of freedom are bins - 1 with a floor of
+    1, the conservative choice when the parameters are estimated from the
+    unbinned sample (the statistic is then stochastically below a
+    chi-squared with bins - 1 dof). Returns True when the statistic stays
+    below the critical value at ``NORMALITY_ALPHA``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     m = len(samples)
@@ -263,13 +256,11 @@ def chi_squared_normality(samples: np.ndarray, alpha: float = 0.05, dof_reductio
     obs_arr = np.asarray(obs_groups)
     exp_arr = np.asarray(exp_groups)
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    dof = max(len(exp_arr) - dof_reduction, 1)
-    return stat <= float(chi2.isf(alpha, dof))
+    dof = max(len(exp_arr) - 1, 1)
+    return stat <= float(chi2.isf(NORMALITY_ALPHA, dof))
 
 
-def normality_pass_count(
-    samples: np.ndarray, alpha: float = 0.05, dof_reduction: int = 1
-) -> tuple[int, int]:
+def normality_pass_count(samples: np.ndarray) -> tuple[int, int]:
     """Count the columns of a (runs, pairs) sample matrix that pass the chi-squared test."""
-    passed = sum(chi_squared_normality(column, alpha, dof_reduction) for column in samples.T)
+    passed = sum(chi_squared_normality(column) for column in samples.T)
     return passed, samples.shape[1]

@@ -373,9 +373,9 @@ def test_criterion_13_normality_counts(er_bundles):
     fractions, raw_fractions = {}, {}
     for basis in ("laplacian", "normalized"):
         samples = bundle.correlation_samples[basis]
-        passed_count, total = normality_pass_count(fisher_z(samples), alpha=0.05)
+        passed_count, total = normality_pass_count(fisher_z(samples))
         fractions[basis] = passed_count / total
-        raw_passed, _ = normality_pass_count(samples, alpha=0.05)
+        raw_passed, _ = normality_pass_count(samples)
         raw_fractions[basis] = raw_passed / total
     passed = all(f >= 0.85 for f in fractions.values())
     report(

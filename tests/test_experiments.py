@@ -121,6 +121,19 @@ def test_error_profile_csv_layout(tmp_path):
     assert row[0] == "1" and row[4] == "SayamaLaplacian" and row[6] == "CYCLE"
 
 
+def test_correlation_density_csv_layout(tmp_path):
+    config = ExperimentConfig(
+        model="ER", orders=(10, 12), density=0.4, runs=2, output_dir=str(tmp_path / "out")
+    )
+    run_experiment(config)
+    for basis in ("laplacian", "normalized"):
+        lines = (tmp_path / "out" / f"correlation_density_{basis}.csv").read_text().splitlines()
+        assert lines[1] == "grid,density,bandwidth,basis,ordering,model,density_target,n1,n2,runs"
+        assert len(lines) == 2 + 512
+        for line in lines[2:]:
+            assert line.split(",", 3)[3] == f"{basis},-,ER,0.4,10,12,2"
+
+
 def test_per_estimator_ordering_defaults():
     config = cycle_config(model="ER", orders=(10, 12), density=0.4)
     sayama = resolve_ordering(config, Estimator.SAYAMA_LAPLACIAN, run_index=0)
@@ -158,6 +171,25 @@ def test_config_json_round_trip():
     typed = ExperimentConfig(model="CYCLE", orders=(9, 7), density=1.0, runs=2, ws_beta=0.0)
     assert spelled == typed
     assert json.dumps(spelled.to_dict()) == json.dumps(typed.to_dict())
+
+
+def test_config_hash_is_pinned():
+    # written reports are stamped with these hashes, so a change to how
+    # configs are serialised must leave every existing hash as it is
+    er = ExperimentConfig.from_dict({"model": "ER", "orders": [30, 50], "density": 0.1})
+    assert er.config_hash() == "e824d08367cc"
+    ws = ExperimentConfig.from_dict(
+        {
+            "model": "WS",
+            "orders": [12, 15],
+            "density": 0.3,
+            "runs": 2,
+            "master_seed": 5,
+            "ordering": {"kind": "CorrelatedRandomized", "randomization_seed": 3},
+            "compute_correlations": False,
+        }
+    )
+    assert ws.config_hash() == "c64167fd1f2c"
 
 
 def test_config_validation():

@@ -159,11 +159,6 @@ def test_spec_validation():
         GeneratorSpec("ER", 1, 0.5, seed=0)
 
 
-def test_spec_round_trip():
-    spec = GeneratorSpec("WS", 30, 0.3, seed=42, ws_beta=0.1)
-    assert GeneratorSpec(**spec.to_dict()) == spec
-
-
 def test_generated_graphs_are_simple():
     for g in (
         erdos_renyi(25, 0.4, seed=2),

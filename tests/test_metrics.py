@@ -203,7 +203,7 @@ def test_normality_calibration_on_gaussian_samples():
     samples = np.column_stack(
         [rng.normal(j * 0.1, 1.0 + 0.01 * j, size=100) for j in range(400)]
     )
-    passed, total = normality_pass_count(samples, alpha=alpha)
+    passed, total = normality_pass_count(samples)
     assert total == 400
     assert passed / total >= 1 - 2 * alpha
 
@@ -211,12 +211,12 @@ def test_normality_calibration_on_gaussian_samples():
 def test_normality_rejects_two_point_mass():
     rng = np.random.default_rng(103)
     samples = rng.integers(0, 2, size=200).astype(float)
-    assert not chi_squared_normality(samples, alpha=0.05)
+    assert not chi_squared_normality(samples)
 
 
 def test_normality_requires_enough_samples():
     with pytest.raises(ValueError):
-        chi_squared_normality(np.zeros(10), alpha=0.05)
+        chi_squared_normality(np.zeros(10))
 
 
 def test_normality_constant_samples_fail():
