@@ -14,9 +14,7 @@ import json
 
 from kronspec import theory_suite
 
-report = theory_suite(
-    output_dir="demos_out/theory", seed=5, er_draws=20, graph_count=100, pair_count=10
-)
+report = theory_suite(output_dir="demos_out/theory", seed=5, er_draws=20, graph_count=100)
 
 for name in sorted(report):
     entry = report[name]

@@ -47,7 +47,7 @@ from .metrics import (
     percentage_errors,
 )
 from .theory import (
-    DegreeIndices,
+    asymptotic_cubic,
     asymptotic_inequality_holds,
     expected_kron_normalized_spectrum,
     expected_r1j,

@@ -28,6 +28,7 @@ from .graphs import (
 )
 from .spectral import cosine, sym_eig, sym_eigenvalues
 from .theory import (
+    asymptotic_cubic,
     asymptotic_inequality_holds,
     expected_kron_normalized_spectrum,
     expected_r1j,
@@ -116,8 +117,7 @@ def asymptotic_inequality_grid(n_max: int = 500, p_step: float = 0.01) -> dict:
     min_value = math.inf
     all_hold = True
     for n in range(1, n_max + 1):
-        values = (n - 2) * ps ** 3 - 3 * (n - 2) * ps ** 2 + (2 * n - 5) * ps + 1
-        min_value = min(min_value, float(values.min()))
+        min_value = min(min_value, float(asymptotic_cubic(n, ps).min()))
         all_hold = all_hold and all(asymptotic_inequality_holds(n, float(p)) for p in ps)
     return {
         "inputs": {"n_max": n_max, "p_step": p_step, "p_count": len(ps)},

@@ -66,8 +66,19 @@ class Ordering:
     @classmethod
     def from_dict(cls, data: dict) -> "Ordering":
         """Inverse of ``dataclasses.asdict``; absent keys take the field defaults."""
-        coerce = {"kind": OrderingKind, "randomization_seed": int}
+        coerce = {
+            "kind": OrderingKind,
+            "randomization_seed": lambda v: _as_int("randomization_seed", v),
+            "swap_count": lambda v: None if v is None else _as_int("swap_count", v),
+        }
         return cls(**{key: coerce[key](v) if key in coerce else v for key, v in data.items()})
+
+
+def _as_int(key: str, value) -> int:
+    """A config value as an int; a ValueError naming ``key`` if it is not integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:

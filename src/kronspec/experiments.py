@@ -32,12 +32,12 @@ from .estimators import (
     Estimator,
     Ordering,
     OrderingKind,
+    _as_int,
     normalized_estimate,
     sayama_spectrum,
 )
 from .generators import (
     DEFAULT_WS_BETA,
-    MODELS,
     GeneratorSpec,
     density_to_params,
     derive_seed,
@@ -91,12 +91,12 @@ def _version() -> str:
 
 # from_dict's coercion of each JSON value to its field type
 _COERCE = {
-    "orders": tuple,
+    "orders": lambda orders: tuple(_as_int("orders", n) for n in orders),
     "density": float,
-    "runs": int,
+    "runs": lambda v: _as_int("runs", v),
     "estimators": lambda names: tuple(Estimator(e) for e in names),
     "ordering": lambda o: Ordering.from_dict(o) if o is not None else None,
-    "master_seed": int,
+    "master_seed": lambda v: _as_int("master_seed", v),
     "ws_beta": float,
     "compute_correlations": bool,
 }
@@ -133,24 +133,17 @@ class ExperimentConfig:
     compute_correlations: bool = True
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.runs < 1:
             raise ValueError("run count must be positive")
-        n1, n2 = self.orders
-        if n1 < 2 or n2 < 2:
-            raise ValueError(f"orders must both be at least 2, got {self.orders}")
-        # fail fast on densities the model cannot realize at these orders
+        if len(self.orders) != 2:
+            raise ValueError(f"orders must have two entries, got {self.orders}")
+        # GeneratorSpec checks model and orders, density_to_params the density
         for n in self.orders:
             density_to_params(self.factor_spec(n, seed=0))
 
     def factor_spec(self, n: int, seed: int) -> GeneratorSpec:
         return GeneratorSpec(
-            model=self.model,
-            n=n,
-            target_density=self.density if self.model != "CYCLE" else 0.5,
-            seed=seed,
-            ws_beta=self.ws_beta,
+            model=self.model, n=n, target_density=self.density, seed=seed, ws_beta=self.ws_beta
         )
 
     def run_specs(self, run_index: int) -> tuple[GeneratorSpec, GeneratorSpec]:
@@ -217,11 +210,11 @@ def resolve_ordering(config: ExperimentConfig, estimator: Estimator, run_index: 
 
 
 def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
-    if config.ordering is not None:
-        return config.ordering.kind.value
-    if estimator == Estimator.SAYAMA_LAPLACIAN:
-        return "Correlated"
-    return "Uncorrelated[per-run seed]"
+    """The ``ordering`` column of one estimator's error table."""
+    kind = resolve_ordering(config, estimator, 0).kind
+    if config.ordering is None and kind == OrderingKind.UNCORRELATED:
+        return f"{kind.value}[per-run seed]"
+    return kind.value
 
 
 class FactorSpectra(NamedTuple):
@@ -532,7 +525,6 @@ def theory_suite(
     seed: int = 12345,
     er_draws: int = 100,
     graph_count: int = 1000,
-    pair_count: int = 50,
 ) -> dict:
     """Run every closed-form/bound/Monte-Carlo check and report pass/fail.
 
@@ -555,7 +547,7 @@ def theory_suite(
         "r1j_closed_form": checks.r1j_closed_form_gap(seed=seed),
         "colinearity": checks.colinearity_residual(seed=seed),
         "normalized_decomposition": checks.normalized_decomposition_gaps(seed=seed),
-        "rprime_lower_bound": checks.rprime_bound_slack(pair_count=pair_count, seed=seed),
+        "rprime_lower_bound": checks.rprime_bound_slack(seed=seed),
     }
     report["all_pass"] = all(entry["pass"] for entry in report.values())
     report["version"] = _version()

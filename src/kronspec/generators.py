@@ -24,6 +24,9 @@ MODELS = ("ER", "WS", "BA", "CYCLE")
 
 DEFAULT_WS_BETA = 0.25
 
+# draws per connected factor, and redraws of a second factor for a connected product
+MAX_ATTEMPTS = 50
+
 
 class GenerationError(RuntimeError):
     """Raised when connectivity retries are exhausted."""
@@ -45,7 +48,6 @@ class GeneratorSpec:
     target_density: float
     seed: int
     ws_beta: float = DEFAULT_WS_BETA
-    max_retries: int = 50
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -56,8 +58,6 @@ class GeneratorSpec:
             raise ValueError(f"target density must be in (0, 1), got {self.target_density}")
         if not 0.0 <= self.ws_beta <= 1.0:
             raise ValueError(f"ws_beta must be in [0, 1], got {self.ws_beta}")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be positive")
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -170,9 +170,7 @@ def density_to_params(spec: GeneratorSpec) -> dict:
             if gap < best_gap:
                 best_m, best_gap = m, gap
         return {"m_attach": best_m}
-    if spec.model == "CYCLE":
-        return {}
-    raise ValueError(f"unknown model {spec.model!r}")
+    return {}  # CYCLE has no density knob
 
 
 def _draw(spec: GeneratorSpec, seed: int) -> Graph:
@@ -190,14 +188,14 @@ def generate_connected(spec: GeneratorSpec) -> Graph:
     """Draw until connected, re-seeding deterministically per attempt.
 
     Attempt 0 uses the spec seed itself; attempt t uses a sub-seed derived
-    from (seed, t). Raises GenerationError once max_retries attempts fail.
+    from (seed, t). Raises GenerationError once MAX_ATTEMPTS attempts fail.
     """
-    for attempt in range(spec.max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         seed = spec.seed if attempt == 0 else derive_seed(spec.seed, "retry", attempt)
         g = _draw(spec, seed)
         if is_connected(g):
             return g
-    raise GenerationError(f"no connected graph after {spec.max_retries} attempts for {spec}")
+    raise GenerationError(f"no connected graph after {MAX_ATTEMPTS} attempts for {spec}")
 
 
 def generate_connected_pair(spec1: GeneratorSpec, spec2: GeneratorSpec) -> tuple[Graph, Graph]:
@@ -213,9 +211,9 @@ def generate_connected_pair(spec1: GeneratorSpec, spec2: GeneratorSpec) -> tuple
     attempt = 0
     while is_bipartite(g1) and is_bipartite(g2):
         attempt += 1
-        if attempt >= spec2.max_retries:
+        if attempt >= MAX_ATTEMPTS:
             raise GenerationError(
-                f"no non-bipartite factor after {spec2.max_retries} attempts "
+                f"no non-bipartite factor after {MAX_ATTEMPTS} attempts "
                 f"for pair ({spec1}, {spec2})"
             )
         redrawn = replace(spec2, seed=derive_seed(spec2.seed, "nonbipartite", attempt))

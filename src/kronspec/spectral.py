@@ -48,12 +48,11 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first significant entry is positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        significant = np.nonzero(np.abs(col) > 1e-8 * np.abs(col).max())[0]
-        pivot = significant[0] if len(significant) else 0
-        if col[pivot] < 0:
-            vectors[:, j] = -col
+    magnitudes = np.abs(vectors)
+    # first entry above 1e-8 of the column's largest; 0 when there is none
+    pivots = (magnitudes > 1e-8 * magnitudes.max(axis=0)).argmax(axis=0)
+    flip = vectors[pivots, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] = -vectors[:, flip]
     return vectors
 
 

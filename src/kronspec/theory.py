@@ -20,32 +20,15 @@ floating-point ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DegreeIndices:
-    """Degree power sums: 2m, the first Zagreb index, and the forgotten index."""
-
-    sum_d: int
-    sum_d2: int
-    sum_d3: int
-
-    def __post_init__(self):
-        # Cauchy-Schwarz: (sum d^2)^2 <= (sum d)(sum d^3), exact in integers
-        if self.sum_d * self.sum_d3 < self.sum_d2 ** 2:
-            raise ValueError("degree power sums violate Cauchy-Schwarz; inconsistent input")
-
-    @classmethod
-    def from_degrees(cls, degrees) -> "DegreeIndices":
-        ds = [int(d) for d in degrees]
-        return cls(
-            sum_d=sum(ds),
-            sum_d2=sum(d * d for d in ds),
-            sum_d3=sum(d * d * d for d in ds),
-        )
+def _power_sums(degrees) -> tuple[int, int, int]:
+    """(sum d, sum d^2, sum d^3) of a degree sequence, as exact integers."""
+    ds = [int(d) for d in degrees]
+    if not ds or min(ds) < 1:
+        raise ValueError("degrees must be nonempty with every entry at least 1")
+    return sum(ds), sum(d * d for d in ds), sum(d * d * d for d in ds)
 
 
 def mean_rms_ratio(degrees) -> float:
@@ -55,15 +38,8 @@ def mean_rms_ratio(degrees) -> float:
     correlation coefficient between 1 kron w_j and its image under the
     product Laplacian, for every j >= 2.
     """
-    ds = [int(d) for d in degrees]
-    if not ds:
-        raise ValueError("empty degree sequence")
-    if min(ds) < 1:
-        raise ValueError("degrees must all be at least 1")
-    n = len(ds)
-    sum_d = sum(ds)
-    sum_d2 = sum(d * d for d in ds)
-    return sum_d / float(np.sqrt(n * sum_d2))
+    sum_d, sum_d2, _ = _power_sums(degrees)
+    return sum_d / float(np.sqrt(len(degrees) * sum_d2))
 
 
 def expected_r1j(n: int, p: float) -> float:
@@ -87,17 +63,19 @@ def rprime_lower_bound(degrees, r_j_s2: float) -> float:
     cosine(v_j, L v_j). The prefactor never exceeds 1 (Cauchy-Schwarz) and
     equals 1 exactly for regular first factors.
     """
-    ds = [int(d) for d in degrees]
-    if not ds or min(ds) < 1:
-        raise ValueError("degrees must be nonempty with every entry at least 1")
+    sum_d, sum_d2, sum_d3 = _power_sums(degrees)
     if not -1e-9 <= r_j_s2 <= 1.0 + 1e-9:
         raise ValueError(f"correlation coefficient out of [0, 1]: {r_j_s2}")
-    idx = DegreeIndices.from_degrees(ds)
-    return idx.sum_d2 / float(np.sqrt(idx.sum_d3 * idx.sum_d)) * min(max(r_j_s2, 0.0), 1.0)
+    return sum_d2 / float(np.sqrt(sum_d3 * sum_d)) * min(max(r_j_s2, 0.0), 1.0)
+
+
+def asymptotic_cubic(n: int, p):
+    """The reduced cubic (n-2)p^3 - 3(n-2)p^2 + (2n-5)p + 1, elementwise in ``p``."""
+    return (n - 2) * p ** 3 - 3 * (n - 2) * p ** 2 + (2 * n - 5) * p + 1
 
 
 def asymptotic_inequality_holds(n: int, p: float) -> bool:
-    """Reduced polynomial criterion (n-2)p^3 - 3(n-2)p^2 + (2n-5)p + 1 >= 0.
+    """Reduced polynomial criterion ``asymptotic_cubic(n, p) >= 0``.
 
     Equivalent to the expected mean/RMS coefficient being dominated by the
     expected Zagreb/forgotten-index ratio; holds for every n >= 1 and
@@ -107,8 +85,7 @@ def asymptotic_inequality_holds(n: int, p: float) -> bool:
         raise ValueError(f"order must be at least 1, got {n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"edge probability must be in (0, 1), got {p}")
-    value = (n - 2) * p ** 3 - 3 * (n - 2) * p ** 2 + (2 * n - 5) * p + 1
-    return value >= -1e-12
+    return asymptotic_cubic(n, p) >= -1e-12
 
 
 def expected_kron_normalized_spectrum(n1: int, n2: int) -> list[tuple[float, int]]:

@@ -10,6 +10,7 @@ from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import (
     ExperimentConfig,
     FIGURES,
+    ordering_label,
     product_spectrum,
     reproduce_figure,
     resolve_ordering,
@@ -166,7 +167,7 @@ def test_config_json_round_trip():
     assert default == ExperimentConfig(model="ER", orders=(10, 12), density=0.4)
     # JSON spellings of the same values load to the same config and hash
     spelled = ExperimentConfig.from_dict(
-        {"model": "CYCLE", "orders": [9, 7], "density": 1, "runs": 2.0, "ws_beta": 0}
+        {"model": "CYCLE", "orders": [9.0, 7.0], "density": 1, "runs": 2.0, "ws_beta": 0}
     )
     typed = ExperimentConfig(model="CYCLE", orders=(9, 7), density=1.0, runs=2, ws_beta=0.0)
     assert spelled == typed
@@ -200,6 +201,30 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # infeasible WS density at this order
         ExperimentConfig(model="WS", orders=(30, 50), density=0.02)
+    er = {"model": "ER", "density": 0.4}
+    with pytest.raises(ValueError, match="orders"):
+        ExperimentConfig.from_dict({**er, "orders": [10.5, 12]})
+    with pytest.raises(ValueError, match="runs"):
+        ExperimentConfig.from_dict({**er, "orders": [10, 12], "runs": 2.7})
+    with pytest.raises(ValueError, match="swap_count"):
+        ExperimentConfig.from_dict(
+            {
+                **er,
+                "orders": [10, 12],
+                "ordering": {"kind": "CorrelatedRandomized", "swap_count": 1.5},
+            }
+        )
+
+
+def test_ordering_labels():
+    default = ExperimentConfig(model="ER", orders=(10, 12), density=0.4)
+    assert ordering_label(default, Estimator.SAYAMA_LAPLACIAN) == "Correlated"
+    assert ordering_label(default, Estimator.NORMALIZED_LAPLACIAN) == "Uncorrelated[per-run seed]"
+    anti = ExperimentConfig(
+        model="ER", orders=(10, 12), density=0.4, ordering=Ordering(OrderingKind.ANTI_CORRELATED)
+    )
+    for estimator in Estimator:
+        assert ordering_label(anti, estimator) == "AntiCorrelated"
 
 
 def test_config_rejects_unknown_keys():
@@ -232,9 +257,7 @@ def test_figures_cover_reference_grid():
 
 
 def test_theory_suite_report(tmp_path):
-    report = theory_suite(
-        output_dir=str(tmp_path), seed=3, er_draws=3, graph_count=20, pair_count=3
-    )
+    report = theory_suite(output_dir=str(tmp_path), seed=3, er_draws=3, graph_count=20)
     written = json.loads((tmp_path / "theory_report.json").read_text())
     assert written["staircase_limit"]["pass"] is True
     assert report["normalized_decomposition"]["pass"] is True

@@ -126,7 +126,7 @@ def test_generate_connected():
 
 def test_generate_connected_exhausts_retries():
     # far below the connectivity threshold: essentially never connected
-    spec = GeneratorSpec("ER", 30, 0.02, seed=1, max_retries=3)
+    spec = GeneratorSpec("ER", 30, 0.02, seed=1)
     with pytest.raises(GenerationError):
         generate_connected(spec)
 
@@ -144,8 +144,8 @@ def test_generate_connected_pair_product_connected():
 
 
 def test_generate_connected_pair_fails_for_even_cycles():
-    s1 = GeneratorSpec("CYCLE", 6, 0.5, seed=0, max_retries=3)
-    s2 = GeneratorSpec("CYCLE", 8, 0.5, seed=0, max_retries=3)
+    s1 = GeneratorSpec("CYCLE", 6, 0.5, seed=0)
+    s2 = GeneratorSpec("CYCLE", 8, 0.5, seed=0)
     with pytest.raises(GenerationError):
         generate_connected_pair(s1, s2)
 

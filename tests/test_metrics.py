@@ -1,8 +1,14 @@
 """Correlation profiles, percentage errors, aggregation, KDE, and normality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kronspec
 from kronspec.checks import complete_graph, cycle_graph
 from kronspec.estimators import normalized_estimate
 from kronspec.generators import GeneratorSpec, generate_connected
@@ -234,3 +240,22 @@ def test_fisher_z_reduces_ceiling_skew():
     assert np.isfinite(fisher_z(np.array([1.0, -1.0]))).all()
     back = np.tanh(fisher_z(r))
     assert np.abs(back - r).max() <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside chi_squared_normality only, so importing the
+    # package, the CLI or the checks leaves it unloaded
+    code = (
+        "import sys, kronspec, kronspec.cli, kronspec.checks; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(kronspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"

@@ -16,7 +16,6 @@ from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.graphs import laplacian, normalized_laplacian_of
 from kronspec.spectral import sym_eigenvalues
 from kronspec.theory import (
-    DegreeIndices,
     asymptotic_inequality_holds,
     expected_kron_normalized_spectrum,
     expected_r1j,
@@ -102,14 +101,6 @@ def test_rprime_lower_bound_never_exceeds_input():
         degrees = rng.integers(1, 20, size=int(rng.integers(2, 30)))
         r = float(rng.uniform(0, 1))
         assert rprime_lower_bound(degrees, r) <= r + 1e-12
-
-
-def test_degree_indices_cauchy_schwarz():
-    idx = DegreeIndices.from_degrees([3, 1, 1, 1])
-    assert (idx.sum_d, idx.sum_d2, idx.sum_d3) == (6, 12, 30)
-    assert idx.sum_d * idx.sum_d3 >= idx.sum_d2 ** 2
-    with pytest.raises(ValueError):
-        DegreeIndices(sum_d=1, sum_d2=10, sum_d3=1)
 
 
 def test_asymptotic_inequality_examples():
