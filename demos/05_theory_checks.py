@@ -1,12 +1,12 @@
 """Run the closed-form and bound verifications at reduced sizes.
 
 The full battery (kronspec theory) uses 1000 sweep graphs and 100
-Monte-Carlo draws; here everything is scaled down to finish in about half
-a minute while exercising every check: mean/RMS closed forms, the
-staircase limit, the asymptotic inequality grid, the four-level expected
-spectrum, estimator nonnegativity, the ER expectation of r(1,j), the
-colinearity identity, the exact normalized-product decomposition, and the
-degree-index lower bound (corrected form; the claimed form's slack is
+Monte-Carlo draws. Those are the only sizes a caller sets, and here they
+are scaled down to 100 and 20; every check still runs: mean/RMS closed
+forms, the staircase limit, the asymptotic inequality grid, the four-level
+expected spectrum, estimator nonnegativity, the ER expectation of r(1,j),
+the colinearity identity, the exact normalized-product decomposition, and
+the degree-index lower bound (corrected form; the claimed form's slack is
 reported too).
 """
 

@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .theory import (
     asymptotic_cubic,
-    asymptotic_inequality_holds,
     expected_kron_normalized_spectrum,
     expected_r1j,
     mean_rms_ratio,

@@ -26,10 +26,9 @@ from .graphs import (
     normalized_laplacian,
     normalized_laplacian_of,
 )
-from .spectral import cosine, sym_eig, sym_eigenvalues
+from .spectral import sym_eig, sym_eigenvalues
 from .theory import (
     asymptotic_cubic,
-    asymptotic_inequality_holds,
     expected_kron_normalized_spectrum,
     expected_r1j,
     mean_rms_ratio,
@@ -38,15 +37,15 @@ from .theory import (
 )
 
 
-def _er_pair(seed, tag: str, t: int, n_lo=8, n_hi=20, p_lo=0.25, p_hi=0.7):
-    """One connected ER factor pair with sizes and density drawn from the seed."""
-    rng = np.random.default_rng(derive_seed(seed, tag, t))
-    n1 = int(rng.integers(n_lo, n_hi + 1))
-    n2 = int(rng.integers(n_lo, n_hi + 1))
-    p = float(rng.uniform(p_lo, p_hi))
-    g1 = generate_connected(GeneratorSpec("ER", n1, p, derive_seed(seed, tag, t, "a")))
-    g2 = generate_connected(GeneratorSpec("ER", n2, p, derive_seed(seed, tag, t, "b")))
-    return g1, g2
+def _er_pairs(seed, tag: str, count: int):
+    """Connected ER factor pairs: orders in [8, 20], density in [0.25, 0.7], from the seed."""
+    for t in range(count):
+        rng = np.random.default_rng(derive_seed(seed, tag, t))
+        n1, n2 = int(rng.integers(8, 21)), int(rng.integers(8, 21))
+        p = float(rng.uniform(0.25, 0.7))
+        g1 = generate_connected(GeneratorSpec("ER", n1, p, derive_seed(seed, tag, t, "a")))
+        g2 = generate_connected(GeneratorSpec("ER", n2, p, derive_seed(seed, tag, t, "b")))
+        yield g1, g2
 
 
 def _first_row_cosines(op: KroneckerLaplacian, basis1, basis2) -> np.ndarray:
@@ -99,8 +98,9 @@ def closed_form_mean_rms() -> dict:
     }
 
 
-def staircase_limit(k: int = 500) -> dict:
+def staircase_limit() -> dict:
     """Monotone-staircase degree sequence: ratio tends to sqrt(3)/2."""
+    k = 500
     observed = mean_rms_ratio(staircase_degrees(k))
     limit = math.sqrt(3) / 2
     return {
@@ -111,23 +111,22 @@ def staircase_limit(k: int = 500) -> dict:
     }
 
 
-def asymptotic_inequality_grid(n_max: int = 500, p_step: float = 0.01) -> dict:
+def asymptotic_inequality_grid() -> dict:
     """The reduced cubic stays nonnegative over the whole (n, p) grid."""
+    n_max, p_step = 500, 0.01
     ps = np.arange(p_step, 1.0, p_step)
-    min_value = math.inf
-    all_hold = True
-    for n in range(1, n_max + 1):
-        min_value = min(min_value, float(asymptotic_cubic(n, ps).min()))
-        all_hold = all_hold and all(asymptotic_inequality_holds(n, float(p)) for p in ps)
+    values = asymptotic_cubic(np.arange(1, n_max + 1)[:, None], ps)
+    all_hold = bool((values >= -1e-12).all())
     return {
         "inputs": {"n_max": n_max, "p_step": p_step, "p_count": len(ps)},
         "predicted": "polynomial >= 0 everywhere",
-        "observed": {"all_hold": bool(all_hold), "min_value": min_value},
-        "pass": bool(all_hold),
+        "observed": {"all_hold": all_hold, "min_value": float(values.min())},
+        "pass": all_hold,
     }
 
 
-def expected_r1j_grid(orders=(30, 50, 100, 200), densities=(0.10, 0.30, 0.65)) -> dict:
+def expected_r1j_grid() -> dict:
+    orders, densities = (30, 50, 100, 200), (0.10, 0.30, 0.65)
     values = {f"n={n},p={p}": expected_r1j(n, p) for n in orders for p in densities}
     return {
         "inputs": {"orders": list(orders), "densities": list(densities)},
@@ -137,14 +136,14 @@ def expected_r1j_grid(orders=(30, 50, 100, 200), densities=(0.10, 0.30, 0.65)) -
     }
 
 
-def expected_spectrum_gap(n1: int, n2: int, probs=(0.3, 1.0)) -> dict:
+def expected_spectrum_gap(n1: int, n2: int) -> dict:
     """Closed-form four-level spectrum vs a direct eigensolve, per p."""
+    probs = (0.3, 1.0)
     levels = expected_kron_normalized_spectrum(n1, n2)
     closed = np.sort(np.concatenate([np.full(mult, value) for value, mult in levels]))
     worst = 0.0
     for p in probs:
-        bar1 = p * (np.ones((n1, n1)) - np.eye(n1))
-        bar2 = p * (np.ones((n2, n2)) - np.eye(n2))
+        bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
         numeric = sym_eigenvalues(normalized_laplacian_of(np.kron(bar1, bar2)))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return {
@@ -155,62 +154,61 @@ def expected_spectrum_gap(n1: int, n2: int, probs=(0.3, 1.0)) -> dict:
     }
 
 
-def sayama_nonnegativity_sweep(graph_count: int = 1000, n_max: int = 40, seed: int = 7) -> dict:
+def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
     """Random connected ER sweep: mu_i <= 2 d_i and nonnegative estimates.
 
     Graphs are checked individually for the degree bound, then consecutive
     graphs are paired up and both estimators evaluated under the correlated
     ordering; the smallest estimated value over all pairs is reported.
     """
+    if graph_count < 2:
+        raise ValueError(f"graph_count must be at least 2 to form a pair, got {graph_count}")
+    n_range, p_range = [10, 40], [0.3, 0.7]
     rng = np.random.default_rng(seed)
-    bound_failures = 0
     spectra = []
     for t in range(graph_count):
-        n = int(rng.integers(10, n_max + 1))
-        p = float(rng.uniform(0.3, 0.7))
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        p = float(rng.uniform(*p_range))
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "sweep", t)))
         mu = sym_eigenvalues(laplacian(g))
-        lam = sym_eigenvalues(normalized_laplacian(g))
-        d = np.sort(g.degrees)
-        if not sayama_bound_holds(mu, d):
-            bound_failures += 1
-        spectra.append((mu, lam, d))
-    min_sayama = math.inf
-    min_normalized = math.inf
-    for t in range(0, graph_count - 1, 2):
-        mu_a, lam_a, d_a = spectra[t]
-        mu_b, lam_b, d_b = spectra[t + 1]
-        min_sayama = min(min_sayama, float(sayama_spectrum(mu_a, d_a, mu_b, d_b).min()))
-        min_normalized = min(
-            min_normalized, float(normalized_estimate(lam_a, d_a, lam_b, d_b).min())
-        )
-    observed = {
-        "bound_failures": bound_failures,
-        "min_sayama_estimate": min_sayama,
-        "min_normalized_estimate": min_normalized,
-    }
+        spectra.append((mu, sym_eigenvalues(normalized_laplacian(g)), np.sort(g.degrees)))
+    bound_failures = sum(not sayama_bound_holds(mu, d) for mu, _, d in spectra)
+    min_sayama = min_normalized = math.inf
+    for (mu1, lam1, d1), (mu2, lam2, d2) in zip(spectra[0::2], spectra[1::2]):
+        min_sayama = min(min_sayama, float(sayama_spectrum(mu1, d1, mu2, d2).min()))
+        min_normalized = min(min_normalized, float(normalized_estimate(lam1, d1, lam2, d2).min()))
     return {
-        "inputs": {"graph_count": graph_count, "n_range": [10, n_max], "p_range": [0.3, 0.7], "seed": seed},
+        "inputs": {
+            "graph_count": graph_count, "n_range": n_range, "p_range": p_range, "seed": seed
+        },
         "predicted": {"bound_failures": 0, "min_estimate_floor": -1e-12},
-        "observed": observed,
+        "observed": {
+            "bound_failures": bound_failures,
+            "min_sayama_estimate": min_sayama,
+            "min_normalized_estimate": min_normalized,
+        },
         "pass": bound_failures == 0 and min_sayama >= -1e-12 and min_normalized >= -1e-12,
     }
 
 
-def er_r1j_monte_carlo(draws: int = 100, n: int = 200, p: float = 0.3, seed: int = 11) -> dict:
+def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     """Sample mean of the observed r(1, j) against the ER expectation formula.
 
     The second factor is a fixed 5-cycle (regular and non-bipartite), which
-    leaves r(1, j) a function of the first factor's degrees only.
+    leaves r(1, j) a function of the first factor's degrees only. The first
+    Laplacian eigenvector of a connected graph is the constant vector, and
+    the cosine is scale-free, so u_1 is passed as all ones, not solved for.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+    n, p = 200, 0.3
     h = cycle_graph(5)
     eig_h = sym_eig(laplacian(h))
     means = []
     for t in range(draws):
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "er_mc", t)))
-        w1 = sym_eig(laplacian(g)).eigenvectors
         op = KroneckerLaplacian.of(g, h)
-        means.append(np.mean(_first_row_cosines(op, w1, eig_h.eigenvectors)))
+        means.append(np.mean(_first_row_cosines(op, np.ones((n, 1)), eig_h.eigenvectors)))
     observed_mean = float(np.mean(means))
     predicted = expected_r1j(n, p)
     return {
@@ -221,70 +219,60 @@ def er_r1j_monte_carlo(draws: int = 100, n: int = 200, p: float = 0.3, seed: int
     }
 
 
-def r1j_closed_form_gap(pair_count: int = 20, seed: int = 23) -> dict:
+def r1j_closed_form_gap(seed: int) -> dict:
     """Observed r(1, j) vs the mean/RMS formula, and its j-independence."""
-    max_gap = 0.0
-    max_spread = 0.0
-    for t in range(pair_count):
-        g1, g2 = _er_pair(seed, "r1j", t)
+    pairs = 20
+    max_gap = max_spread = 0.0
+    for g1, g2 in _er_pairs(seed, "r1j", pairs):
         w1 = sym_eig(laplacian(g1)).eigenvectors
         w2 = sym_eig(laplacian(g2)).eigenvectors
         observed = _first_row_cosines(KroneckerLaplacian.of(g1, g2), w1, w2)
-        predicted = mean_rms_ratio(g1.degrees)
-        max_gap = max(max_gap, float(np.abs(observed - predicted).max()))
+        max_gap = max(max_gap, float(np.abs(observed - mean_rms_ratio(g1.degrees)).max()))
         max_spread = max(max_spread, float(observed.max() - observed.min()))
     return {
-        "inputs": {"pairs": pair_count, "seed": seed, "tolerance": 1e-10},
+        "inputs": {"pairs": pairs, "seed": seed, "tolerance": 1e-10},
         "predicted": "r(1,j) = mean(d)/rms(d), identical over j",
         "observed": {"max_abs_gap": max_gap, "max_row_spread": max_spread},
         "pass": max_gap <= 1e-10 and max_spread <= 1e-10,
     }
 
 
-def colinearity_residual(pair_count: int = 20, seed: int = 31) -> dict:
+def colinearity_residual(seed: int) -> dict:
     """Residual of L (1 kron w_j) = mu_j (d kron w_j) over random pairs."""
+    pairs = 20
     worst = 0.0
-    for t in range(pair_count):
-        g1, g2 = _er_pair(seed, "colin", t)
+    for g1, g2 in _er_pairs(seed, "colin", pairs):
         eig2 = sym_eig(laplacian(g2))
         op = KroneckerLaplacian.of(g1, g2)
-        ones = np.ones((g1.n, 1))
-        dvec = g1.degrees.astype(np.float64)[:, None]
-        lhs = op.matvec(np.kron(ones, eig2.eigenvectors))
-        rhs = np.kron(dvec, eig2.eigenvectors) * eig2.eigenvalues[None, :]
+        lhs = op.matvec(np.kron(np.ones((g1.n, 1)), eig2.eigenvectors))
+        rhs = np.kron(g1.degrees[:, None], eig2.eigenvectors) * eig2.eigenvalues
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return {
-        "inputs": {"pairs": pair_count, "seed": seed, "tolerance": 1e-8},
+        "inputs": {"pairs": pairs, "seed": seed, "tolerance": 1e-8},
         "predicted": 0.0,
         "observed": {"max_residual": worst},
         "pass": worst <= 1e-8,
     }
 
 
-def normalized_decomposition_gaps(pair_count: int = 20, seed: int = 37) -> dict:
+def normalized_decomposition_gaps(seed: int) -> dict:
     """Exact product decomposition: eigenvalues 1 - (1-lam_i)(1-lam_j), vectors v_i kron v_j."""
-    max_value_gap = 0.0
-    max_vector_residual = 0.0
-    for t in range(pair_count):
-        g1, g2 = _er_pair(seed, "decomp", t)
+    pairs = 20
+    max_value_gap = max_vector_residual = 0.0
+    for g1, g2 in _er_pairs(seed, "decomp", pairs):
         eig1 = sym_eig(normalized_laplacian(g1))
         eig2 = sym_eig(normalized_laplacian(g2))
         norm_product = normalized_laplacian(kronecker_graph(g1, g2))
-        formula = (
-            1.0
-            - (1.0 - eig1.eigenvalues)[:, None] * (1.0 - eig2.eigenvalues)[None, :]
-        ).ravel()
+        formula = (1.0 - np.outer(1.0 - eig1.eigenvalues, 1.0 - eig2.eigenvalues)).ravel()
         numeric = sym_eigenvalues(norm_product)
-        max_value_gap = max(
-            max_value_gap, float(np.abs(np.sort(formula) - numeric).max())
-        )
+        max_value_gap = max(max_value_gap, float(np.abs(np.sort(formula) - numeric).max()))
         x = np.kron(eig1.eigenvectors, eig2.eigenvectors)
-        residual = norm_product @ x - x * formula[None, :]
+        residual = norm_product @ x - x * formula
         max_vector_residual = max(
             max_vector_residual, float(np.linalg.norm(residual, axis=0).max())
         )
     return {
-        "inputs": {"pairs": pair_count, "seed": seed, "tolerance": 1e-8},
+        "inputs": {"pairs": pairs, "seed": seed, "tolerance": 1e-8},
         "predicted": 0.0,
         "observed": {
             "max_eigenvalue_gap": max_value_gap,
@@ -294,7 +282,7 @@ def normalized_decomposition_gaps(pair_count: int = 20, seed: int = 37) -> dict:
     }
 
 
-def rprime_bound_slack(pair_count: int = 50, seed: int = 41) -> dict:
+def rprime_bound_slack(seed: int) -> dict:
     """Observed r'(1, j) against its degree-index lower bound, two variants.
 
     The stated bound M1/sqrt(2mF) * cosine(v_j, L2 v_j) fails on a large
@@ -304,39 +292,28 @@ def rprime_bound_slack(pair_count: int = 50, seed: int = 41) -> dict:
     ||D2 v|| + ||A2 v|| and does hold, so it is what the pass flag tracks;
     the stated variant's minimum slack is reported alongside.
     """
-    min_slack_stated = math.inf
-    min_slack_corrected = math.inf
-    for t in range(pair_count):
-        g1, g2 = _er_pair(seed, "rprime", t)
-        eig1 = sym_eig(normalized_laplacian(g1))
-        eig2 = sym_eig(normalized_laplacian(g2))
-        lap2 = laplacian(g2)
-        deg2 = np.diag(g2.degrees.astype(np.float64))
-        adj2 = g2.adjacency.astype(np.float64)
-        row = _first_row_cosines(
-            KroneckerLaplacian.of(g1, g2), eig1.eigenvectors, eig2.eigenvectors
-        )
-        lap2_v = lap2 @ eig2.eigenvectors
-        for j in range(1, g2.n):
-            v = eig2.eigenvectors[:, j]
-            r_j = cosine(v, lap2_v[:, j])
-            r_j_corrected = float(
-                (v @ lap2_v[:, j])
-                / (np.linalg.norm(deg2 @ v) + np.linalg.norm(adj2 @ v))
-            )
-            observed = float(row[j - 1])
-            min_slack_stated = min(
-                min_slack_stated, observed - rprime_lower_bound(g1.degrees, r_j)
-            )
-            min_slack_corrected = min(
-                min_slack_corrected, observed - rprime_lower_bound(g1.degrees, r_j_corrected)
-            )
+    pairs = 50
+    stated, corrected = [], []
+    for g1, g2 in _er_pairs(seed, "rprime", pairs):
+        v1 = sym_eig(normalized_laplacian(g1)).eigenvectors
+        v2 = sym_eig(normalized_laplacian(g2)).eigenvectors
+        row = _first_row_cosines(KroneckerLaplacian.of(g1, g2), v1, v2)
+        v = v2[:, 1:]
+        lap2_v = laplacian(g2) @ v
+        dots = np.einsum("dc,dc->c", v, lap2_v)
+        r_j = dots / (np.linalg.norm(v, axis=0) * np.linalg.norm(lap2_v, axis=0))
+        deg2_v, adj2_v = g2.degrees[:, None] * v, g2.adjacency.astype(np.float64) @ v
+        r_j_corrected = dots / (np.linalg.norm(deg2_v, axis=0) + np.linalg.norm(adj2_v, axis=0))
+        for observed, r, r_corrected in zip(row, r_j, r_j_corrected):
+            stated.append(observed - rprime_lower_bound(g1.degrees, float(r)))
+            corrected.append(observed - rprime_lower_bound(g1.degrees, float(r_corrected)))
+    min_slack_stated, min_slack_corrected = float(min(stated)), float(min(corrected))
     return {
-        "inputs": {"pairs": pair_count, "seed": seed, "slack_floor": -1e-9},
+        "inputs": {"pairs": pairs, "seed": seed, "slack_floor": -1e-9},
         "predicted": "r'(1,j) >= M1/sqrt(2mF) * r_j (corrected r_j denominator)",
         "observed": {
-            "min_slack_corrected": float(min_slack_corrected),
-            "min_slack_stated": float(min_slack_stated),
+            "min_slack_corrected": min_slack_corrected,
+            "min_slack_stated": min_slack_stated,
             "stated_bound_holds": bool(min_slack_stated >= -1e-9),
         },
         "pass": min_slack_corrected >= -1e-9,

@@ -14,6 +14,7 @@ report the achieved density alongside the requested one.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"order must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError(f"order must be at least 2, got {self.n}")
         if self.model != "CYCLE" and not 0.0 < self.target_density < 1.0:
@@ -204,12 +209,15 @@ def generate_connected_pair(spec1: GeneratorSpec, spec2: GeneratorSpec) -> tuple
     The product of two connected graphs is connected iff at least one factor
     is non-bipartite, so bipartiteness of the factors is what gets checked;
     the product is never built here. The second factor is redrawn (with
-    derived sub-seeds) until the condition holds.
+    derived sub-seeds) until the condition holds, unless it is a CYCLE,
+    which ignores its seed.
     """
     g1 = generate_connected(spec1)
     g2 = generate_connected(spec2)
     attempt = 0
     while is_bipartite(g1) and is_bipartite(g2):
+        if spec2.model == "CYCLE":
+            raise GenerationError(f"both factors are bipartite and CYCLE ignores the seed: {spec2}")
         attempt += 1
         if attempt >= MAX_ATTEMPTS:
             raise GenerationError(

@@ -69,23 +69,9 @@ def rprime_lower_bound(degrees, r_j_s2: float) -> float:
     return sum_d2 / float(np.sqrt(sum_d3 * sum_d)) * min(max(r_j_s2, 0.0), 1.0)
 
 
-def asymptotic_cubic(n: int, p):
-    """The reduced cubic (n-2)p^3 - 3(n-2)p^2 + (2n-5)p + 1, elementwise in ``p``."""
+def asymptotic_cubic(n, p):
+    """The reduced cubic (n-2)p^3 - 3(n-2)p^2 + (2n-5)p + 1, elementwise in ``n`` and ``p``."""
     return (n - 2) * p ** 3 - 3 * (n - 2) * p ** 2 + (2 * n - 5) * p + 1
-
-
-def asymptotic_inequality_holds(n: int, p: float) -> bool:
-    """Reduced polynomial criterion ``asymptotic_cubic(n, p) >= 0``.
-
-    Equivalent to the expected mean/RMS coefficient being dominated by the
-    expected Zagreb/forgotten-index ratio; holds for every n >= 1 and
-    p in (0, 1).
-    """
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"edge probability must be in (0, 1), got {p}")
-    return asymptotic_cubic(n, p) >= -1e-12
 
 
 def expected_kron_normalized_spectrum(n1: int, n2: int) -> list[tuple[float, int]]:
@@ -108,7 +94,7 @@ def expected_kron_normalized_spectrum(n1: int, n2: int) -> list[tuple[float, int
     ]
 
 
-def sayama_bound_holds(mu, d, slack: float = 1e-9) -> bool:
+def sayama_bound_holds(mu, d) -> bool:
     """Check mu_i <= 2 d_i for ascending eigenvalues against ascending degrees.
 
     This Courant-Fischer bound is what makes every Laplacian-basis
@@ -120,4 +106,4 @@ def sayama_bound_holds(mu, d, slack: float = 1e-9) -> bool:
         raise ValueError(f"length mismatch: {len(mu)} eigenvalues vs {len(d)} degrees")
     if np.any(np.diff(mu) < 0) or np.any(np.diff(d) < 0):
         raise ValueError("both sequences must be sorted ascending")
-    return bool(np.all(mu <= 2.0 * d + slack))
+    return bool(np.all(mu <= 2.0 * d + 1e-9))

@@ -148,7 +148,7 @@ def brute_force_product_spectrum(g, h):
 
 
 def test_criterion_02_normalized_decomposition():
-    result = checks.normalized_decomposition_gaps(pair_count=20, seed=ACCEPT_SEED)
+    result = checks.normalized_decomposition_gaps(seed=ACCEPT_SEED)
     passed = result["pass"]
     observed = result["observed"]
     report(
@@ -161,7 +161,7 @@ def test_criterion_02_normalized_decomposition():
 
 
 def test_criterion_03_colinearity():
-    result = checks.colinearity_residual(pair_count=20, seed=ACCEPT_SEED)
+    result = checks.colinearity_residual(seed=ACCEPT_SEED)
     report(
         "3",
         result["pass"],
@@ -171,7 +171,7 @@ def test_criterion_03_colinearity():
 
 
 def test_criterion_04_first_row_closed_form():
-    result = checks.r1j_closed_form_gap(pair_count=20, seed=ACCEPT_SEED)
+    result = checks.r1j_closed_form_gap(seed=ACCEPT_SEED)
     observed = result["observed"]
     report(
         "4",
@@ -183,7 +183,7 @@ def test_criterion_04_first_row_closed_form():
 
 
 def test_criterion_05_nonnegativity_sweep():
-    result = checks.sayama_nonnegativity_sweep(graph_count=1000, n_max=40, seed=ACCEPT_SEED)
+    result = checks.sayama_nonnegativity_sweep(graph_count=1000, seed=ACCEPT_SEED)
     observed = result["observed"]
     report(
         "5",
@@ -205,13 +205,13 @@ def test_criterion_06_expected_spectrum_formula():
 
 
 def test_criterion_07_asymptotic_inequality_grid():
-    result = checks.asymptotic_inequality_grid(n_max=500)
+    result = checks.asymptotic_inequality_grid()
     report("7", result["pass"], "reduced cubic nonnegative on n in [1,500] x p in (0,1) step 0.01")
     assert result["pass"]
 
 
 def test_criterion_08_monte_carlo_expectation():
-    result = checks.er_r1j_monte_carlo(draws=100, n=200, p=0.3, seed=ACCEPT_SEED)
+    result = checks.er_r1j_monte_carlo(draws=100, seed=ACCEPT_SEED)
     report(
         "8",
         result["pass"],
@@ -223,7 +223,7 @@ def test_criterion_08_monte_carlo_expectation():
 
 @pytest.fixture(scope="module")
 def rprime_result():
-    return checks.rprime_bound_slack(pair_count=50, seed=ACCEPT_SEED)
+    return checks.rprime_bound_slack(seed=ACCEPT_SEED)
 
 
 @pytest.mark.contested

@@ -201,6 +201,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # infeasible WS density at this order
         ExperimentConfig(model="WS", orders=(30, 50), density=0.02)
+    with pytest.raises(ValueError, match="order"):
+        ExperimentConfig(model="ER", orders=(10.5, 12), density=0.4)
     er = {"model": "ER", "density": 0.4}
     with pytest.raises(ValueError, match="orders"):
         ExperimentConfig.from_dict({**er, "orders": [10.5, 12]})
@@ -262,6 +264,35 @@ def test_theory_suite_report(tmp_path):
     assert written["staircase_limit"]["pass"] is True
     assert report["normalized_decomposition"]["pass"] is True
     assert "version" in written
+    # the checks take only seeds and the two CLI sizes; this pins the rest
+    spectrum = {"probs": [0.3, 1.0], "tolerance": 1e-8}
+    assert {name: entry["inputs"] for name, entry in report.items() if isinstance(entry, dict)} == {
+        "mean_rms_closed_forms": {
+            "cases": ["complete_bipartite_2_4", "star_n5", "triangle_regular"]
+        },
+        "staircase_limit": {"k": 500, "tolerance": 1e-3},
+        "asymptotic_inequality_grid": {"n_max": 500, "p_step": 0.01, "p_count": 99},
+        "expected_r1j_grid": {"orders": [30, 50, 100, 200], "densities": [0.1, 0.3, 0.65]},
+        "expected_spectrum_small": {"orders": [5, 7], **spectrum},
+        "expected_spectrum_desk": {"orders": [30, 50], **spectrum},
+        "sayama_nonnegativity": {
+            "graph_count": 20, "n_range": [10, 40], "p_range": [0.3, 0.7], "seed": 3
+        },
+        "er_r1j_monte_carlo": {"draws": 3, "n": 200, "p": 0.3, "seed": 3, "tolerance": 0.02},
+        "r1j_closed_form": {"pairs": 20, "seed": 3, "tolerance": 1e-10},
+        "colinearity": {"pairs": 20, "seed": 3, "tolerance": 1e-8},
+        "normalized_decomposition": {"pairs": 20, "seed": 3, "tolerance": 1e-8},
+        "rprime_lower_bound": {"pairs": 50, "seed": 3, "slack_floor": -1e-9},
+    }
+    assert report["all_pass"] is True
+    json.dumps(report, allow_nan=False)
+
+
+def test_theory_suite_rejects_degenerate_sizes():
+    with pytest.raises(ValueError, match="graph_count"):
+        theory_suite(seed=3, er_draws=3, graph_count=1)
+    with pytest.raises(ValueError, match="draws"):
+        theory_suite(seed=3, er_draws=0, graph_count=20)
 
 
 def test_version_is_computed_once_per_process(monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from kronspec import generators
 from kronspec.generators import (
     GenerationError,
     GeneratorSpec,
@@ -143,11 +144,18 @@ def test_generate_connected_pair_product_connected():
         assert is_connected(kronecker_graph(g1, g2))
 
 
-def test_generate_connected_pair_fails_for_even_cycles():
+def test_generate_connected_pair_fails_for_even_cycles(monkeypatch):
+    draws = []
+    draw = generators._draw
+    monkeypatch.setattr(
+        generators, "_draw", lambda spec, seed: draws.append(seed) or draw(spec, seed)
+    )
     s1 = GeneratorSpec("CYCLE", 6, 0.5, seed=0)
     s2 = GeneratorSpec("CYCLE", 8, 0.5, seed=0)
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError, match="bipartite"):
         generate_connected_pair(s1, s2)
+    # CYCLE ignores the seed, so the pair fails without redrawing
+    assert len(draws) == 2
 
 
 def test_spec_validation():
@@ -157,6 +165,8 @@ def test_spec_validation():
         GeneratorSpec("ER", 10, 1.5, seed=0)
     with pytest.raises(ValueError):
         GeneratorSpec("ER", 1, 0.5, seed=0)
+    with pytest.raises(ValueError, match="order"):
+        GeneratorSpec("ER", 10.5, 0.5, seed=0)
 
 
 def test_generated_graphs_are_simple():

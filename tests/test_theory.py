@@ -16,7 +16,7 @@ from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.graphs import laplacian, normalized_laplacian_of
 from kronspec.spectral import sym_eigenvalues
 from kronspec.theory import (
-    asymptotic_inequality_holds,
+    asymptotic_cubic,
     expected_kron_normalized_spectrum,
     expected_r1j,
     mean_rms_ratio,
@@ -104,16 +104,16 @@ def test_rprime_lower_bound_never_exceeds_input():
 
 
 def test_asymptotic_inequality_examples():
-    assert asymptotic_inequality_holds(1, 0.5)
-    assert asymptotic_inequality_holds(2, 0.9)
+    assert asymptotic_cubic(1, 0.5) >= 0
+    assert asymptotic_cubic(2, 0.9) >= 0
     # (1-p)^3 at n = 1, exactly zero at p -> 1
-    assert asymptotic_inequality_holds(1, 0.99)
+    assert asymptotic_cubic(1, 0.99) >= 0
 
 
 def test_asymptotic_inequality_spot_grid():
     for n in (1, 2, 3, 10, 100, 500):
         for p in np.arange(0.01, 1.0, 0.01):
-            assert asymptotic_inequality_holds(n, float(p))
+            assert asymptotic_cubic(n, float(p)) >= 0
 
 
 def test_expected_spectrum_small_case():
