@@ -33,7 +33,7 @@ g1, g2 = generate_connected_pair(
 )
 print(f"factors: n={g1.n} (m={g1.edge_count}), n={g2.n} (m={g2.edge_count})")
 
-op = KroneckerLaplacian.of(g1, g2)
+op = KroneckerLaplacian(g1, g2)
 exact = sym_eigenvalues(op.dense())
 edges = 2 * g1.edge_count * g2.edge_count  # each factor edge pair gives two product edges
 print(f"product: n={g1.n * g2.n}, m={edges}, lambda_max={exact[-1]:.2f}")

@@ -5,7 +5,6 @@ from .graphs import (
     KroneckerLaplacian,
     build_graph,
     edge_density,
-    from_adjacency,
     is_bipartite,
     is_connected,
     kronecker_graph,
@@ -26,7 +25,7 @@ from .generators import (
     generate_connected_pair,
     watts_strogatz,
 )
-from .spectral import SpectralDecomposition, cosine, sym_eig, sym_eigenvalues
+from .spectral import SpectralDecomposition, sym_eig, sym_eigenvalues
 from .estimators import (
     Estimator,
     Ordering,

@@ -207,7 +207,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     means = []
     for t in range(draws):
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "er_mc", t)))
-        op = KroneckerLaplacian.of(g, h)
+        op = KroneckerLaplacian(g, h)
         means.append(np.mean(_first_row_cosines(op, np.ones((n, 1)), eig_h.eigenvectors)))
     observed_mean = float(np.mean(means))
     predicted = expected_r1j(n, p)
@@ -226,7 +226,7 @@ def r1j_closed_form_gap(seed: int) -> dict:
     for g1, g2 in _er_pairs(seed, "r1j", pairs):
         w1 = sym_eig(laplacian(g1)).eigenvectors
         w2 = sym_eig(laplacian(g2)).eigenvectors
-        observed = _first_row_cosines(KroneckerLaplacian.of(g1, g2), w1, w2)
+        observed = _first_row_cosines(KroneckerLaplacian(g1, g2), w1, w2)
         max_gap = max(max_gap, float(np.abs(observed - mean_rms_ratio(g1.degrees)).max()))
         max_spread = max(max_spread, float(observed.max() - observed.min()))
     return {
@@ -243,7 +243,7 @@ def colinearity_residual(seed: int) -> dict:
     worst = 0.0
     for g1, g2 in _er_pairs(seed, "colin", pairs):
         eig2 = sym_eig(laplacian(g2))
-        op = KroneckerLaplacian.of(g1, g2)
+        op = KroneckerLaplacian(g1, g2)
         lhs = op.matvec(np.kron(np.ones((g1.n, 1)), eig2.eigenvectors))
         rhs = np.kron(g1.degrees[:, None], eig2.eigenvectors) * eig2.eigenvalues
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
@@ -297,12 +297,12 @@ def rprime_bound_slack(seed: int) -> dict:
     for g1, g2 in _er_pairs(seed, "rprime", pairs):
         v1 = sym_eig(normalized_laplacian(g1)).eigenvectors
         v2 = sym_eig(normalized_laplacian(g2)).eigenvectors
-        row = _first_row_cosines(KroneckerLaplacian.of(g1, g2), v1, v2)
+        row = _first_row_cosines(KroneckerLaplacian(g1, g2), v1, v2)
         v = v2[:, 1:]
         lap2_v = laplacian(g2) @ v
         dots = np.einsum("dc,dc->c", v, lap2_v)
         r_j = dots / (np.linalg.norm(v, axis=0) * np.linalg.norm(lap2_v, axis=0))
-        deg2_v, adj2_v = g2.degrees[:, None] * v, g2.adjacency.astype(np.float64) @ v
+        deg2_v, adj2_v = g2.degrees[:, None] * v, g2.adjacency @ v
         r_j_corrected = dots / (np.linalg.norm(deg2_v, axis=0) + np.linalg.norm(adj2_v, axis=0))
         for observed, r, r_corrected in zip(row, r_j, r_j_corrected):
             stated.append(observed - rprime_lower_bound(g1.degrees, float(r)))

@@ -53,7 +53,7 @@ def _cmd_estimate(args) -> int:
     g2 = read_edge_list(args.factor2)
     ordering = Ordering(kind=OrderingKind(args.ordering), randomization_seed=args.seed)
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
-    exact = product_spectrum(KroneckerLaplacian.of(g1, g2))
+    exact = product_spectrum(KroneckerLaplacian(g1, g2))
     sayama, normalized = (
         np.sort(estimate_spectrum(estimator, f1, f2, ordering)).tolist()
         for estimator in (Estimator.SAYAMA_LAPLACIAN, Estimator.NORMALIZED_LAPLACIAN)

@@ -250,14 +250,15 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     """Ascending exact eigenvalues of the product Laplacian, read-only.
 
     A process solves each distinct product once: the spectrum is kept under
-    a SHA-256 of the factor arrays, so a repeated product (the same seeded
-    pair under another ordering) skips both the N x N build and the solve.
-    The factor order is part of the key.
+    a SHA-256 of the two factor adjacencies (the degrees are their row
+    sums), so a repeated product (the same seeded pair under another
+    ordering) skips both the N x N build and the solve. The factor order is
+    part of the key.
     """
     digest = sha256()
-    for part in (op.degrees1, op.degrees2, op.adjacency1, op.adjacency2):
-        digest.update(f"{part.dtype.str}{part.shape}".encode())
-        digest.update(part.tobytes())
+    for g in (op.first, op.second):
+        digest.update(f"{g.adjacency.shape}".encode())
+        digest.update(g.adjacency.tobytes())
     key = digest.hexdigest()
     spectrum = _spectra.pop(key, None)
     if spectrum is None:
@@ -279,7 +280,7 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
         raise RuntimeError(f"run {run_index}: factor generation failed") from exc
 
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
-    op = KroneckerLaplacian.of(g1, g2)
+    op = KroneckerLaplacian(g1, g2)
     actual = product_spectrum(op)
     errors = {
         estimator: percentage_errors(
@@ -393,8 +394,8 @@ def _error_table(
 ) -> tuple[str, Iterable[str]]:
     tail = f"{estimator.value},{ordering_label(config, estimator)},{_config_columns(config)}"
     rows = (
-        f"{rank},{_fmt(profile.median[k])},{_fmt(profile.p5[k])},{_fmt(profile.p95[k])},{tail}"
-        for k, rank in enumerate(profile.ranks)
+        f"{k + 1},{_fmt(profile.median[k])},{_fmt(profile.p5[k])},{_fmt(profile.p95[k])},{tail}"
+        for k in range(len(profile.median))
     )
     return "rank,median,p5,p95,estimator,ordering,model,density,n1,n2,runs", rows
 
@@ -533,17 +534,18 @@ def theory_suite(
     """
     from . import checks
 
+    # the two checks sized by the arguments run first, so bad sizes fail before any solve
     report = {
+        "er_r1j_monte_carlo": checks.er_r1j_monte_carlo(draws=er_draws, seed=seed),
+        "sayama_nonnegativity": checks.sayama_nonnegativity_sweep(
+            graph_count=graph_count, seed=seed
+        ),
         "mean_rms_closed_forms": checks.closed_form_mean_rms(),
         "staircase_limit": checks.staircase_limit(),
         "asymptotic_inequality_grid": checks.asymptotic_inequality_grid(),
         "expected_r1j_grid": checks.expected_r1j_grid(),
         "expected_spectrum_small": checks.expected_spectrum_gap(5, 7),
         "expected_spectrum_desk": checks.expected_spectrum_gap(30, 50),
-        "sayama_nonnegativity": checks.sayama_nonnegativity_sweep(
-            graph_count=graph_count, seed=seed
-        ),
-        "er_r1j_monte_carlo": checks.er_r1j_monte_carlo(draws=er_draws, seed=seed),
         "r1j_closed_form": checks.r1j_closed_form_gap(seed=seed),
         "colinearity": checks.colinearity_residual(seed=seed),
         "normalized_decomposition": checks.normalized_decomposition_gaps(seed=seed),

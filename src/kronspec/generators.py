@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, cycle_graph, from_adjacency, is_bipartite, is_connected
+from .graphs import Graph, cycle_graph, is_bipartite, is_connected
 
 MODELS = ("ER", "WS", "BA", "CYCLE")
 
@@ -75,7 +75,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     adjacency = np.zeros((n, n), dtype=np.int8)
     adjacency[rows[mask], cols[mask]] = 1
     adjacency |= adjacency.T
-    return from_adjacency(adjacency)
+    return Graph(adjacency)
 
 
 def watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
@@ -111,7 +111,7 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
             adjacency[v, u] = 0
             adjacency[u, w] = 1
             adjacency[w, u] = 1
-    return from_adjacency(adjacency)
+    return Graph(adjacency)
 
 
 def barabasi_albert(n: int, m_attach: int, seed: int) -> Graph:
@@ -143,7 +143,7 @@ def barabasi_albert(n: int, m_attach: int, seed: int) -> Graph:
             adjacency[t, v] = 1
             degrees[t] += 1
         degrees[v] = m_attach
-    return from_adjacency(adjacency)
+    return Graph(adjacency)
 
 
 def _ba_edge_count(n: int, m: int) -> int:

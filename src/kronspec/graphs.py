@@ -6,14 +6,14 @@ degree, Laplacian ``L = D - A`` and normalized Laplacian
 of graphs, the product Laplacian in factor form (:class:`KroneckerLaplacian`),
 and a plain-text edge-list format.
 
-Graphs are immutable once built: the adjacency and degree arrays are marked
-read-only, and degrees are cached at construction.
+A :class:`Graph` is one float64 adjacency matrix, checked when the graph is
+built and read-only after; its order and degrees are derived from it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
@@ -28,20 +28,29 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class Graph:
     """Simple undirected graph: symmetric 0/1 adjacency with zero diagonal.
 
-    ``degrees[i]`` always equals the i-th adjacency row sum.
+    Built from the adjacency alone, which is checked and kept as a read-only
+    float64 copy; ``n`` is its order and ``degrees`` its row sums.
     """
 
-    n: int
-    adjacency: np.ndarray  # (n, n) int8, read-only
-    degrees: np.ndarray    # (n,) int64, read-only
+    adjacency: np.ndarray  # (n, n) float64, read-only
+    n: int = field(init=False)
+    degrees: np.ndarray = field(init=False)  # (n,) float64, read-only
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"graph order must be positive, got {self.n}")
-        if self.adjacency.shape != (self.n, self.n):
-            raise ValueError("adjacency shape does not match order")
-        if self.degrees.shape != (self.n,):
-            raise ValueError("degree vector shape does not match order")
+        adjacency = np.array(self.adjacency, dtype=np.float64)
+        if adjacency.size == 0:
+            raise ValueError("adjacency must be nonempty")
+        if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
+        if not np.array_equal(adjacency, adjacency.T):
+            raise ValueError("adjacency must be symmetric")
+        if np.any(np.diagonal(adjacency) != 0):
+            raise ValueError("adjacency must have zero diagonal")
+        if not np.all((adjacency == 0) | (adjacency == 1)):
+            raise ValueError("adjacency entries must be 0 or 1")
+        object.__setattr__(self, "adjacency", _frozen(adjacency))
+        object.__setattr__(self, "n", len(adjacency))
+        object.__setattr__(self, "degrees", _frozen(adjacency.sum(axis=1)))
 
     @property
     def edge_count(self) -> int:
@@ -61,7 +70,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise ValueError(f"graph order must be positive, got {n}")
-    adjacency = np.zeros((n, n), dtype=np.int8)
+    adjacency = np.zeros((n, n))
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
@@ -69,23 +78,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         adjacency[u, v] = 1
         adjacency[v, u] = 1
-    degrees = adjacency.sum(axis=1, dtype=np.int64)
-    return Graph(n=n, adjacency=_frozen(adjacency), degrees=_frozen(degrees))
-
-
-def from_adjacency(adjacency: np.ndarray) -> Graph:
-    """Wrap a symmetric 0/1 matrix with zero diagonal as a Graph."""
-    adjacency = np.asarray(adjacency)
-    n = adjacency.shape[0]
-    if adjacency.shape != (n, n):
-        raise ValueError("adjacency must be square")
-    if not np.array_equal(adjacency, adjacency.T):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(np.diagonal(adjacency) != 0):
-        raise ValueError("adjacency must have zero diagonal")
-    adjacency = adjacency.astype(np.int8)
-    degrees = adjacency.sum(axis=1, dtype=np.int64)
-    return Graph(n=n, adjacency=_frozen(adjacency), degrees=_frozen(degrees))
+    return Graph(adjacency)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -95,8 +88,8 @@ def cycle_graph(n: int) -> Graph:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian matrix ``L = D - A`` as float64. Row sums are exactly zero."""
-    lap = -g.adjacency.astype(np.float64)
-    np.fill_diagonal(lap, g.degrees.astype(np.float64))
+    lap = -g.adjacency
+    np.fill_diagonal(lap, g.degrees)
     return lap
 
 
@@ -108,7 +101,7 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     if np.any(g.degrees < 1):
         isolated = int(np.argmin(g.degrees))
         raise ValueError(f"vertex {isolated} is isolated; normalized Laplacian undefined")
-    return normalized_laplacian_of(g.adjacency.astype(np.float64))
+    return normalized_laplacian_of(g.adjacency)
 
 
 def normalized_laplacian_of(matrix: np.ndarray) -> np.ndarray:
@@ -135,58 +128,45 @@ def kronecker_graph(g: Graph, h: Graph) -> Graph:
     matrix of the product is exactly ``np.kron`` of the factor adjacencies,
     and the degree of (i, k) is ``deg_g(i) * deg_h(k)``.
     """
-    adjacency = np.kron(g.adjacency, h.adjacency)
-    degrees = np.kron(g.degrees, h.degrees)
-    return Graph(n=g.n * h.n, adjacency=_frozen(adjacency), degrees=_frozen(degrees))
+    return Graph(np.kron(g.adjacency, h.adjacency))
 
 
 @dataclass(frozen=True)
 class KroneckerLaplacian:
     """Laplacian ``L = D1 (x) D2 - A1 (x) A2`` of a Kronecker product, kept in factor form.
 
-    Holds the factor degrees and float64 adjacencies only; the product
-    vertex (i, k) has row-major index ``i * n2 + k`` as in
-    :func:`kronecker_graph`. A vector x of length n1*n2 reshaped to an
-    (n1, n2) matrix X maps to ``d1 d2' .* X - A1 X A2`` (Van Loan, "The
-    ubiquitous Kronecker product", JCAM 2000), so :meth:`matvec` costs
-    O(n1 n2 (n1 + n2)) per vector instead of O((n1 n2)^2).
+    Holds the two factor graphs only; the product vertex (i, k) has
+    row-major index ``i * n2 + k`` as in :func:`kronecker_graph`. A vector x
+    of length n1*n2 reshaped to an (n1, n2) matrix X maps to
+    ``d1 d2' .* X - A1 X A2`` (Van Loan, "The ubiquitous Kronecker product",
+    JCAM 2000), so :meth:`matvec` costs O(n1 n2 (n1 + n2)) per vector
+    instead of O((n1 n2)^2).
     """
 
-    degrees1: np.ndarray    # (n1,) float64
-    degrees2: np.ndarray    # (n2,) float64
-    adjacency1: np.ndarray  # (n1, n1) float64
-    adjacency2: np.ndarray  # (n2, n2) float64
-
-    @classmethod
-    def of(cls, g: Graph, h: Graph) -> "KroneckerLaplacian":
-        return cls(
-            degrees1=_frozen(g.degrees.astype(np.float64)),
-            degrees2=_frozen(h.degrees.astype(np.float64)),
-            adjacency1=_frozen(g.adjacency.astype(np.float64)),
-            adjacency2=_frozen(h.adjacency.astype(np.float64)),
-        )
+    first: Graph
+    second: Graph
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``L @ x`` for a vector (N,) or a stack of column vectors (N, k)."""
+        g, h = self.first, self.second
         x = np.asarray(x, dtype=np.float64)
-        n1, n2 = len(self.degrees1), len(self.degrees2)
-        if x.shape[0] != n1 * n2 or x.ndim > 2:
-            raise ValueError(f"expected shape ({n1 * n2},) or ({n1 * n2}, k), got {x.shape}")
-        cube = x.reshape(n1, n2, -1)
+        if x.shape[0] != g.n * h.n or x.ndim > 2:
+            raise ValueError(f"expected shape ({g.n * h.n},) or ({g.n * h.n}, k), got {x.shape}")
+        cube = x.reshape(g.n, h.n, -1)
         # A2 acts on the second index, then A1 on the first
-        mixed = (self.adjacency1 @ (self.adjacency2 @ cube).reshape(n1, -1)).reshape(cube.shape)
-        scaled = np.multiply.outer(self.degrees1, self.degrees2)[:, :, None] * cube
+        mixed = (g.adjacency @ (h.adjacency @ cube).reshape(g.n, -1)).reshape(cube.shape)
+        scaled = np.multiply.outer(g.degrees, h.degrees)[:, :, None] * cube
         return (scaled - mixed).reshape(x.shape)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix ``diag(kron(d1, d2)) - kron(A1, A2)`` as float64.
 
-        Built straight from the factors, never through the int8 product
-        :class:`Graph`; entry for entry (signed zeros included) it equals
-        ``laplacian(kronecker_graph(g, h))``.
+        Built straight from the factors, never through
+        :func:`kronecker_graph`; entry for entry (signed zeros included) it
+        equals ``laplacian(kronecker_graph(g, h))``.
         """
-        lap = np.kron(-self.adjacency1, self.adjacency2)
-        np.fill_diagonal(lap, np.kron(self.degrees1, self.degrees2))
+        lap = np.kron(-self.first.adjacency, self.second.adjacency)
+        np.fill_diagonal(lap, np.kron(self.first.degrees, self.second.degrees))
         return lap
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import KroneckerLaplacian
+from .graphs import Graph, KroneckerLaplacian
 
 # percentile convention for all error bands: linear interpolation
 PERCENTILE_METHOD = "linear"
@@ -42,7 +42,6 @@ class ErrorProfile:
     are per-rank summaries over runs.
     """
 
-    ranks: np.ndarray        # 1..n1*n2-1
     samples: np.ndarray      # (runs, ranks)
     median: np.ndarray
     p5: np.ndarray
@@ -58,16 +57,16 @@ class DensityCurve:
     bandwidth: float
 
 
-def _factor_terms(basis: np.ndarray, degrees: np.ndarray, adjacency: np.ndarray):
+def _factor_terms(basis: np.ndarray, g: Graph):
     """Per-column factor quantities behind the product cosines.
 
-    For each column u: a = D u and c = A u, split as c = alpha a + c_perp
-    with c_perp orthogonal to a. Returns (u'u, u'a, u'c, |a|^2, alpha,
-    |c_perp|^2), each of length n.
+    For each column u of a basis of factor g: a = D u and c = A u, split as
+    c = alpha a + c_perp with c_perp orthogonal to a. Returns (u'u, u'a,
+    u'c, |a|^2, alpha, |c_perp|^2), each of length n.
     """
     basis = np.asarray(basis, dtype=np.float64)
-    a = degrees[:, None] * basis
-    c = adjacency @ basis
+    a = g.degrees[:, None] * basis
+    c = g.adjacency @ basis
     a_sq = np.einsum("ij,ij->j", a, a)
     # a = 0 forces c = 0 (an isolated vertex has no neighbours), so alpha = 0 is exact
     alpha = np.divide(
@@ -102,13 +101,13 @@ def correlation_profile(
       - beta c_perp(x)b - c_perp(x)e_perp, four mutually orthogonal terms, so
       ||L x||^2 is a sum of nonnegative squares with no cancellation.
     """
-    if basis1.shape[0] != len(op.degrees1) or basis2.shape[0] != len(op.degrees2):
+    if (basis1.shape[0], basis2.shape[0]) != (op.first.n, op.second.n):
         raise ValueError(
             f"basis dimensions {basis1.shape[0]}x{basis2.shape[0]} do not match factor "
-            f"orders {len(op.degrees1)}x{len(op.degrees2)}"
+            f"orders {op.first.n}x{op.second.n}"
         )
-    u_sq, u_a, u_c, a_sq, alpha, cp_sq = _factor_terms(basis1, op.degrees1, op.adjacency1)
-    v_sq, v_b, v_e, b_sq, beta, ep_sq = _factor_terms(basis2, op.degrees2, op.adjacency2)
+    u_sq, u_a, u_c, a_sq, alpha, cp_sq = _factor_terms(basis1, op.first)
+    v_sq, v_b, v_e, b_sq, beta, ep_sq = _factor_terms(basis2, op.second)
     numerator = np.outer(u_a, v_b) - np.outer(u_c, v_e)
     image_sq = (
         (1.0 - np.outer(alpha, beta)) ** 2 * np.outer(a_sq, b_sq)
@@ -162,7 +161,6 @@ def aggregate_profile(error_vectors) -> ErrorProfile:
         samples = samples[None, :]
     p5, median, p95 = np.percentile(samples, [5, 50, 95], axis=0, method=PERCENTILE_METHOD)
     return ErrorProfile(
-        ranks=np.arange(1, samples.shape[1] + 1),
         samples=samples,
         median=median,
         p5=p5,

@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition and the cosine between two vectors.
+"""Dense symmetric eigendecomposition.
 
 Everything downstream consumes spectra through :func:`sym_eig`, which wraps
 the LAPACK symmetric solver and pins down a reproducible eigenvector sign
@@ -71,14 +71,3 @@ def sym_eig(m: np.ndarray) -> SpectralDecomposition:
 def sym_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues only; cheaper than sym_eig when vectors are unused."""
     return np.linalg.eigvalsh(_check_symmetric(m))
-
-
-def cosine(x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine of the angle between two nonzero vectors, in [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine undefined for a zero vector")
-    return float(np.dot(x, y) / (nx * ny))

@@ -251,6 +251,6 @@ def test_property_normalized_estimate_nonnegative(pair, ordering):
 @given(factor_pairs(regular=True), ORDERINGS)
 def test_property_regular_factors_exact(pair, ordering):
     g, h = pair
-    exact = sym_eigenvalues(KroneckerLaplacian.of(g, h).dense())
+    exact = sym_eigenvalues(KroneckerLaplacian(g, h).dense())
     for est in both_estimates(g, h, ordering):
         assert np.abs(np.sort(est) - exact).max() <= 1e-9

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from kronspec import experiments
+from kronspec import checks, experiments
 from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import (
     ExperimentConfig,
@@ -37,7 +37,7 @@ def cycle_config(**overrides):
 
 def er_op(seed, orders=(10, 12)):
     config = ExperimentConfig(model="ER", orders=orders, density=0.4, master_seed=seed)
-    return KroneckerLaplacian.of(*generate_connected_pair(*config.run_specs(0)))
+    return KroneckerLaplacian(*generate_connected_pair(*config.run_specs(0)))
 
 
 @pytest.fixture
@@ -288,7 +288,12 @@ def test_theory_suite_report(tmp_path):
     json.dumps(report, allow_nan=False)
 
 
-def test_theory_suite_rejects_degenerate_sizes():
+def test_theory_suite_rejects_degenerate_sizes(monkeypatch):
+    # bad sizes must fail before any of the fixed checks run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a fixed check ran before the sizes were checked")
+
+    monkeypatch.setattr(checks, "expected_spectrum_gap", unreachable)
     with pytest.raises(ValueError, match="graph_count"):
         theory_suite(seed=3, er_draws=3, graph_count=1)
     with pytest.raises(ValueError, match="draws"):
@@ -337,7 +342,7 @@ def test_product_spectrum_is_read_only_and_bitwise_fresh(product_solves):
 
 def test_product_spectrum_misses_other_products(product_solves):
     op = er_op(seed=1)
-    swapped = KroneckerLaplacian(op.degrees2, op.degrees1, op.adjacency2, op.adjacency1)
+    swapped = KroneckerLaplacian(op.second, op.first)
     for other in (op, er_op(seed=2), swapped, er_op(seed=1, orders=(12, 10))):
         product_spectrum(other)
     assert product_solves == [120] * 4

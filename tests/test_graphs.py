@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronspec.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from kronspec.graphs import (
+    Graph,
     build_graph,
+    cycle_graph,
     edge_density,
-    from_adjacency,
     is_bipartite,
     is_connected,
     kronecker_graph,
@@ -61,6 +63,40 @@ def test_graph_is_immutable():
         g.adjacency[0, 1] = 0
 
 
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        np.zeros((0, 0)),
+        np.zeros((2, 3)),
+        [[0, 1], [0, 0]],
+        [[1, 0], [0, 0]],
+        [[0, 0.5], [0.5, 0]],
+        [[0, 2], [2, 0]],
+    ],
+    ids=["empty", "non-square", "asymmetric", "nonzero-diagonal", "half-entry", "two-entry"],
+)
+def test_graph_rejects_malformed_adjacency(adjacency):
+    with pytest.raises(ValueError, match="adjacency"):
+        Graph(np.asarray(adjacency))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        erdos_renyi(9, 0.4, seed=1),
+        watts_strogatz(9, 4, 0.3, seed=2),
+        barabasi_albert(9, 2, seed=3),
+        cycle_graph(7),
+        kronecker_graph(triangle(), star4()),
+    ],
+    ids=["ER", "WS", "BA", "CYCLE", "kronecker"],
+)
+def test_graphs_hold_read_only_float64_adjacency(g):
+    assert g.adjacency.dtype == np.float64 and g.degrees.dtype == np.float64
+    assert not g.adjacency.flags.writeable and not g.degrees.flags.writeable
+    assert np.array_equal(g.degrees, g.adjacency.sum(axis=1))
+
+
 def test_laplacian_small_cases():
     assert np.array_equal(laplacian(k2()), [[1, -1], [-1, 1]])
     lap = laplacian(triangle())
@@ -102,7 +138,7 @@ def test_normalized_laplacian_spectrum_range_and_kernel():
         adjacency = adjacency + adjacency.T
         if np.any(adjacency.sum(axis=1) == 0):
             continue
-        g = from_adjacency(adjacency)
+        g = Graph(adjacency)
         norm = normalized_laplacian(g)
         values, vectors = np.linalg.eigh(norm)
         assert values.min() >= -1e-9 and values.max() <= 2 + 1e-9

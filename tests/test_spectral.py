@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kronspec.graphs import build_graph, kronecker_graph, laplacian, normalized_laplacian
-from kronspec.spectral import SYMMETRY_BLOCK, _fix_signs, cosine, sym_eig, sym_eigenvalues
+from kronspec.spectral import SYMMETRY_BLOCK, _fix_signs, sym_eig, sym_eigenvalues
 
 
 def test_k2_laplacian_spectrum():
@@ -153,12 +153,3 @@ def test_colinearity_of_ones_kron_eigenvector():
         lhs = lap_product @ np.kron(ones, w)
         rhs = eig_h.eigenvalues[j] * np.kron(dvec, w)
         assert np.linalg.norm(lhs - rhs) <= 1e-8
-
-
-def test_cosine():
-    x = np.array([1.0, 2.0, 3.0])
-    assert cosine(x, x) == pytest.approx(1.0)
-    assert cosine(x, -x) == pytest.approx(-1.0)
-    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        cosine([0.0, 0.0], [1.0, 0.0])
