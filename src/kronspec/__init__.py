@@ -38,11 +38,8 @@ from .metrics import (
     DensityCurve,
     ErrorProfile,
     aggregate_profile,
-    chi_squared_normality,
     correlation_profile,
-    fisher_z,
     kde,
-    normality_pass_count,
     percentage_errors,
 )
 from .theory import (

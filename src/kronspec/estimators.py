@@ -18,7 +18,8 @@ default and the most accurate heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -71,7 +72,7 @@ class Ordering:
             "randomization_seed": lambda v: _as_int("randomization_seed", v),
             "swap_count": lambda v: None if v is None else _as_int("swap_count", v),
         }
-        return cls(**{key: coerce[key](v) if key in coerce else v for key, v in data.items()})
+        return _from_mapping(cls, "ordering", data, coerce)
 
 
 def _as_int(key: str, value) -> int:
@@ -79,6 +80,20 @@ def _as_int(key: str, value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _from_mapping(cls, name: str, data, coerce: dict):
+    """Dataclass ``cls`` from a JSON object, each value passed through its ``coerce`` entry.
+
+    Absent keys take the field defaults. Input that is not a mapping, or
+    that has keys ``cls`` lacks, is a ValueError naming ``name`` or the keys.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    return cls(**{key: coerce[key](v) if key in coerce else v for key, v in data.items()})
 
 
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:

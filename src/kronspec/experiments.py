@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from hashlib import sha256
 from itertools import chain
 from pathlib import Path
@@ -33,6 +32,7 @@ from .estimators import (
     Ordering,
     OrderingKind,
     _as_int,
+    _from_mapping,
     normalized_estimate,
     sayama_spectrum,
 )
@@ -89,6 +89,13 @@ def _version() -> str:
     return version_string()
 
 
+def _as_bool(key: str, value) -> bool:
+    """A config value that must be a JSON boolean; a ValueError naming ``key`` otherwise."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 # from_dict's coercion of each JSON value to its field type
 _COERCE = {
     "orders": lambda orders: tuple(_as_int("orders", n) for n in orders),
@@ -98,7 +105,7 @@ _COERCE = {
     "ordering": lambda o: Ordering.from_dict(o) if o is not None else None,
     "master_seed": lambda v: _as_int("master_seed", v),
     "ws_beta": float,
-    "compute_correlations": bool,
+    "compute_correlations": lambda v: _as_bool("compute_correlations", v),
 }
 
 
@@ -163,10 +170,7 @@ class ExperimentConfig:
         Values are coerced to the field types (e.g. ``"density": 1`` becomes
         1.0), so equal configs hash equally however their JSON spells them.
         """
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**{key: _COERCE[key](v) if key in _COERCE else v for key, v in data.items()})
+        return _from_mapping(cls, "config", data, _COERCE)
 
     def config_hash(self) -> str:
         hashed = self.to_dict()
@@ -184,7 +188,6 @@ class RunRecord:
     achieved_densities: tuple[float, float]
     errors: dict[Estimator, np.ndarray]
     correlations: dict[str, np.ndarray] | None  # per basis, in correlation_profile order
-    wall_time: float
 
 
 def resolve_ordering(config: ExperimentConfig, estimator: Estimator, run_index: int) -> Ordering:
@@ -272,7 +275,6 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     """Generate one factor pair and measure both estimators against the truth."""
-    started = time.perf_counter()
     spec1, spec2 = config.run_specs(run_index)
     try:
         g1, g2 = generate_connected_pair(spec1, spec2)
@@ -306,7 +308,6 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
         achieved_densities=(edge_density(g1), edge_density(g2)),
         errors=errors,
         correlations=correlations,
-        wall_time=time.perf_counter() - started,
     )
 
 

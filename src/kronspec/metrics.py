@@ -9,8 +9,8 @@ Four families of measurements:
   spectra, with the matched zero eigenvalue dropped from both;
 * aggregation of per-run error vectors into median and 5/95-percentile
   bands per rank;
-* Gaussian kernel density curves (Silverman bandwidth) and a chi-squared
-  normality counter for correlation-coefficient samples.
+* Gaussian kernel density curves (Silverman bandwidth) for
+  correlation-coefficient samples.
 """
 
 from __future__ import annotations
@@ -29,20 +29,16 @@ PERCENTILE_METHOD = "linear"
 # memory to KDE_BLOCK x samples instead of grid_size x samples
 KDE_BLOCK = 32
 
-# significance level of the chi-squared normality test
-NORMALITY_ALPHA = 0.05
-
 
 @dataclass(frozen=True)
 class ErrorProfile:
     """Per-rank percentage-error statistics across independent runs.
 
-    ``samples[r, k]`` is the error of rank k+2 of the sorted spectrum (rank 1,
-    the matched zeros, is dropped) in run r. ``median``, ``p5`` and ``p95``
-    are per-rank summaries over runs.
+    Entry k of ``median``, ``p5`` and ``p95`` summarizes, over runs, the
+    error of rank k+2 of the sorted spectrum (rank 1, the matched zeros, is
+    dropped).
     """
 
-    samples: np.ndarray      # (runs, ranks)
     median: np.ndarray
     p5: np.ndarray
     p95: np.ndarray
@@ -160,12 +156,7 @@ def aggregate_profile(error_vectors) -> ErrorProfile:
     if samples.ndim == 1:
         samples = samples[None, :]
     p5, median, p95 = np.percentile(samples, [5, 50, 95], axis=0, method=PERCENTILE_METHOD)
-    return ErrorProfile(
-        samples=samples,
-        median=median,
-        p5=p5,
-        p95=p95,
-    )
+    return ErrorProfile(median=median, p5=p5, p95=p95)
 
 
 def kde(samples: np.ndarray, grid_size: int = 512) -> DensityCurve:
@@ -191,74 +182,3 @@ def kde(samples: np.ndarray, grid_size: int = 512) -> DensityCurve:
         sums[start:start + KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
     density = sums / (len(samples) * h * math.sqrt(2 * math.pi))
     return DensityCurve(grid=grid, density=density, bandwidth=h)
-
-
-def fisher_z(samples: np.ndarray) -> np.ndarray:
-    """Variance-stabilizing arctanh transform for correlation coefficients.
-
-    Correlation coefficients live in [-1, 1] with a hard ceiling that skews
-    their sampling distribution; in z = arctanh(r) coordinates they are
-    close to normal, which is the standard coordinate system for normality
-    statements about them. Inputs are clipped one ulp inside (-1, 1).
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    return np.arctanh(np.clip(samples, -1 + 1e-15, 1 - 1e-15))
-
-
-def chi_squared_normality(samples: np.ndarray) -> bool:
-    """Pearson chi-squared goodness-of-fit test against a fitted normal.
-
-    Convention: Sturges binning (ceil(log2 m) + 1 bins over the sample
-    range, outer bins extended to infinity), adjacent bins merged until
-    every expected count reaches 5, and the normal fitted by sample mean
-    and (ddof=1) variance. Degrees of freedom are bins - 1 with a floor of
-    1, the conservative choice when the parameters are estimated from the
-    unbinned sample (the statistic is then stochastically below a
-    chi-squared with bins - 1 dof). Returns True when the statistic stays
-    below the critical value at ``NORMALITY_ALPHA``.
-    """
-    from scipy.special import chdtri, ndtr  # kronspec's only scipy use; kept out of its import
-
-    samples = np.asarray(samples, dtype=np.float64)
-    m = len(samples)
-    if m < 30:
-        raise ValueError(f"need at least 30 samples for the chi-squared test, got {m}")
-    mean = float(np.mean(samples))
-    sigma = float(np.std(samples, ddof=1))
-    if sigma == 0.0:
-        return False
-    bins = int(np.ceil(np.log2(m))) + 1
-    edges = np.linspace(samples.min(), samples.max(), bins + 1)
-    observed = np.histogram(samples, edges)[0].astype(np.float64)
-    cdf = ndtr((edges - mean) / sigma)
-    cdf[0], cdf[-1] = 0.0, 1.0
-    expected = m * np.diff(cdf)
-
-    # merge left-to-right until every group expects at least 5
-    obs_groups, exp_groups = [], []
-    acc_o, acc_e = 0.0, 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs_groups.append(acc_o)
-            exp_groups.append(acc_e)
-            acc_o, acc_e = 0.0, 0.0
-    if acc_e > 0.0:
-        if exp_groups:
-            obs_groups[-1] += acc_o
-            exp_groups[-1] += acc_e
-        else:
-            obs_groups, exp_groups = [acc_o], [acc_e]
-
-    obs_arr = np.asarray(obs_groups)
-    exp_arr = np.asarray(exp_groups)
-    stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    dof = max(len(exp_arr) - 1, 1)
-    return stat <= float(chdtri(dof, NORMALITY_ALPHA))
-
-
-def normality_pass_count(samples: np.ndarray) -> tuple[int, int]:
-    """Count the columns of a (runs, pairs) sample matrix that pass the chi-squared test."""
-    passed = sum(chi_squared_normality(column) for column in samples.T)
-    return passed, samples.shape[1]

@@ -19,8 +19,8 @@ from kronspec import checks
 from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import ExperimentConfig, run_experiment
 from kronspec.graphs import laplacian, normalized_laplacian
-from kronspec.metrics import fisher_z, normality_pass_count
 from kronspec.spectral import sym_eigenvalues
+from normality import fisher_z, normality_pass_count
 
 ACCEPT_SEED = 20240808
 DENSITIES = (0.10, 0.30, 0.65)

@@ -68,7 +68,6 @@ def test_run_single_record_shape():
         assert errors.shape == (n_pairs,)
     assert record.correlations is not None
     assert record.correlations["laplacian"].shape == (n_pairs,)
-    assert record.wall_time > 0
 
 
 def test_experiment_is_deterministic_bytewise(tmp_path):
@@ -234,6 +233,20 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict(
             {"model": "ER", "orders": [10, 12], "density": 0.4, "run": 5, "sede": 1}
         )
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"compute_correlations": "false"}, "compute_correlations"),
+        ({"ordering": {"kind": "Correlated", "swap": 3}}, "swap"),
+        ({"ordering": "Correlated"}, "ordering"),
+    ],
+)
+def test_config_rejects_malformed_values(extra, key):
+    # a wrongly typed value fails where the config is loaded, naming its key
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict({"model": "ER", "orders": [10, 12], "density": 0.4, **extra})
 
 
 def test_generation_failure_names_run():
