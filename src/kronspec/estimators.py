@@ -68,22 +68,29 @@ class Ordering:
     def from_dict(cls, data: dict) -> "Ordering":
         """Inverse of ``dataclasses.asdict``; absent keys take the field defaults."""
         coerce = {
-            "kind": OrderingKind,
-            "randomization_seed": lambda v: _as_int("randomization_seed", v),
-            "swap_count": lambda v: None if v is None else _as_int("swap_count", v),
+            "kind": lambda _, v: OrderingKind(v),
+            "randomization_seed": _as_int,
+            "swap_count": lambda k, v: None if v is None else _as_int(k, v),
         }
         return _from_mapping(cls, "ordering", data, coerce)
 
 
 def _as_int(key: str, value) -> int:
-    """A config value as an int; a ValueError naming ``key`` if it is not integral."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integral JSON number as an int; a ValueError naming ``key`` otherwise."""
+    if not (type(value) is int or _as_float(key, value).is_integer()):  # bools fail in _as_float
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
+def _as_float(key: str, value) -> float:
+    """A JSON number as a float; a ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _from_mapping(cls, name: str, data, coerce: dict):
-    """Dataclass ``cls`` from a JSON object, each value passed through its ``coerce`` entry.
+    """Dataclass ``cls`` from a JSON object; ``coerce[key](key, value)`` gives each field.
 
     Absent keys take the field defaults. Input that is not a mapping, or
     that has keys ``cls`` lacks, is a ValueError naming ``name`` or the keys.
@@ -93,7 +100,7 @@ def _from_mapping(cls, name: str, data, coerce: dict):
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
-    return cls(**{key: coerce[key](v) if key in coerce else v for key, v in data.items()})
+    return cls(**{key: coerce[key](key, v) if key in coerce else v for key, v in data.items()})
 
 
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:

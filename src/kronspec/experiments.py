@@ -31,6 +31,7 @@ from .estimators import (
     Estimator,
     Ordering,
     OrderingKind,
+    _as_float,
     _as_int,
     _from_mapping,
     normalized_estimate,
@@ -89,23 +90,24 @@ def _version() -> str:
     return version_string()
 
 
-def _as_bool(key: str, value) -> bool:
-    """A config value that must be a JSON boolean; a ValueError naming ``key`` otherwise."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
+def _of_type(key: str, value, types, what: str):
+    """``value`` if it is an instance of ``types``; a ValueError naming ``key`` otherwise."""
+    if not isinstance(value, types):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
     return value
 
 
-# from_dict's coercion of each JSON value to its field type
+# from_dict's coercion of each JSON value to its field type, called as f(key, value)
+_ARRAY = (list, tuple)  # to_dict gives tuples
 _COERCE = {
-    "orders": lambda orders: tuple(_as_int("orders", n) for n in orders),
-    "density": float,
-    "runs": lambda v: _as_int("runs", v),
-    "estimators": lambda names: tuple(Estimator(e) for e in names),
-    "ordering": lambda o: Ordering.from_dict(o) if o is not None else None,
-    "master_seed": lambda v: _as_int("master_seed", v),
-    "ws_beta": float,
-    "compute_correlations": lambda v: _as_bool("compute_correlations", v),
+    "orders": lambda k, v: tuple(_as_int(k, n) for n in _of_type(k, v, _ARRAY, "an array")),
+    "density": _as_float,
+    "runs": _as_int,
+    "estimators": lambda k, v: tuple(Estimator(e) for e in _of_type(k, v, _ARRAY, "an array")),
+    "ordering": lambda _, v: None if v is None else Ordering.from_dict(v),
+    "master_seed": _as_int,
+    "ws_beta": _as_float,
+    "compute_correlations": lambda k, v: _of_type(k, v, bool, "true or false"),
 }
 
 
@@ -167,8 +169,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`; absent keys take the field defaults.
 
-        Values are coerced to the field types (e.g. ``"density": 1`` becomes
-        1.0), so equal configs hash equally however their JSON spells them.
+        A JSON number takes its field's type (``"density": 1`` becomes 1.0), so
+        equal configs hash equally; a wrong JSON type is a ValueError naming its key.
         """
         return _from_mapping(cls, "config", data, _COERCE)
 

@@ -98,9 +98,6 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
 
     Requires every degree >= 1; eigenvalues of the result lie in [0, 2].
     """
-    if np.any(g.degrees < 1):
-        isolated = int(np.argmin(g.degrees))
-        raise ValueError(f"vertex {isolated} is isolated; normalized Laplacian undefined")
     return normalized_laplacian_of(g.adjacency)
 
 
@@ -113,7 +110,7 @@ def normalized_laplacian_of(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     deg = matrix.sum(axis=1)
     if np.any(deg <= 0):
-        raise ValueError("zero row sum; normalized Laplacian undefined")
+        raise ValueError(f"vertex {np.argmax(deg <= 0)} is isolated; no normalized Laplacian")
     inv_sqrt = 1.0 / np.sqrt(deg)
     # outer() makes the scaling factor exactly symmetric in floating point
     lap = -np.outer(inv_sqrt, inv_sqrt) * matrix

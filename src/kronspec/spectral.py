@@ -1,22 +1,21 @@
 """Dense symmetric eigendecomposition.
 
-Everything downstream consumes spectra through :func:`sym_eig`, which wraps
-the LAPACK symmetric solver and pins down a reproducible eigenvector sign
-convention (first significant component positive). Eigenvalues always come
-back ascending.
+Everything downstream consumes spectra through :func:`sym_eig`, which checks
+symmetry and returns the LAPACK solver's eigenpairs unchanged: ascending
+eigenvalues, orthonormal eigenvectors and no sign promise, since every
+consumer (cosines, quadratic forms, residual norms) is sign-invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Ascending eigenvalues with orthonormal eigenvector columns.
 
     Column j of ``eigenvectors`` pairs with ``eigenvalues[j]``.
@@ -46,26 +45,13 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first significant entry is positive."""
-    magnitudes = np.abs(vectors)
-    # first entry above 1e-8 of the column's largest; 0 when there is none
-    pivots = (magnitudes > 1e-8 * magnitudes.max(axis=0)).argmax(axis=0)
-    flip = vectors[pivots, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] = -vectors[:, flip]
-    return vectors
-
-
 def sym_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix, as ``np.linalg.eigh`` returns it.
 
-    Deterministic for a fixed input: eigenvalues ascending, each eigenvector
-    sign-normalized so its first significant component is positive.
+    Eigenvalues ascending, eigenvectors orthonormal, no sign promise.
     Raises numpy.linalg.LinAlgError if the solver fails to converge.
     """
-    m = _check_symmetric(m)
-    values, vectors = np.linalg.eigh(m)
-    return SpectralDecomposition(eigenvalues=values, eigenvectors=_fix_signs(vectors))
+    return SpectralDecomposition(*np.linalg.eigh(_check_symmetric(m)))
 
 
 def sym_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -241,6 +241,14 @@ def test_config_rejects_unknown_keys():
         ({"compute_correlations": "false"}, "compute_correlations"),
         ({"ordering": {"kind": "Correlated", "swap": 3}}, "swap"),
         ({"ordering": "Correlated"}, "ordering"),
+        ({"density": "0.4"}, "density"),
+        ({"ws_beta": "0.1"}, "ws_beta"),
+        ({"master_seed": "5"}, "master_seed"),
+        ({"runs": "3"}, "runs"),
+        ({"runs": True}, "runs"),
+        ({"ordering": {"kind": "Correlated", "randomization_seed": "7"}}, "randomization_seed"),
+        ({"estimators": "SayamaLaplacian"}, "estimators"),
+        ({"orders": "12"}, "orders"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):

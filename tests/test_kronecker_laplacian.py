@@ -81,6 +81,23 @@ def test_profile_matches_dense_reference(pair, basis):
 
 
 @PROPERTY
+@given(factor_pairs(), st.sampled_from(sorted(BASES)), st.integers(0, 2**32 - 1))
+def test_profile_ignores_eigenvector_signs(pair, basis, seed):
+    # sym_eig promises no eigenvector sign, so flipping columns must change nothing
+    g, h = pair
+    b1 = sym_eig(BASES[basis](g)).eigenvectors
+    b2 = sym_eig(BASES[basis](h)).eigenvectors
+    rng = np.random.default_rng(seed)
+    flips1 = np.where(rng.random(g.n) < 0.5, -1.0, 1.0)
+    flips2 = np.where(rng.random(h.n) < 0.5, -1.0, 1.0)
+    op = KroneckerLaplacian(g, h)
+    # array_equal counts 0.0 and -0.0 as equal
+    assert np.array_equal(
+        correlation_profile(op, b1 * flips1, b2 * flips2), correlation_profile(op, b1, b2)
+    )
+
+
+@PROPERTY
 @given(factor_pairs())
 def test_first_row_is_mean_over_rms(pair):
     g, h = pair
