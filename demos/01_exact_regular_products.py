@@ -25,8 +25,8 @@ k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 product = kronecker_graph(c4, k3)
 exact = sym_eigenvalues(laplacian(product))
 
-mu1, d1 = sym_eigenvalues(laplacian(c4)), np.sort(c4.degrees)
-mu2, d2 = sym_eigenvalues(laplacian(k3)), np.sort(k3.degrees)
+mu1, d1 = sym_eigenvalues(laplacian(c4)), c4.degrees
+mu2, d2 = sym_eigenvalues(laplacian(k3)), k3.degrees
 lam1 = sym_eigenvalues(normalized_laplacian(c4))
 lam2 = sym_eigenvalues(normalized_laplacian(k3))
 

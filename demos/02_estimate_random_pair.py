@@ -38,7 +38,7 @@ exact = sym_eigenvalues(op.dense())
 edges = 2 * g1.edge_count * g2.edge_count  # each factor edge pair gives two product edges
 print(f"product: n={g1.n * g2.n}, m={edges}, lambda_max={exact[-1]:.2f}")
 
-d1, d2 = np.sort(g1.degrees), np.sort(g2.degrees)
+d1, d2 = g1.degrees, g2.degrees
 mu1, mu2 = sym_eigenvalues(laplacian(g1)), sym_eigenvalues(laplacian(g2))
 lam1, lam2 = sym_eigenvalues(normalized_laplacian(g1)), sym_eigenvalues(normalized_laplacian(g2))
 

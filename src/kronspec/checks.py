@@ -100,14 +100,14 @@ def closed_form_mean_rms() -> dict:
 
 def staircase_limit() -> dict:
     """Monotone-staircase degree sequence: ratio tends to sqrt(3)/2."""
-    k = 500
+    k, tolerance = 500, 1e-3
     observed = mean_rms_ratio(staircase_degrees(k))
     limit = math.sqrt(3) / 2
     return {
-        "inputs": {"k": k, "tolerance": 1e-3},
+        "inputs": {"k": k, "tolerance": tolerance},
         "predicted": limit,
         "observed": observed,
-        "pass": abs(observed - limit) <= 1e-3,
+        "pass": abs(observed - limit) <= tolerance,
     }
 
 
@@ -138,7 +138,7 @@ def expected_r1j_grid() -> dict:
 
 def expected_spectrum_gap(n1: int, n2: int) -> dict:
     """Closed-form four-level spectrum vs a direct eigensolve, per p."""
-    probs = (0.3, 1.0)
+    probs, tolerance = (0.3, 1.0), 1e-8
     levels = expected_kron_normalized_spectrum(n1, n2)
     closed = np.sort(np.concatenate([np.full(mult, value) for value, mult in levels]))
     worst = 0.0
@@ -147,10 +147,10 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
         numeric = sym_eigenvalues(normalized_laplacian_of(np.kron(bar1, bar2)))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return {
-        "inputs": {"orders": [n1, n2], "probs": list(probs), "tolerance": 1e-8},
+        "inputs": {"orders": [n1, n2], "probs": list(probs), "tolerance": tolerance},
         "predicted": [[value, mult] for value, mult in levels],
         "observed": {"max_abs_gap": worst},
-        "pass": worst <= 1e-8,
+        "pass": worst <= tolerance,
     }
 
 
@@ -163,7 +163,7 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
     """
     if graph_count < 2:
         raise ValueError(f"graph_count must be at least 2 to form a pair, got {graph_count}")
-    n_range, p_range = [10, 40], [0.3, 0.7]
+    n_range, p_range, floor = [10, 40], [0.3, 0.7], -1e-12
     rng = np.random.default_rng(seed)
     spectra = []
     for t in range(graph_count):
@@ -171,7 +171,7 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
         p = float(rng.uniform(*p_range))
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "sweep", t)))
         mu = sym_eigenvalues(laplacian(g))
-        spectra.append((mu, sym_eigenvalues(normalized_laplacian(g)), np.sort(g.degrees)))
+        spectra.append((mu, sym_eigenvalues(normalized_laplacian(g)), g.degrees))
     bound_failures = sum(not sayama_bound_holds(mu, d) for mu, _, d in spectra)
     min_sayama = min_normalized = math.inf
     for (mu1, lam1, d1), (mu2, lam2, d2) in zip(spectra[0::2], spectra[1::2]):
@@ -181,13 +181,13 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
         "inputs": {
             "graph_count": graph_count, "n_range": n_range, "p_range": p_range, "seed": seed
         },
-        "predicted": {"bound_failures": 0, "min_estimate_floor": -1e-12},
+        "predicted": {"bound_failures": 0, "min_estimate_floor": floor},
         "observed": {
             "bound_failures": bound_failures,
             "min_sayama_estimate": min_sayama,
             "min_normalized_estimate": min_normalized,
         },
-        "pass": bound_failures == 0 and min_sayama >= -1e-12 and min_normalized >= -1e-12,
+        "pass": bound_failures == 0 and min_sayama >= floor and min_normalized >= floor,
     }
 
 
@@ -201,7 +201,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    n, p = 200, 0.3
+    n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
     eig_h = sym_eig(laplacian(h))
     means = []
@@ -212,16 +212,16 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     observed_mean = float(np.mean(means))
     predicted = expected_r1j(n, p)
     return {
-        "inputs": {"draws": draws, "n": n, "p": p, "seed": seed, "tolerance": 0.02},
+        "inputs": {"draws": draws, "n": n, "p": p, "seed": seed, "tolerance": tolerance},
         "predicted": predicted,
         "observed": {"mean": observed_mean, "abs_gap": abs(observed_mean - predicted)},
-        "pass": abs(observed_mean - predicted) <= 0.02,
+        "pass": abs(observed_mean - predicted) <= tolerance,
     }
 
 
 def r1j_closed_form_gap(seed: int) -> dict:
     """Observed r(1, j) vs the mean/RMS formula, and its j-independence."""
-    pairs = 20
+    pairs, tolerance = 20, 1e-10
     max_gap = max_spread = 0.0
     for g1, g2 in _er_pairs(seed, "r1j", pairs):
         w1 = sym_eig(laplacian(g1)).eigenvectors
@@ -230,16 +230,16 @@ def r1j_closed_form_gap(seed: int) -> dict:
         max_gap = max(max_gap, float(np.abs(observed - mean_rms_ratio(g1.degrees)).max()))
         max_spread = max(max_spread, float(observed.max() - observed.min()))
     return {
-        "inputs": {"pairs": pairs, "seed": seed, "tolerance": 1e-10},
+        "inputs": {"pairs": pairs, "seed": seed, "tolerance": tolerance},
         "predicted": "r(1,j) = mean(d)/rms(d), identical over j",
         "observed": {"max_abs_gap": max_gap, "max_row_spread": max_spread},
-        "pass": max_gap <= 1e-10 and max_spread <= 1e-10,
+        "pass": max_gap <= tolerance and max_spread <= tolerance,
     }
 
 
 def colinearity_residual(seed: int) -> dict:
     """Residual of L (1 kron w_j) = mu_j (d kron w_j) over random pairs."""
-    pairs = 20
+    pairs, tolerance = 20, 1e-8
     worst = 0.0
     for g1, g2 in _er_pairs(seed, "colin", pairs):
         eig2 = sym_eig(laplacian(g2))
@@ -248,16 +248,16 @@ def colinearity_residual(seed: int) -> dict:
         rhs = np.kron(g1.degrees[:, None], eig2.eigenvectors) * eig2.eigenvalues
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return {
-        "inputs": {"pairs": pairs, "seed": seed, "tolerance": 1e-8},
+        "inputs": {"pairs": pairs, "seed": seed, "tolerance": tolerance},
         "predicted": 0.0,
         "observed": {"max_residual": worst},
-        "pass": worst <= 1e-8,
+        "pass": worst <= tolerance,
     }
 
 
 def normalized_decomposition_gaps(seed: int) -> dict:
     """Exact product decomposition: eigenvalues 1 - (1-lam_i)(1-lam_j), vectors v_i kron v_j."""
-    pairs = 20
+    pairs, tolerance = 20, 1e-8
     max_value_gap = max_vector_residual = 0.0
     for g1, g2 in _er_pairs(seed, "decomp", pairs):
         eig1 = sym_eig(normalized_laplacian(g1))
@@ -272,13 +272,13 @@ def normalized_decomposition_gaps(seed: int) -> dict:
             max_vector_residual, float(np.linalg.norm(residual, axis=0).max())
         )
     return {
-        "inputs": {"pairs": pairs, "seed": seed, "tolerance": 1e-8},
+        "inputs": {"pairs": pairs, "seed": seed, "tolerance": tolerance},
         "predicted": 0.0,
         "observed": {
             "max_eigenvalue_gap": max_value_gap,
             "max_vector_residual": max_vector_residual,
         },
-        "pass": max_value_gap <= 1e-8 and max_vector_residual <= 1e-8,
+        "pass": max_value_gap <= tolerance and max_vector_residual <= tolerance,
     }
 
 
@@ -292,7 +292,7 @@ def rprime_bound_slack(seed: int) -> dict:
     ||D2 v|| + ||A2 v|| and does hold, so it is what the pass flag tracks;
     the stated variant's minimum slack is reported alongside.
     """
-    pairs = 50
+    pairs, slack_floor = 50, -1e-9
     stated, corrected = [], []
     for g1, g2 in _er_pairs(seed, "rprime", pairs):
         v1 = sym_eig(normalized_laplacian(g1)).eigenvectors
@@ -309,13 +309,13 @@ def rprime_bound_slack(seed: int) -> dict:
             corrected.append(observed - rprime_lower_bound(g1.degrees, float(r_corrected)))
     min_slack_stated, min_slack_corrected = float(min(stated)), float(min(corrected))
     return {
-        "inputs": {"pairs": pairs, "seed": seed, "slack_floor": -1e-9},
+        "inputs": {"pairs": pairs, "seed": seed, "slack_floor": slack_floor},
         "predicted": "r'(1,j) >= M1/sqrt(2mF) * r_j (corrected r_j denominator)",
         "observed": {
             "min_slack_corrected": min_slack_corrected,
             "min_slack_stated": min_slack_stated,
-            "stated_bound_holds": bool(min_slack_stated >= -1e-9),
+            "stated_bound_holds": bool(min_slack_stated >= slack_floor),
         },
-        "pass": min_slack_corrected >= -1e-9,
+        "pass": min_slack_corrected >= slack_floor,
     }
 

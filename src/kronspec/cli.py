@@ -51,7 +51,7 @@ def _cmd_generate(args) -> int:
 def _cmd_estimate(args) -> int:
     g1 = read_edge_list(args.factor1)
     g2 = read_edge_list(args.factor2)
-    ordering = Ordering(kind=OrderingKind(args.ordering), randomization_seed=args.seed)
+    ordering = Ordering(kind=args.ordering, randomization_seed=args.seed)
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     exact = product_spectrum(KroneckerLaplacian(g1, g2))
     sayama, normalized = (

@@ -1,8 +1,9 @@
 """Estimated Laplacian spectra of Kronecker products from factor spectra.
 
-Two estimation formulas are provided. Both pair factor eigenvalues with
-factor degrees positionally, with degree sequences fixed in ascending order
-and the eigenvalue order controlled by a heuristic:
+Two estimation formulas are provided. Both take each factor's degrees in
+any order and pair them ascending, as the estimate of Sayama (Discrete Appl.
+Math. 205, 2016) does, against the factor eigenvalues in the order a
+heuristic chooses:
 
 * the Laplacian-eigenvector estimate combines factor Laplacian eigenvalues
   mu with degrees d as ``mu_i*d'_j + d_i*mu'_j - mu_i*mu'_j``;
@@ -18,8 +19,7 @@ default and the most accurate heuristic.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,48 +59,11 @@ class Ordering:
     swap_count: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", OrderingKind(self.kind))
         if self.swap_count is not None and self.swap_count < 0:
             raise ValueError("swap_count must be nonnegative")
         if self.kind not in _RANDOMIZED and self.swap_count not in (None, 0):
             raise ValueError(f"swap_count must be 0 for ordering kind {self.kind.value}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Ordering":
-        """Inverse of ``dataclasses.asdict``; absent keys take the field defaults."""
-        coerce = {
-            "kind": lambda _, v: OrderingKind(v),
-            "randomization_seed": _as_int,
-            "swap_count": lambda k, v: None if v is None else _as_int(k, v),
-        }
-        return _from_mapping(cls, "ordering", data, coerce)
-
-
-def _as_int(key: str, value) -> int:
-    """An integral JSON number as an int; a ValueError naming ``key`` otherwise."""
-    if not (type(value) is int or _as_float(key, value).is_integer()):  # bools fail in _as_float
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(key: str, value) -> float:
-    """A JSON number as a float; a ValueError naming ``key`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _from_mapping(cls, name: str, data, coerce: dict):
-    """Dataclass ``cls`` from a JSON object; ``coerce[key](key, value)`` gives each field.
-
-    Absent keys take the field defaults. Input that is not a mapping, or
-    that has keys ``cls`` lacks, is a ValueError naming ``name`` or the keys.
-    """
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{name} must be a JSON object, got {data!r}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
-    return cls(**{key: coerce[key](key, v) if key in coerce else v for key, v in data.items()})
 
 
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:
@@ -144,9 +107,6 @@ def _check_factors(values1, d1, values2, d2):
         raise ValueError(f"factor 1: {len(values1)} eigenvalues vs {len(d1)} degrees")
     if len(values2) != len(d2):
         raise ValueError(f"factor 2: {len(values2)} eigenvalues vs {len(d2)} degrees")
-    for d in (d1, d2):
-        if np.any(np.diff(d) < 0):
-            raise ValueError("degree sequences must be sorted ascending")
 
 
 def _combine(values1, d1, values2, d2, ordering, cell) -> np.ndarray:
@@ -155,17 +115,17 @@ def _combine(values1, d1, values2, d2, ordering, cell) -> np.ndarray:
     perm2 = apply_ordering(values2, ordering, seed_salt=2)
     e1 = _snap_zeros(np.asarray(values1, dtype=np.float64)[perm1])
     e2 = _snap_zeros(np.asarray(values2, dtype=np.float64)[perm2])
-    d1 = np.asarray(d1, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
+    d1 = np.sort(np.asarray(d1, dtype=np.float64))
+    d2 = np.sort(np.asarray(d2, dtype=np.float64))
     return cell(e1[:, None], d1[:, None], e2[None, :], d2[None, :]).ravel()
 
 
 def sayama_spectrum(mu1, d1, mu2, d2, ordering: Ordering = Ordering()) -> np.ndarray:
     """Estimate from factor Laplacian eigenvalues: mu_i*d'_j + d_i*mu'_j - mu_i*mu'_j.
 
-    ``d1`` and ``d2`` must be sorted ascending; the ordering controls how the
-    eigenvalues are paired against them. The entry pairing the two zero
-    eigenvalues is exactly 0.
+    ``d1`` and ``d2`` are degrees in any order, paired ascending; the
+    ordering controls how the eigenvalues are paired against them. The entry
+    pairing the two zero eigenvalues is exactly 0.
     """
     return _combine(
         mu1, d1, mu2, d2, ordering,
@@ -176,8 +136,9 @@ def sayama_spectrum(mu1, d1, mu2, d2, ordering: Ordering = Ordering()) -> np.nda
 def normalized_estimate(lam1, d1, lam2, d2, ordering: Ordering = Ordering()) -> np.ndarray:
     """Estimate from factor normalized-Laplacian eigenvalues.
 
-    Each value is ``(lam_i + lam'_j - lam_i*lam'_j) * d_i * d'_j``, which is
-    nonnegative for any ordering since every lam lies in [0, 2].
+    Each value is ``(lam_i + lam'_j - lam_i*lam'_j) * d_i * d'_j``, with
+    degrees in any order, paired ascending. It is nonnegative for any
+    ordering since every lam lies in [0, 2].
     """
     return _combine(
         lam1, d1, lam2, d2, ordering,

@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields
 from hashlib import sha256
 from itertools import chain
 from pathlib import Path
@@ -27,16 +28,7 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .estimators import (
-    Estimator,
-    Ordering,
-    OrderingKind,
-    _as_float,
-    _as_int,
-    _from_mapping,
-    normalized_estimate,
-    sayama_spectrum,
-)
+from .estimators import Estimator, Ordering, OrderingKind, normalized_estimate, sayama_spectrum
 from .generators import (
     DEFAULT_WS_BETA,
     GeneratorSpec,
@@ -97,15 +89,49 @@ def _of_type(key: str, value, types, what: str):
     return value
 
 
-# from_dict's coercion of each JSON value to its field type, called as f(key, value)
+def _as_int(key: str, value) -> int:
+    """An integral JSON number as an int; a ValueError naming ``key`` otherwise."""
+    if not (type(value) is int or _as_float(key, value).is_integer()):  # bools fail in _as_float
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(key: str, value) -> float:
+    """A JSON number as a float; a ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _from_mapping(cls, name: str, data, coerce: dict):
+    """Dataclass ``cls`` from a JSON object; ``coerce[key](key, value)`` gives each field.
+
+    Absent keys take the field defaults. Input that is not a mapping, or
+    that has keys ``cls`` lacks, is a ValueError naming ``name`` or the keys.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    return cls(**{key: coerce[key](key, v) if key in coerce else v for key, v in data.items()})
+
+
+# from_dict's coercion of each JSON value to its field type, called as f(key, value);
+# Ordering and ExperimentConfig turn enum names into members themselves
+_ORDERING = {
+    "randomization_seed": _as_int,
+    "swap_count": lambda k, v: None if v is None else _as_int(k, v),
+}
 _ARRAY = (list, tuple)  # to_dict gives tuples
 _COERCE = {
     "orders": lambda k, v: tuple(_as_int(k, n) for n in _of_type(k, v, _ARRAY, "an array")),
     "density": _as_float,
     "runs": _as_int,
-    "estimators": lambda k, v: tuple(Estimator(e) for e in _of_type(k, v, _ARRAY, "an array")),
-    "ordering": lambda _, v: None if v is None else Ordering.from_dict(v),
+    "estimators": lambda k, v: _of_type(k, v, _ARRAY, "an array"),
+    "ordering": lambda k, v: None if v is None else _from_mapping(Ordering, k, v, _ORDERING),
     "master_seed": _as_int,
+    "output_dir": lambda k, v: None if v is None else _of_type(k, v, str, "a string or null"),
     "ws_beta": _as_float,
     "compute_correlations": lambda k, v: _of_type(k, v, bool, "true or false"),
 }
@@ -142,6 +168,7 @@ class ExperimentConfig:
     compute_correlations: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "estimators", tuple(Estimator(e) for e in self.estimators))
         if self.runs < 1:
             raise ValueError("run count must be positive")
         if len(self.orders) != 2:
@@ -227,14 +254,12 @@ class FactorSpectra(NamedTuple):
 
     laplacian: SpectralDecomposition
     normalized: SpectralDecomposition
-    degrees: np.ndarray  # ascending
+    degrees: np.ndarray
 
 
 def factor_spectra(g: Graph) -> FactorSpectra:
-    """Both eigendecompositions of one factor (Laplacian, normalized) and its sorted degrees."""
-    return FactorSpectra(
-        sym_eig(laplacian(g)), sym_eig(normalized_laplacian(g)), np.sort(g.degrees)
-    )
+    """Both eigendecompositions of one factor (Laplacian, normalized) and its degrees."""
+    return FactorSpectra(sym_eig(laplacian(g)), sym_eig(normalized_laplacian(g)), g.degrees)
 
 
 def estimate_spectrum(

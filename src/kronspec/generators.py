@@ -151,11 +151,11 @@ def _ba_edge_count(n: int, m: int) -> int:
 
 
 def density_to_params(spec: GeneratorSpec) -> dict:
-    """Translate a density target into model parameters.
+    """Translate a density target into the model generator's keyword arguments.
 
     ER: p = target. WS: k = nearest even integer to target*(n-1). BA: the
     attachment count whose construction edge count lands closest to the
-    target density.
+    target density. The keys are the generator's own keyword names.
     """
     n, target = spec.n, spec.target_density
     if spec.model == "ER":
@@ -179,14 +179,10 @@ def density_to_params(spec: GeneratorSpec) -> dict:
 
 
 def _draw(spec: GeneratorSpec, seed: int) -> Graph:
-    params = density_to_params(spec)
-    if spec.model == "ER":
-        return erdos_renyi(spec.n, params["p"], seed)
-    if spec.model == "WS":
-        return watts_strogatz(spec.n, params["k"], params["beta"], seed)
-    if spec.model == "BA":
-        return barabasi_albert(spec.n, params["m_attach"], seed)
-    return cycle_graph(spec.n)
+    if spec.model == "CYCLE":
+        return cycle_graph(spec.n)
+    generator = {"ER": erdos_renyi, "WS": watts_strogatz, "BA": barabasi_albert}[spec.model]
+    return generator(spec.n, seed=seed, **density_to_params(spec))
 
 
 def generate_connected(spec: GeneratorSpec) -> Graph:

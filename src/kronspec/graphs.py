@@ -29,7 +29,8 @@ class Graph:
     """Simple undirected graph: symmetric 0/1 adjacency with zero diagonal.
 
     Built from the adjacency alone, which is checked and kept as a read-only
-    float64 copy; ``n`` is its order and ``degrees`` its row sums.
+    float64 copy; ``n`` is its order and ``degrees`` its row sums. Graphs
+    with equal adjacencies are equal.
     """
 
     adjacency: np.ndarray  # (n, n) float64, read-only
@@ -51,6 +52,9 @@ class Graph:
         object.__setattr__(self, "adjacency", _frozen(adjacency))
         object.__setattr__(self, "n", len(adjacency))
         object.__setattr__(self, "degrees", _frozen(adjacency.sum(axis=1)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
 
     @property
     def edge_count(self) -> int:

@@ -22,6 +22,7 @@ from kronspec.graphs import (
     normalized_laplacian,
 )
 from kronspec.spectral import sym_eig, sym_eigenvalues
+from kronspec.theory import sayama_bound_holds
 
 
 def brute_force_product_spectrum(g, h):
@@ -68,6 +69,12 @@ def test_ordering_validation():
         Ordering(kind=OrderingKind.CORRELATED, swap_count=3)
     with pytest.raises(ValueError):
         Ordering(kind=OrderingKind.CORRELATED_RANDOMIZED, swap_count=-1)
+    # a kind given by name becomes the enum member; an unknown name is rejected
+    assert Ordering(kind="AntiCorrelated").kind is OrderingKind.ANTI_CORRELATED
+    with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):
+        Ordering(kind="Bogus")
+    with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):
+        Ordering(kind="Bogus", swap_count=2)
     # default swap count for randomized kinds resolves to n // 4 at apply time
     values = np.arange(8.0)
     perm = apply_ordering(values, Ordering(kind=OrderingKind.CORRELATED_RANDOMIZED))
@@ -153,8 +160,6 @@ def test_orderings_differ_on_irregular_factors():
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         sayama_spectrum([0.0, 1.0], [1, 1, 1], [0.0], [1])
-    with pytest.raises(ValueError):
-        normalized_estimate([0.0, 1.0], [2, 1], [0.0, 1.0], [1, 1])  # degrees not ascending
 
 
 def test_first_pair_is_ones_direction_for_laplacian_basis():
@@ -254,3 +259,20 @@ def test_property_regular_factors_exact(pair, ordering):
     exact = sym_eigenvalues(KroneckerLaplacian(g, h).dense())
     for est in both_estimates(g, h, ordering):
         assert np.abs(np.sort(est) - exact).max() <= 1e-9
+
+
+@PROPERTY
+@given(factor_pairs(), ORDERINGS, st.integers(0, 2**32 - 1))
+def test_property_degrees_in_any_order(pair, ordering, seed):
+    # the estimators and the degree bound pair each factor's degrees ascending themselves
+    g, h = pair
+    rng = np.random.default_rng(seed)
+    d1, d2 = rng.permutation(g.degrees), rng.permutation(h.degrees)
+    mu1, mu2 = sym_eigenvalues(laplacian(g)), sym_eigenvalues(laplacian(h))
+    lam1 = sym_eigenvalues(normalized_laplacian(g))
+    lam2 = sym_eigenvalues(normalized_laplacian(h))
+    sayama, normalized = both_estimates(g, h, ordering)
+    assert np.array_equal(sayama_spectrum(mu1, d1, mu2, d2, ordering), sayama)
+    assert np.array_equal(normalized_estimate(lam1, d1, lam2, d2, ordering), normalized)
+    for mu, d in ((mu1, d1), (mu2, d2)):
+        assert sayama_bound_holds(rng.permutation(mu), d) == sayama_bound_holds(mu, np.sort(d))

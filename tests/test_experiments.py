@@ -228,6 +228,28 @@ def test_ordering_labels():
         assert ordering_label(anti, estimator) == "AntiCorrelated"
 
 
+def test_enum_names_become_members(tmp_path):
+    # names given as plain strings are converted where the config is built ...
+    config = cycle_config(
+        runs=1,
+        estimators=("SayamaLaplacian",),
+        ordering=Ordering(kind="Correlated"),
+        output_dir=str(tmp_path),
+    )
+    assert config.estimators == (Estimator.SAYAMA_LAPLACIAN,)
+    assert config.ordering.kind is OrderingKind.CORRELATED
+    bundle = run_experiment(config)
+    assert "error_profile/SayamaLaplacian" in bundle.files
+    assert ",SayamaLaplacian,Correlated," in (tmp_path / "errors_SayamaLaplacian.csv").read_text()
+    # ... and unknown names fail there, with the same message from Python and JSON
+    with pytest.raises(ValueError, match="'Bogus' is not a valid Estimator"):
+        cycle_config(estimators=("Bogus",))
+    with pytest.raises(ValueError, match="'Bogus' is not a valid Estimator"):
+        ExperimentConfig.from_dict({**cycle_config().to_dict(), "estimators": ["Bogus"]})
+    with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):
+        ExperimentConfig.from_dict({**cycle_config().to_dict(), "ordering": {"kind": "Bogus"}})
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: run, sede"):
         ExperimentConfig.from_dict(
@@ -249,6 +271,7 @@ def test_config_rejects_unknown_keys():
         ({"ordering": {"kind": "Correlated", "randomization_seed": "7"}}, "randomization_seed"),
         ({"estimators": "SayamaLaplacian"}, "estimators"),
         ({"orders": "12"}, "orders"),
+        ({"output_dir": 5}, "output_dir"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kronspec.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from kronspec.graphs import (
     Graph,
+    KroneckerLaplacian,
     build_graph,
     cycle_graph,
     edge_density,
@@ -61,6 +62,19 @@ def test_graph_is_immutable():
     g = triangle()
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 0
+
+
+def test_graph_equality_compares_adjacency():
+    # each comparison is a plain bool, not an array
+    assert (cycle_graph(5) == cycle_graph(5)) is True
+    assert (cycle_graph(5) == triangle()) is False
+    assert (triangle() == triangle().adjacency) is False
+    assert (triangle() != star4()) is True
+    product = KroneckerLaplacian(triangle(), star4())
+    assert (product == KroneckerLaplacian(triangle(), star4())) is True
+    assert (product != KroneckerLaplacian(star4(), triangle())) is True
+    with pytest.raises(TypeError):
+        hash(triangle())
 
 
 @pytest.mark.parametrize(

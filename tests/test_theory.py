@@ -169,5 +169,3 @@ def test_sayama_bound_random_sweep():
 def test_sayama_bound_validation():
     with pytest.raises(ValueError):
         sayama_bound_holds([0.0, 1.0], [1.0])
-    with pytest.raises(ValueError):
-        sayama_bound_holds([1.0, 0.0], [1.0, 1.0])
