@@ -3,11 +3,12 @@
 One run generates a connected factor pair, decomposes the factor Laplacians
 and normalized Laplacians (:func:`factor_spectra`), takes the exact
 product-Laplacian spectrum (:func:`product_spectrum`, solved once per
-distinct product in a process), and evaluates both estimators against it
-(:func:`estimate_spectrum`); the CLI ``estimate`` command goes through the
-same three functions. A full experiment repeats this over independent
-per-run seeds derived from a master seed and aggregates percentage-error
-profiles and correlation-coefficient densities.
+distinct product in a process: as n small blocks when a factor is
+regular, as one dense N x N matrix otherwise), and evaluates both
+estimators against it (:func:`estimate_spectrum`); the CLI ``estimate``
+command goes through the same three functions. A full experiment repeats
+this over independent per-run seeds derived from a master seed and
+aggregates percentage-error profiles and correlation-coefficient densities.
 
 Everything written to disk is a pure function of the config: per-run seeds
 come from (master_seed, run index, role), and every CSV table goes through
@@ -276,8 +277,31 @@ def estimate_spectrum(
 _spectra: dict[str, np.ndarray] = {}  # least recently used first
 
 
+def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
+    """The product spectrum from small blocks if a factor is regular, else None.
+
+    With a k-regular factor ``r`` whose adjacency has eigenvalues theta,
+    ``L`` is orthogonally similar to ``blockdiag_j(k D - theta_j A)`` over
+    the other factor's degrees D and adjacency A (Van Loan, JCAM 2000). The
+    larger regular factor is ``r`` (the second on a tie), so the blocks have
+    the smaller order; they are solved one at a time, never stacked.
+    """
+    regular = [g for g in (op.second, op.first) if np.all(g.degrees == g.degrees[0])]
+    if not regular:
+        return None
+    r = max(regular, key=lambda g: g.n)
+    other = op.first if r is op.second else op.second
+    kd = np.diag(r.degrees[0] * other.degrees)
+    theta = sym_eigenvalues(r.adjacency)
+    return np.sort(np.concatenate([sym_eigenvalues(kd - t * other.adjacency) for t in theta]))
+
+
 def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     """Ascending exact eigenvalues of the product Laplacian, read-only.
+
+    The single spectrum engine. When a factor is regular it solves n small
+    symmetric blocks (:func:`_block_spectrum`) and never builds the N x N
+    matrix; every other product is solved densely from ``op.dense()``.
 
     A process solves each distinct product once: the spectrum is kept under
     a SHA-256 of the two factor adjacencies (the degrees are their row
@@ -292,7 +316,9 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     key = digest.hexdigest()
     spectrum = _spectra.pop(key, None)
     if spectrum is None:
-        spectrum = sym_eigenvalues(op.dense())
+        spectrum = _block_spectrum(op)
+        if spectrum is None:
+            spectrum = sym_eigenvalues(op.dense())
         spectrum.setflags(write=False)
     _spectra[key] = spectrum
     if len(_spectra) > SPECTRUM_CACHE_ENTRIES:

@@ -69,6 +69,13 @@ def test_ordering_validation():
         Ordering(kind=OrderingKind.CORRELATED, swap_count=3)
     with pytest.raises(ValueError):
         Ordering(kind=OrderingKind.CORRELATED_RANDOMIZED, swap_count=-1)
+    # the seed and the swap count are nonnegative integers, checked where they enter
+    with pytest.raises(ValueError, match="swap_count must be an integer"):
+        Ordering(kind=OrderingKind.CORRELATED_RANDOMIZED, swap_count=1.5)
+    with pytest.raises(ValueError, match="randomization_seed must be nonnegative"):
+        Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=-1)
+    with pytest.raises(ValueError, match="randomization_seed must be an integer"):
+        Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=2.5)
     # a kind given by name becomes the enum member; an unknown name is rejected
     assert Ordering(kind="AntiCorrelated").kind is OrderingKind.ANTI_CORRELATED
     with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):

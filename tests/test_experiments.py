@@ -1,10 +1,15 @@
 """Experiment orchestration: determinism, debug model, reports, figures."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronspec
 from kronspec import checks, experiments
 from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import (
@@ -19,7 +24,7 @@ from kronspec.experiments import (
     theory_suite,
 )
 from kronspec.generators import generate_connected_pair
-from kronspec.graphs import KroneckerLaplacian
+from kronspec.graphs import KroneckerLaplacian, cycle_graph
 
 
 def cycle_config(**overrides):
@@ -272,6 +277,7 @@ def test_config_rejects_unknown_keys():
         ({"estimators": "SayamaLaplacian"}, "estimators"),
         ({"orders": "12"}, "orders"),
         ({"output_dir": 5}, "output_dir"),
+        ({"ordering": {"kind": "Uncorrelated", "randomization_seed": -1}}, "randomization_seed"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):
@@ -406,3 +412,48 @@ def test_spectrum_cache_bound_evicts_least_recently_used(product_solves, monkeyp
     assert product_solves == [120] * 3
     product_spectrum(ops[1])
     assert product_solves == [120] * 4
+
+
+def test_regular_factor_takes_the_block_path(product_solves, monkeypatch):
+    er = er_op(seed=1).first
+    assert not np.all(er.degrees == er.degrees[0])
+    op = KroneckerLaplacian(cycle_graph(9), er)
+    reference = np.linalg.eigvalsh(op.dense())
+
+    def no_dense(self):
+        raise AssertionError("the block path builds no N x N matrix")
+
+    monkeypatch.setattr(KroneckerLaplacian, "dense", no_dense)
+    spectrum = product_spectrum(op)
+    # one solve for the cycle's adjacency eigenvalues, then one block per eigenvalue
+    assert product_solves == [9] + [er.n] * 9
+    assert np.abs(spectrum - reference).max() <= 1e-12 * reference[-1]
+    assert not spectrum.flags.writeable
+
+
+def test_block_spectrum_ignores_blas_thread_count():
+    # each block is small (order 100 here), where OpenBLAS rounds eigvalsh
+    # the same with one thread as with two; the dense N x N solve does not
+    code = (
+        "import hashlib\n"
+        "from kronspec.experiments import product_spectrum\n"
+        "from kronspec.generators import GeneratorSpec, generate_connected\n"
+        "from kronspec.graphs import KroneckerLaplacian, cycle_graph\n"
+        "g = generate_connected(GeneratorSpec('ER', 100, 0.1, 3))\n"
+        "spectrum = product_spectrum(KroneckerLaplacian(g, cycle_graph(201)))\n"
+        "print(hashlib.sha256(spectrum.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(kronspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.strip()
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

@@ -1,9 +1,10 @@
-"""Matrix-free product Laplacian and closed-form correlation profiles.
+"""Matrix-free product Laplacian, closed-form correlation profiles, block spectra.
 
 Property tests draw small factor pairs from every model, plus nearly
 regular factors (a cycle with one chord, where cosines crowd against 1) and
 odd cycles, and check the factor-form code against dense references built
-here from ``np.kron``.
+here from ``np.kron``. Products with a regular factor (odd cycles, ring
+lattices) check the engine's block path against a dense ``eigvalsh``.
 """
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kronspec import experiments
 from kronspec.checks import complete_graph, cycle_graph
-from kronspec.generators import GeneratorSpec, generate_connected
+from kronspec.generators import GeneratorSpec, generate_connected, watts_strogatz
 from kronspec.graphs import (
     KroneckerLaplacian,
     build_graph,
@@ -65,6 +67,46 @@ def dense_profile(g, h, basis1, basis2) -> np.ndarray:
         np.linalg.norm(x, axis=0) * np.linalg.norm(lx, axis=0)
     )
     return cosines[1:]
+
+
+@st.composite
+def regular_graphs(draw):
+    """Connected, non-bipartite and regular: an odd cycle or a ring lattice with k >= 4.
+
+    Its product with any connected factor is connected (Weichsel), so the
+    product Laplacian has exactly one zero eigenvalue.
+    """
+    n = draw(st.integers(5, 40))
+    if draw(st.booleans()):
+        return cycle_graph(n | 1)
+    k = draw(st.sampled_from((4, 6)))
+    assume(n > k)
+    return watts_strogatz(n, k, 0.0, seed=0)
+
+
+@st.composite
+def random_graphs(draw):
+    """ER, BA or rewired WS (its default beta > 0): almost never regular."""
+    model = draw(st.sampled_from(("ER", "BA", "WS")))
+    n = draw(st.integers(5, 40))
+    density = draw(st.sampled_from((0.3, 0.5, 0.7)))  # feasible for every model at n >= 5
+    return generate_connected(GeneratorSpec(model, n, density, draw(st.integers(0, 2**32 - 1))))
+
+
+@PROPERTY
+@given(regular_graphs(), st.one_of(regular_graphs(), random_graphs()), st.booleans())
+def test_block_spectrum_matches_dense(r, other, swap):
+    g, h = (other, r) if swap else (r, other)
+    op = KroneckerLaplacian(g, h)
+    experiments._spectra.clear()
+    spectrum = experiments.product_spectrum(op)
+    reference = np.linalg.eigvalsh(dense_laplacian(g, h))
+    scale = reference[-1]
+    assert np.abs(spectrum - reference).max() <= 1e-12 * scale
+    # the trace identity, and the one zero of a connected product
+    trace = g.degrees.sum() * h.degrees.sum()
+    assert abs(spectrum.sum() - trace) <= 1e-12 * trace
+    assert np.count_nonzero(spectrum < 1e-8 * scale) == 1
 
 
 @PROPERTY
