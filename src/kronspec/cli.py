@@ -5,7 +5,7 @@ Subcommands:
 * ``generate``   one connected random graph, written as an edge list
 * ``estimate``   estimated and exact product spectra for two edge lists
 * ``experiment`` full run grid from a JSON config file
-* ``figure``     CSV bundle reproducing one reference figure
+* ``figure``     one reference figure, one report bundle per panel
 * ``theory``     the closed-form/bound verification report
 """
 
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("figure", help="reproduce one reference figure as a CSV bundle")
+    p = sub.add_parser("figure", help="reproduce one reference figure, one report bundle per panel")
     p.add_argument("figure_id", choices=sorted(FIGURES))
     p.add_argument("--output-dir", "-o", required=True)
     p.add_argument("--master-seed", type=int, default=1729)

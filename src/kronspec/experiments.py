@@ -9,6 +9,8 @@ estimators against it (:func:`estimate_spectrum`); the CLI ``estimate``
 command goes through the same three functions. A full experiment repeats
 this over independent per-run seeds derived from a master seed and
 aggregates percentage-error profiles and correlation-coefficient densities.
+A reference figure (:func:`reproduce_figure`) is one such experiment per
+panel, each written as an ordinary report bundle by :func:`write_bundle`.
 
 Everything written to disk is a pure function of the config: per-run seeds
 come from (master_seed, run index, role), and every CSV table goes through
@@ -118,8 +120,8 @@ def _from_mapping(cls, name: str, data, coerce: dict):
     return cls(**{key: coerce[key](key, v) if key in coerce else v for key, v in data.items()})
 
 
-# from_dict's coercion of each JSON value to its field type, called as f(key, value);
-# Ordering and ExperimentConfig turn enum names into members themselves
+# each config field's type rule, called as f(key, value) by ExperimentConfig.__post_init__
+# on every config, built in Python or loaded from JSON; Ordering turns kind names into members
 _ORDERING = {
     "randomization_seed": _as_int,
     "swap_count": lambda k, v: None if v is None else _as_int(k, v),
@@ -129,8 +131,10 @@ _COERCE = {
     "orders": lambda k, v: tuple(_as_int(k, n) for n in _of_type(k, v, _ARRAY, "an array")),
     "density": _as_float,
     "runs": _as_int,
-    "estimators": lambda k, v: _of_type(k, v, _ARRAY, "an array"),
-    "ordering": lambda k, v: None if v is None else _from_mapping(Ordering, k, v, _ORDERING),
+    "estimators": lambda k, v: tuple(Estimator(e) for e in _of_type(k, v, _ARRAY, "an array")),
+    "ordering": lambda k, v: (
+        v if v is None or isinstance(v, Ordering) else _from_mapping(Ordering, k, v, _ORDERING)
+    ),
     "master_seed": _as_int,
     "output_dir": lambda k, v: None if v is None else _of_type(k, v, str, "a string or null"),
     "ws_beta": _as_float,
@@ -169,7 +173,8 @@ class ExperimentConfig:
     compute_correlations: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(Estimator(e) for e in self.estimators))
+        for key, coerce in _COERCE.items():
+            object.__setattr__(self, key, coerce(key, getattr(self, key)))
         if self.runs < 1:
             raise ValueError("run count must be positive")
         if len(self.orders) != 2:
@@ -197,10 +202,10 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`; absent keys take the field defaults.
 
-        A JSON number takes its field's type (``"density": 1`` becomes 1.0), so
-        equal configs hash equally; a wrong JSON type is a ValueError naming its key.
+        ``__post_init__`` gives a number its field's type (``"density": 1`` becomes 1.0), so
+        equal configs hash equally; a wrong type is a ValueError naming its key.
         """
-        return _from_mapping(cls, "config", data, _COERCE)
+        return _from_mapping(cls, "config", data, {})
 
     def config_hash(self) -> str:
         hashed = self.to_dict()
@@ -474,33 +479,28 @@ def _runs_table(records: list[RunRecord]) -> tuple[str, Iterable[str]]:
     return "run,factor_seed1,factor_seed2,achieved_density1,achieved_density2", rows
 
 
-def _tables(bundle: ExperimentBundle):
-    """(kind, label, header, rows) of each error profile and density curve of a bundle."""
-    for estimator, profile in bundle.error_profiles.items():
-        yield ("error_profile", estimator.value, *_error_table(profile, bundle.config, estimator))
-    for basis, curve in bundle.density_curves.items():
-        if curve is not None:
-            yield ("density_curve", basis, *_density_table(curve, bundle.config, basis))
-
-
-_BUNDLE_NAMES = {"error_profile": "errors_{}.csv", "density_curve": "correlation_density_{}.csv"}
-
-
 def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config_hash = bundle.config.config_hash()
-    note = f"config={config_hash}"
+    config = bundle.config
+    config_hash = config.config_hash()
+    # (files key, file name, (header, rows)) of every table
+    tables = [
+        (f"error_profile/{e.value}", f"errors_{e.value}.csv", _error_table(p, config, e))
+        for e, p in bundle.error_profiles.items()
+    ]
+    tables += [
+        (f"density_curve/{b}", f"correlation_density_{b}.csv", _density_table(c, config, b))
+        for b, c in bundle.density_curves.items()
+        if c is not None
+    ]
+    tables.append(("runs", "runs.csv", _runs_table(bundle.records)))
     files: dict[str, str] = {}
+    for key, name, (header, rows) in tables:
+        write_csv(out / name, f"config={config_hash}", header, rows)
+        files[key] = name
 
-    for kind, label, header, rows in _tables(bundle):
-        name = _BUNDLE_NAMES[kind].format(label)
-        write_csv(out / name, note, header, rows)
-        files[f"{kind}/{label}"] = name
-    write_csv(out / "runs.csv", note, *_runs_table(bundle.records))
-    files["runs"] = "runs.csv"
-
-    config_dict = bundle.config.to_dict()
+    config_dict = config.to_dict()
     config_dict.pop("output_dir")  # the manifest sits inside it already
     manifest = {
         "version": _version(),
@@ -536,11 +536,14 @@ def reproduce_figure(
     master_seed: int = 1729,
     runs_override: int | None = None,
 ) -> dict:
-    """Run the configuration grid behind one figure and write panel CSVs.
+    """Run the configuration grid behind one figure as one report bundle per panel.
 
-    Returns the manifest mapping panel names to files. ``runs_override``
-    shrinks the run counts for smoke tests; the reference counts are 5 for
-    density panels and 100 for error panels.
+    Each density's experiment writes its bundle to ``<output_dir>/<tag>``
+    (e.g. ``WS_30x50_d10``: the tag names the target density, the bundle's
+    ``runs.csv`` the achieved ones). Returns the manifest, also written as
+    ``<figure_id>_manifest.json``, which maps each panel to its CSV path
+    relative to ``output_dir``. ``runs_override`` shrinks the run counts for
+    smoke tests from the reference 5 (density panels) and 100 (error panels).
     """
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
@@ -548,30 +551,25 @@ def reproduce_figure(
     kind = recipe["kind"]
     panel_kind = "density_curve" if kind == "kde" else "error_profile"
     runs = runs_override if runs_override is not None else (5 if kind == "kde" else 100)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     panels: dict[str, str] = {}
     for density in recipe["densities"]:
+        tag = f"{recipe['model']}_{recipe['orders'][0]}x{recipe['orders'][1]}_d{int(density * 100)}"
         config = ExperimentConfig(
             model=recipe["model"],
             orders=recipe["orders"],
             density=density,
             runs=runs,
             master_seed=derive_seed(master_seed, figure_id, density),
+            output_dir=str(Path(output_dir, tag)),
             compute_correlations=(kind == "kde"),
         )
-        bundle = run_experiment(config)
-        tag = f"{recipe['model']}_{recipe['orders'][0]}x{recipe['orders'][1]}_d{int(density * 100)}"
-        for table_kind, label, header, rows in _tables(bundle):
-            if table_kind != panel_kind:
-                continue
-            name = f"{figure_id}_{tag}_{label}.csv"
-            write_csv(out / name, f"config={config.config_hash()}", header, rows)
-            panels[f"{tag}/{label}"] = name
+        for key, path in run_experiment(config).files.items():
+            if key.startswith(f"{panel_kind}/"):
+                panels[f"{tag}/{key.split('/')[1]}"] = f"{tag}/{Path(path).name}"
 
     manifest = {"figure": figure_id, "version": _version(), "panels": panels}
-    _write_json(out / f"{figure_id}_manifest.json", manifest)
+    _write_json(Path(output_dir, f"{figure_id}_manifest.json"), manifest)
     return manifest
 
 

@@ -281,9 +281,13 @@ def test_config_rejects_unknown_keys():
     ],
 )
 def test_config_rejects_malformed_values(extra, key):
-    # a wrongly typed value fails where the config is loaded, naming its key
+    # a wrongly typed value fails where the config is built, from JSON or from Python,
+    # naming its key
+    er = {"model": "ER", "orders": [10, 12], "density": 0.4}
     with pytest.raises(ValueError, match=key):
-        ExperimentConfig.from_dict({"model": "ER", "orders": [10, 12], "density": 0.4, **extra})
+        ExperimentConfig.from_dict({**er, **extra})
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{**er, **extra})
 
 
 def test_generation_failure_names_run():
@@ -295,9 +299,17 @@ def test_generation_failure_names_run():
 def test_reproduce_figure_smoke(tmp_path):
     manifest = reproduce_figure("fig2", str(tmp_path), runs_override=1)
     assert len(manifest["panels"]) == 6  # 3 densities x 2 bases
+    assert json.loads((tmp_path / "fig2_manifest.json").read_text()) == manifest
     for name in manifest["panels"].values():
-        assert (tmp_path / name).exists()
-    assert (tmp_path / "fig2_manifest.json").exists()
+        # each panel is a CSV of its experiment's report bundle, inside the figure directory
+        assert not Path(name).is_absolute()
+        panel = (tmp_path / name).resolve()
+        assert panel.is_relative_to(tmp_path.resolve())
+        bundle = json.loads((panel.parent / "manifest.json").read_text())
+        comment = panel.read_text().splitlines()[0]
+        assert comment.endswith(f" config={bundle['config_hash']}")
+        runs = (panel.parent / "runs.csv").read_text().splitlines()
+        assert len(runs) - 2 == bundle["config"]["runs"] == 1  # comment, header, one row a run
     with pytest.raises(ValueError):
         reproduce_figure("fig1", str(tmp_path))
 
