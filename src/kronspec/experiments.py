@@ -48,7 +48,7 @@ from .metrics import (
     kde,
     percentage_errors,
 )
-from .spectral import SpectralDecomposition, sym_eig, sym_eigenvalues
+from .spectral import SpectralDecomposition, owned_eigenvalues, sym_eig, sym_eigenvalues
 
 BASES = ("laplacian", "normalized")
 
@@ -289,7 +289,8 @@ def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
     ``L`` is orthogonally similar to ``blockdiag_j(k D - theta_j A)`` over
     the other factor's degrees D and adjacency A (Van Loan, JCAM 2000). The
     larger regular factor is ``r`` (the second on a tie), so the blocks have
-    the smaller order; they are solved one at a time, never stacked.
+    the smaller order; they are solved one at a time, never stacked, each
+    by :func:`owned_eigenvalues` (a block is built here and dropped).
     """
     regular = [g for g in (op.second, op.first) if np.all(g.degrees == g.degrees[0])]
     if not regular:
@@ -298,7 +299,7 @@ def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
     other = op.first if r is op.second else op.second
     kd = np.diag(r.degrees[0] * other.degrees)
     theta = sym_eigenvalues(r.adjacency)
-    return np.sort(np.concatenate([sym_eigenvalues(kd - t * other.adjacency) for t in theta]))
+    return np.sort(np.concatenate([owned_eigenvalues(kd - t * other.adjacency) for t in theta]))
 
 
 def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
@@ -306,7 +307,9 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
 
     The single spectrum engine. When a factor is regular it solves n small
     symmetric blocks (:func:`_block_spectrum`) and never builds the N x N
-    matrix; every other product is solved densely from ``op.dense()``.
+    matrix; every other product is solved densely from ``op.dense()``, in
+    that matrix's own buffer from order ``IN_PLACE_MIN_ORDER`` on
+    (:func:`owned_eigenvalues`).
 
     A process solves each distinct product once: the spectrum is kept under
     a SHA-256 of the two factor adjacencies (the degrees are their row
@@ -323,7 +326,7 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     if spectrum is None:
         spectrum = _block_spectrum(op)
         if spectrum is None:
-            spectrum = sym_eigenvalues(op.dense())
+            spectrum = owned_eigenvalues(op.dense())
         spectrum.setflags(write=False)
     _spectra[key] = spectrum
     if len(_spectra) > SPECTRUM_CACHE_ENTRIES:

@@ -49,9 +49,9 @@ def er_op(seed, orders=(10, 12)):
 def product_solves(monkeypatch):
     """Start from an empty spectrum cache and record the order of every product solve."""
     solved = []
-    solve = experiments.sym_eigenvalues
+    solve = experiments.owned_eigenvalues
     monkeypatch.setattr(
-        experiments, "sym_eigenvalues", lambda m: solved.append(m.shape[0]) or solve(m)
+        experiments, "owned_eigenvalues", lambda m: solved.append(m.shape[0]) or solve(m)
     )
     experiments._spectra.clear()
     yield solved
@@ -437,10 +437,34 @@ def test_regular_factor_takes_the_block_path(product_solves, monkeypatch):
 
     monkeypatch.setattr(KroneckerLaplacian, "dense", no_dense)
     spectrum = product_spectrum(op)
-    # one solve for the cycle's adjacency eigenvalues, then one block per eigenvalue
-    assert product_solves == [9] + [er.n] * 9
+    # one block per eigenvalue of the cycle's adjacency (that solve is not owned)
+    assert product_solves == [er.n] * 9
     assert np.abs(spectrum - reference).max() <= 1e-12 * reference[-1]
     assert not spectrum.flags.writeable
+
+
+def test_product_spectrum_below_the_in_place_order_loads_no_scipy():
+    # importing scipy.linalg costs more than the N x N copy it saves at N=1500
+    code = (
+        "import sys\n"
+        "from kronspec.experiments import ExperimentConfig, product_spectrum\n"
+        "from kronspec.generators import generate_connected_pair\n"
+        "from kronspec.graphs import KroneckerLaplacian\n"
+        "config = ExperimentConfig(model='ER', orders=(30, 50), density=0.1, master_seed=3)\n"
+        "op = KroneckerLaplacian(*generate_connected_pair(*config.run_specs(0)))\n"
+        "assert product_spectrum(op).shape == (1500,)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(kronspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_block_spectrum_ignores_blas_thread_count():

@@ -24,7 +24,7 @@ from kronspec.graphs import (
     normalized_laplacian,
 )
 from kronspec.metrics import correlation_profile
-from kronspec.spectral import sym_eig
+from kronspec.spectral import owned_eigenvalues, sym_eig
 from kronspec.theory import mean_rms_ratio
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -107,6 +107,29 @@ def test_block_spectrum_matches_dense(r, other, swap):
     trace = g.degrees.sum() * h.degrees.sum()
     assert abs(spectrum.sum() - trace) <= 1e-12 * trace
     assert np.count_nonzero(spectrum < 1e-8 * scale) == 1
+
+
+@PROPERTY
+@given(st.one_of(factor_pairs(), st.tuples(regular_graphs(), random_graphs())), st.booleans())
+def test_owned_matrices_are_exactly_symmetric(pair, swap):
+    # owned_eigenvalues skips the symmetry scan; this is why it may: every
+    # matrix the engine hands it, dense product or block, equals its transpose
+    g, h = pair[::-1] if swap else pair
+    op = KroneckerLaplacian(g, h)
+    dense = op.dense()
+    assert np.array_equal(dense, dense.T)
+    owned = []
+
+    def checked(m):
+        owned.append(np.array_equal(m, m.T))
+        return owned_eigenvalues(m)
+
+    experiments._spectra.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "owned_eigenvalues", checked)
+        experiments.product_spectrum(op)
+    experiments._spectra.clear()
+    assert owned and all(owned)
 
 
 @PROPERTY

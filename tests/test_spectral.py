@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronspec.graphs import build_graph, kronecker_graph, laplacian, normalized_laplacian
-from kronspec.spectral import SYMMETRY_BLOCK, sym_eig, sym_eigenvalues
+from kronspec import spectral
+from kronspec.generators import GeneratorSpec, generate_connected
+from kronspec.graphs import (
+    KroneckerLaplacian,
+    build_graph,
+    kronecker_graph,
+    laplacian,
+    normalized_laplacian,
+)
+from kronspec.spectral import SYMMETRY_BLOCK, owned_eigenvalues, sym_eig, sym_eigenvalues
 
 
 def test_k2_laplacian_spectrum():
@@ -118,3 +128,42 @@ def test_colinearity_of_ones_kron_eigenvector():
         lhs = lap_product @ np.kron(ones, w)
         rhs = eig_h.eigenvalues[j] * np.kron(dvec, w)
         assert np.linalg.norm(lhs - rhs) <= 1e-8
+
+
+@st.composite
+def er_ws_ba_products(draw):
+    """ER, WS or BA factors of order 5-17, so the product has N <= 289."""
+    def factor():
+        model = draw(st.sampled_from(("ER", "WS", "BA")))
+        n = draw(st.integers(5, 17))
+        density = draw(st.sampled_from((0.3, 0.5, 0.7)))
+        return generate_connected(GeneratorSpec(model, n, density, draw(st.integers(0, 2**32 - 1))))
+
+    return KroneckerLaplacian(factor(), factor())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(er_ws_ba_products())
+def test_in_place_solve_is_bit_exact(op):
+    # the order constant is patched down so the in-place scipy path runs on
+    # small products; it must give eigvalsh's bits and work in m's buffer
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "IN_PLACE_MIN_ORDER", 1)
+        m = op.dense()
+        values = owned_eigenvalues(m)
+    assert values.tobytes() == np.linalg.eigvalsh(op.dense()).tobytes()
+    assert not np.array_equal(m, op.dense())
+
+
+def test_in_place_solve_is_bit_exact_at_the_real_order():
+    # unpatched: the smallest ER x ER product at the threshold takes the scipy path
+    op = KroneckerLaplacian(
+        generate_connected(GeneratorSpec("ER", 50, 0.3, 5)),
+        generate_connected(GeneratorSpec("ER", 70, 0.3, 6)),
+    )
+    assert op.first.n * op.second.n == spectral.IN_PLACE_MIN_ORDER
+    m = op.dense()
+    values = owned_eigenvalues(m)
+    assert not np.array_equal(m, op.dense())
+    del m
+    assert values.tobytes() == np.linalg.eigvalsh(op.dense()).tobytes()
