@@ -25,7 +25,7 @@ from .generators import (
     generate_connected_pair,
     watts_strogatz,
 )
-from .spectral import SpectralDecomposition, sym_eig, sym_eigenvalues
+from .spectral import product_spectrum
 from .estimators import (
     Estimator,
     Ordering,

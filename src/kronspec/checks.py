@@ -26,7 +26,6 @@ from .graphs import (
     normalized_laplacian,
     normalized_laplacian_of,
 )
-from .spectral import sym_eig, sym_eigenvalues
 from .theory import (
     asymptotic_cubic,
     expected_kron_normalized_spectrum,
@@ -144,7 +143,7 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
     worst = 0.0
     for p in probs:
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
-        numeric = sym_eigenvalues(normalized_laplacian_of(np.kron(bar1, bar2)))
+        numeric = np.linalg.eigvalsh(normalized_laplacian_of(np.kron(bar1, bar2)))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return {
         "inputs": {"orders": [n1, n2], "probs": list(probs), "tolerance": tolerance},
@@ -170,8 +169,8 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         p = float(rng.uniform(*p_range))
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "sweep", t)))
-        mu = sym_eigenvalues(laplacian(g))
-        spectra.append((mu, sym_eigenvalues(normalized_laplacian(g)), g.degrees))
+        mu = np.linalg.eigvalsh(laplacian(g))
+        spectra.append((mu, np.linalg.eigvalsh(normalized_laplacian(g)), g.degrees))
     bound_failures = sum(not sayama_bound_holds(mu, d) for mu, _, d in spectra)
     min_sayama = min_normalized = math.inf
     for (mu1, lam1, d1), (mu2, lam2, d2) in zip(spectra[0::2], spectra[1::2]):
@@ -203,7 +202,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
         raise ValueError(f"draws must be at least 1, got {draws}")
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
-    eig_h = sym_eig(laplacian(h))
+    eig_h = np.linalg.eigh(laplacian(h))
     means = []
     for t in range(draws):
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "er_mc", t)))
@@ -224,8 +223,8 @@ def r1j_closed_form_gap(seed: int) -> dict:
     pairs, tolerance = 20, 1e-10
     max_gap = max_spread = 0.0
     for g1, g2 in _er_pairs(seed, "r1j", pairs):
-        w1 = sym_eig(laplacian(g1)).eigenvectors
-        w2 = sym_eig(laplacian(g2)).eigenvectors
+        w1 = np.linalg.eigh(laplacian(g1)).eigenvectors
+        w2 = np.linalg.eigh(laplacian(g2)).eigenvectors
         observed = _first_row_cosines(KroneckerLaplacian(g1, g2), w1, w2)
         max_gap = max(max_gap, float(np.abs(observed - mean_rms_ratio(g1.degrees)).max()))
         max_spread = max(max_spread, float(observed.max() - observed.min()))
@@ -242,7 +241,7 @@ def colinearity_residual(seed: int) -> dict:
     pairs, tolerance = 20, 1e-8
     worst = 0.0
     for g1, g2 in _er_pairs(seed, "colin", pairs):
-        eig2 = sym_eig(laplacian(g2))
+        eig2 = np.linalg.eigh(laplacian(g2))
         op = KroneckerLaplacian(g1, g2)
         lhs = op.matvec(np.kron(np.ones((g1.n, 1)), eig2.eigenvectors))
         rhs = np.kron(g1.degrees[:, None], eig2.eigenvectors) * eig2.eigenvalues
@@ -260,11 +259,11 @@ def normalized_decomposition_gaps(seed: int) -> dict:
     pairs, tolerance = 20, 1e-8
     max_value_gap = max_vector_residual = 0.0
     for g1, g2 in _er_pairs(seed, "decomp", pairs):
-        eig1 = sym_eig(normalized_laplacian(g1))
-        eig2 = sym_eig(normalized_laplacian(g2))
+        eig1 = np.linalg.eigh(normalized_laplacian(g1))
+        eig2 = np.linalg.eigh(normalized_laplacian(g2))
         norm_product = normalized_laplacian(kronecker_graph(g1, g2))
         formula = (1.0 - np.outer(1.0 - eig1.eigenvalues, 1.0 - eig2.eigenvalues)).ravel()
-        numeric = sym_eigenvalues(norm_product)
+        numeric = np.linalg.eigvalsh(norm_product)
         max_value_gap = max(max_value_gap, float(np.abs(np.sort(formula) - numeric).max()))
         x = np.kron(eig1.eigenvectors, eig2.eigenvectors)
         residual = norm_product @ x - x * formula
@@ -295,8 +294,8 @@ def rprime_bound_slack(seed: int) -> dict:
     pairs, slack_floor = 50, -1e-9
     stated, corrected = [], []
     for g1, g2 in _er_pairs(seed, "rprime", pairs):
-        v1 = sym_eig(normalized_laplacian(g1)).eigenvectors
-        v2 = sym_eig(normalized_laplacian(g2)).eigenvectors
+        v1 = np.linalg.eigh(normalized_laplacian(g1)).eigenvectors
+        v2 = np.linalg.eigh(normalized_laplacian(g2)).eigenvectors
         row = _first_row_cosines(KroneckerLaplacian(g1, g2), v1, v2)
         v = v2[:, 1:]
         lap2_v = laplacian(g2) @ v

@@ -25,13 +25,12 @@ from .experiments import (
     ExperimentConfig,
     FIGURES,
     estimate_spectrum,
-    factor_spectra,
-    product_spectrum,
     reproduce_figure,
     run_experiment,
     theory_suite,
     write_csv,
 )
+from .spectral import factor_spectra, product_spectrum
 
 
 def _cmd_generate(args) -> int:

@@ -1,16 +1,14 @@
 """Experiment orchestration: seeded runs, aggregation, and report bundles.
 
-One run generates a connected factor pair, decomposes the factor Laplacians
-and normalized Laplacians (:func:`factor_spectra`), takes the exact
-product-Laplacian spectrum (:func:`product_spectrum`, solved once per
-distinct product in a process: as n small blocks when a factor is
-regular, as one dense N x N matrix otherwise), and evaluates both
-estimators against it (:func:`estimate_spectrum`); the CLI ``estimate``
-command goes through the same three functions. A full experiment repeats
-this over independent per-run seeds derived from a master seed and
-aggregates percentage-error profiles and correlation-coefficient densities.
-A reference figure (:func:`reproduce_figure`) is one such experiment per
-panel, each written as an ordinary report bundle by :func:`write_bundle`.
+One run generates a connected factor pair, takes its factor spectra and the
+exact product-Laplacian spectrum from :mod:`kronspec.spectral` (which makes
+every solve decision), and evaluates both estimators against it
+(:func:`estimate_spectrum`); the CLI ``estimate`` command goes through the
+same three functions. A full experiment repeats this over per-run seeds
+derived from a master seed and aggregates percentage-error profiles and
+correlation-coefficient densities. A reference figure (:func:`reproduce_figure`)
+is one such experiment per panel, each written as a report bundle by
+:func:`write_bundle`.
 
 Everything written to disk is a pure function of the config: per-run seeds
 come from (master_seed, run index, role), and every CSV table goes through
@@ -22,12 +20,13 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
+import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from hashlib import sha256
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .generators import (
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import Graph, KroneckerLaplacian, edge_density, laplacian, normalized_laplacian
+from .graphs import KroneckerLaplacian, edge_density
 from .metrics import (
     DensityCurve,
     ErrorProfile,
@@ -48,13 +47,9 @@ from .metrics import (
     kde,
     percentage_errors,
 )
-from .spectral import SpectralDecomposition, owned_eigenvalues, sym_eig, sym_eigenvalues
+from .spectral import FactorSpectra, factor_spectra, product_spectrum
 
 BASES = ("laplacian", "normalized")
-
-# Exact product spectra kept per process before the least recently used
-# one is dropped.
-SPECTRUM_CACHE_ENTRIES = 2048
 
 
 def version_string() -> str:
@@ -100,9 +95,11 @@ def _as_int(key: str, value) -> int:
 
 
 def _as_float(key: str, value) -> float:
-    """A JSON number as a float; a ValueError naming ``key`` otherwise."""
+    """A finite JSON number as a float; a ValueError naming ``key`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load reads both), huge ints
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -255,19 +252,6 @@ def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
     return kind.value
 
 
-class FactorSpectra(NamedTuple):
-    """What both estimators need from one factor graph."""
-
-    laplacian: SpectralDecomposition
-    normalized: SpectralDecomposition
-    degrees: np.ndarray
-
-
-def factor_spectra(g: Graph) -> FactorSpectra:
-    """Both eigendecompositions of one factor (Laplacian, normalized) and its degrees."""
-    return FactorSpectra(sym_eig(laplacian(g)), sym_eig(normalized_laplacian(g)), g.degrees)
-
-
 def estimate_spectrum(
     estimator: Estimator, f1: FactorSpectra, f2: FactorSpectra, ordering: Ordering
 ) -> np.ndarray:
@@ -277,61 +261,6 @@ def estimate_spectrum(
     else:
         basis1, basis2, combine = f1.normalized, f2.normalized, normalized_estimate
     return combine(basis1.eigenvalues, f1.degrees, basis2.eigenvalues, f2.degrees, ordering)
-
-
-_spectra: dict[str, np.ndarray] = {}  # least recently used first
-
-
-def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
-    """The product spectrum from small blocks if a factor is regular, else None.
-
-    With a k-regular factor ``r`` whose adjacency has eigenvalues theta,
-    ``L`` is orthogonally similar to ``blockdiag_j(k D - theta_j A)`` over
-    the other factor's degrees D and adjacency A (Van Loan, JCAM 2000). The
-    larger regular factor is ``r`` (the second on a tie), so the blocks have
-    the smaller order; they are solved one at a time, never stacked, each
-    by :func:`owned_eigenvalues` (a block is built here and dropped).
-    """
-    regular = [g for g in (op.second, op.first) if np.all(g.degrees == g.degrees[0])]
-    if not regular:
-        return None
-    r = max(regular, key=lambda g: g.n)
-    other = op.first if r is op.second else op.second
-    kd = np.diag(r.degrees[0] * other.degrees)
-    theta = sym_eigenvalues(r.adjacency)
-    return np.sort(np.concatenate([owned_eigenvalues(kd - t * other.adjacency) for t in theta]))
-
-
-def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
-    """Ascending exact eigenvalues of the product Laplacian, read-only.
-
-    The single spectrum engine. When a factor is regular it solves n small
-    symmetric blocks (:func:`_block_spectrum`) and never builds the N x N
-    matrix; every other product is solved densely from ``op.dense()``, in
-    that matrix's own buffer from order ``IN_PLACE_MIN_ORDER`` on
-    (:func:`owned_eigenvalues`).
-
-    A process solves each distinct product once: the spectrum is kept under
-    a SHA-256 of the two factor adjacencies (the degrees are their row
-    sums), so a repeated product (the same seeded pair under another
-    ordering) skips both the N x N build and the solve. The factor order is
-    part of the key.
-    """
-    digest = sha256()
-    for g in (op.first, op.second):
-        digest.update(f"{g.adjacency.shape}".encode())
-        digest.update(g.adjacency.tobytes())
-    key = digest.hexdigest()
-    spectrum = _spectra.pop(key, None)
-    if spectrum is None:
-        spectrum = _block_spectrum(op)
-        if spectrum is None:
-            spectrum = owned_eigenvalues(op.dense())
-        spectrum.setflags(write=False)
-    _spectra[key] = spectrum
-    if len(_spectra) > SPECTRUM_CACHE_ENTRIES:
-        _spectra.pop(next(iter(_spectra)))
-    return spectrum
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:

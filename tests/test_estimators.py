@@ -21,7 +21,6 @@ from kronspec.graphs import (
     laplacian,
     normalized_laplacian,
 )
-from kronspec.spectral import sym_eig, sym_eigenvalues
 from kronspec.theory import sayama_bound_holds
 
 
@@ -107,10 +106,10 @@ def test_regular_factors_are_exact():
     # estimates equal the exact spectrum as multisets
     c4, k3 = cycle_graph(4), complete_graph(3)
     exact = brute_force_product_spectrum(c4, k3)
-    mu1, d1 = sym_eigenvalues(laplacian(c4)), np.sort(c4.degrees)
-    mu2, d2 = sym_eigenvalues(laplacian(k3)), np.sort(k3.degrees)
-    lam1 = sym_eigenvalues(normalized_laplacian(c4))
-    lam2 = sym_eigenvalues(normalized_laplacian(k3))
+    mu1, d1 = np.linalg.eigvalsh(laplacian(c4)), np.sort(c4.degrees)
+    mu2, d2 = np.linalg.eigvalsh(laplacian(k3)), np.sort(k3.degrees)
+    lam1 = np.linalg.eigvalsh(normalized_laplacian(c4))
+    lam2 = np.linalg.eigvalsh(normalized_laplacian(k3))
     assert np.abs(np.sort(sayama_spectrum(mu1, d1, mu2, d2)) - exact).max() <= 1e-9
     assert np.abs(np.sort(normalized_estimate(lam1, d1, lam2, d2)) - exact).max() <= 1e-9
 
@@ -118,10 +117,10 @@ def test_regular_factors_are_exact():
 def test_estimates_contain_exact_zero():
     g = generate_connected(GeneratorSpec("ER", 12, 0.4, seed=3))
     h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=4))
-    mu1, d1 = sym_eigenvalues(laplacian(g)), np.sort(g.degrees)
-    mu2, d2 = sym_eigenvalues(laplacian(h)), np.sort(h.degrees)
-    lam1 = sym_eigenvalues(normalized_laplacian(g))
-    lam2 = sym_eigenvalues(normalized_laplacian(h))
+    mu1, d1 = np.linalg.eigvalsh(laplacian(g)), np.sort(g.degrees)
+    mu2, d2 = np.linalg.eigvalsh(laplacian(h)), np.sort(h.degrees)
+    lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
+    lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
     for est in (sayama_spectrum(mu1, d1, mu2, d2), normalized_estimate(lam1, d1, lam2, d2)):
         assert est.shape == (g.n * h.n,)
         # one zero, at the pair of the two (first, under Correlated) zero eigenvalues
@@ -133,10 +132,10 @@ def test_nonnegativity_under_correlated_ordering():
     for seed in range(10):
         g = generate_connected(GeneratorSpec("ER", 15, 0.35, seed=seed))
         h = generate_connected(GeneratorSpec("ER", 11, 0.35, seed=seed + 50))
-        mu1, d1 = sym_eigenvalues(laplacian(g)), np.sort(g.degrees)
-        mu2, d2 = sym_eigenvalues(laplacian(h)), np.sort(h.degrees)
-        lam1 = sym_eigenvalues(normalized_laplacian(g))
-        lam2 = sym_eigenvalues(normalized_laplacian(h))
+        mu1, d1 = np.linalg.eigvalsh(laplacian(g)), np.sort(g.degrees)
+        mu2, d2 = np.linalg.eigvalsh(laplacian(h)), np.sort(h.degrees)
+        lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
+        lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
         assert sayama_spectrum(mu1, d1, mu2, d2).min() >= -1e-12
         assert normalized_estimate(lam1, d1, lam2, d2).min() >= -1e-12
 
@@ -144,8 +143,8 @@ def test_nonnegativity_under_correlated_ordering():
 def test_normalized_nonnegative_under_any_ordering():
     g = generate_connected(GeneratorSpec("ER", 14, 0.4, seed=21))
     h = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=22))
-    lam1, d1 = sym_eigenvalues(normalized_laplacian(g)), np.sort(g.degrees)
-    lam2, d2 = sym_eigenvalues(normalized_laplacian(h)), np.sort(h.degrees)
+    lam1, d1 = np.linalg.eigvalsh(normalized_laplacian(g)), np.sort(g.degrees)
+    lam2, d2 = np.linalg.eigvalsh(normalized_laplacian(h)), np.sort(h.degrees)
     for kind in OrderingKind:
         est = normalized_estimate(lam1, d1, lam2, d2, Ordering(kind=kind, randomization_seed=1))
         assert est.min() >= -1e-12
@@ -155,8 +154,8 @@ def test_orderings_differ_on_irregular_factors():
     g = generate_connected(GeneratorSpec("ER", 16, 0.3, seed=33))
     h = generate_connected(GeneratorSpec("ER", 12, 0.3, seed=34))
     assert len(set(g.degrees.tolist())) > 1  # irregular by construction
-    mu1, d1 = sym_eigenvalues(laplacian(g)), np.sort(g.degrees)
-    mu2, d2 = sym_eigenvalues(laplacian(h)), np.sort(h.degrees)
+    mu1, d1 = np.linalg.eigvalsh(laplacian(g)), np.sort(g.degrees)
+    mu2, d2 = np.linalg.eigvalsh(laplacian(h)), np.sort(h.degrees)
     correlated = np.sort(sayama_spectrum(mu1, d1, mu2, d2, Ordering()))
     anti = np.sort(
         sayama_spectrum(mu1, d1, mu2, d2, Ordering(kind=OrderingKind.ANTI_CORRELATED))
@@ -172,8 +171,8 @@ def test_length_mismatch_raises():
 def test_first_pair_is_ones_direction_for_laplacian_basis():
     g = generate_connected(GeneratorSpec("ER", 10, 0.5, seed=8))
     h = generate_connected(GeneratorSpec("ER", 8, 0.5, seed=9))
-    w1 = sym_eig(laplacian(g)).eigenvectors
-    w2 = sym_eig(laplacian(h)).eigenvectors
+    w1 = np.linalg.eigh(laplacian(g)).eigenvectors
+    w2 = np.linalg.eigh(laplacian(h)).eigenvectors
     vec = np.kron(w1[:, 0], w2[:, 0])
     ones = np.ones(g.n * h.n) / np.sqrt(g.n * h.n)
     assert abs(abs(vec @ ones) - 1) <= 1e-9  # the ones direction, either sign
@@ -188,8 +187,8 @@ def test_first_normalized_pair_is_not_product_eigenvector():
     g = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=18))
     h = generate_connected(GeneratorSpec("ER", 8, 0.4, seed=19))
     assert len(set(g.degrees.tolist())) > 1
-    v1 = sym_eig(normalized_laplacian(g)).eigenvectors
-    v2 = sym_eig(normalized_laplacian(h)).eigenvectors
+    v1 = np.linalg.eigh(normalized_laplacian(g)).eigenvectors
+    v2 = np.linalg.eigh(normalized_laplacian(h)).eigenvectors
     vec = np.kron(v1[:, 0], v2[:, 0])
     lap_product = laplacian(kronecker_graph(g, h))
     image = lap_product @ vec
@@ -232,9 +231,9 @@ def factor_pairs(draw, regular=False):
 
 def both_estimates(g, h, ordering):
     d1, d2 = np.sort(g.degrees), np.sort(h.degrees)
-    mu1, mu2 = sym_eigenvalues(laplacian(g)), sym_eigenvalues(laplacian(h))
-    lam1 = sym_eigenvalues(normalized_laplacian(g))
-    lam2 = sym_eigenvalues(normalized_laplacian(h))
+    mu1, mu2 = np.linalg.eigvalsh(laplacian(g)), np.linalg.eigvalsh(laplacian(h))
+    lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
+    lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
     return (
         sayama_spectrum(mu1, d1, mu2, d2, ordering),
         normalized_estimate(lam1, d1, lam2, d2, ordering),
@@ -263,7 +262,7 @@ def test_property_normalized_estimate_nonnegative(pair, ordering):
 @given(factor_pairs(regular=True), ORDERINGS)
 def test_property_regular_factors_exact(pair, ordering):
     g, h = pair
-    exact = sym_eigenvalues(KroneckerLaplacian(g, h).dense())
+    exact = np.linalg.eigvalsh(KroneckerLaplacian(g, h).dense())
     for est in both_estimates(g, h, ordering):
         assert np.abs(np.sort(est) - exact).max() <= 1e-9
 
@@ -275,9 +274,9 @@ def test_property_degrees_in_any_order(pair, ordering, seed):
     g, h = pair
     rng = np.random.default_rng(seed)
     d1, d2 = rng.permutation(g.degrees), rng.permutation(h.degrees)
-    mu1, mu2 = sym_eigenvalues(laplacian(g)), sym_eigenvalues(laplacian(h))
-    lam1 = sym_eigenvalues(normalized_laplacian(g))
-    lam2 = sym_eigenvalues(normalized_laplacian(h))
+    mu1, mu2 = np.linalg.eigvalsh(laplacian(g)), np.linalg.eigvalsh(laplacian(h))
+    lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
+    lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
     sayama, normalized = both_estimates(g, h, ordering)
     assert np.array_equal(sayama_spectrum(mu1, d1, mu2, d2, ordering), sayama)
     assert np.array_equal(normalized_estimate(lam1, d1, lam2, d2, ordering), normalized)

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 import kronspec
-from kronspec import checks, experiments
+from kronspec import checks, experiments, spectral
 from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import (
     ExperimentConfig,
     FIGURES,
     ordering_label,
-    product_spectrum,
     reproduce_figure,
     resolve_ordering,
     run_experiment,
@@ -25,6 +24,7 @@ from kronspec.experiments import (
 )
 from kronspec.generators import generate_connected_pair
 from kronspec.graphs import KroneckerLaplacian, cycle_graph
+from kronspec.spectral import product_spectrum
 
 
 def cycle_config(**overrides):
@@ -49,13 +49,13 @@ def er_op(seed, orders=(10, 12)):
 def product_solves(monkeypatch):
     """Start from an empty spectrum cache and record the order of every product solve."""
     solved = []
-    solve = experiments.owned_eigenvalues
+    solve = spectral.owned_eigenvalues
     monkeypatch.setattr(
-        experiments, "owned_eigenvalues", lambda m: solved.append(m.shape[0]) or solve(m)
+        spectral, "owned_eigenvalues", lambda m: solved.append(m.shape[0]) or solve(m)
     )
-    experiments._spectra.clear()
+    spectral._spectra.clear()
     yield solved
-    experiments._spectra.clear()
+    spectral._spectra.clear()
 
 
 def test_cycle_debug_model_gives_zero_errors():
@@ -78,7 +78,7 @@ def test_run_single_record_shape():
 def test_experiment_is_deterministic_bytewise(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        experiments._spectra.clear()  # both runs solve their products afresh
+        spectral._spectra.clear()  # both runs solve their products afresh
         run_experiment(cycle_config(output_dir=str(out)))
     files1 = sorted(p.name for p in out1.iterdir())
     files2 = sorted(p.name for p in out2.iterdir())
@@ -290,6 +290,22 @@ def test_config_rejects_malformed_values(extra, key):
         ExperimentConfig(**{**er, **extra})
 
 
+@pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", pytest.param("9" * 400, id="huge-int")]
+)
+@pytest.mark.parametrize("key", ["density", "ws_beta"])
+def test_config_rejects_non_finite_numbers(literal, key):
+    # json.load reads these literals, and CYCLE ignores both knobs, so only the config
+    # check keeps them out of manifest.json (strict JSON has no NaN) and every CSV; an
+    # integer beyond the float range has no finite float to become
+    text = f'{{"model": "CYCLE", "orders": [9, 7], "density": 0.5, "{key}": {literal}}}'
+    data = json.loads(text)
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        ExperimentConfig.from_dict(data)
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        ExperimentConfig(**data)
+
+
 def test_generation_failure_names_run():
     config = cycle_config(orders=(6, 8))  # even cycles: bipartite pair, no retry escape
     with pytest.raises(RuntimeError, match="run 0"):
@@ -408,17 +424,17 @@ def test_product_spectrum_misses_other_products(product_solves):
     for other in (op, er_op(seed=2), swapped, er_op(seed=1, orders=(12, 10))):
         product_spectrum(other)
     assert product_solves == [120] * 4
-    assert len(experiments._spectra) == 4
+    assert len(spectral._spectra) == 4
 
 
 def test_spectrum_cache_bound_evicts_least_recently_used(product_solves, monkeypatch):
     ops = [er_op(seed) for seed in (1, 2, 3)]
-    monkeypatch.setattr(experiments, "SPECTRUM_CACHE_ENTRIES", 2)
+    monkeypatch.setattr(spectral, "SPECTRUM_CACHE_ENTRIES", 2)
     product_spectrum(ops[0])
     product_spectrum(ops[1])
     product_spectrum(ops[0])  # hit: ops[1] is now the least recently used
     product_spectrum(ops[2])  # evicts ops[1]
-    assert len(experiments._spectra) == 2
+    assert len(spectral._spectra) == 2
     assert product_solves == [120] * 3
     product_spectrum(ops[0])
     assert product_solves == [120] * 3
@@ -447,7 +463,8 @@ def test_product_spectrum_below_the_in_place_order_loads_no_scipy():
     # importing scipy.linalg costs more than the N x N copy it saves at N=1500
     code = (
         "import sys\n"
-        "from kronspec.experiments import ExperimentConfig, product_spectrum\n"
+        "from kronspec.experiments import ExperimentConfig\n"
+        "from kronspec.spectral import product_spectrum\n"
         "from kronspec.generators import generate_connected_pair\n"
         "from kronspec.graphs import KroneckerLaplacian\n"
         "config = ExperimentConfig(model='ER', orders=(30, 50), density=0.1, master_seed=3)\n"
@@ -472,7 +489,7 @@ def test_block_spectrum_ignores_blas_thread_count():
     # the same with one thread as with two; the dense N x N solve does not
     code = (
         "import hashlib\n"
-        "from kronspec.experiments import product_spectrum\n"
+        "from kronspec.spectral import product_spectrum\n"
         "from kronspec.generators import GeneratorSpec, generate_connected\n"
         "from kronspec.graphs import KroneckerLaplacian, cycle_graph\n"
         "g = generate_connected(GeneratorSpec('ER', 100, 0.1, 3))\n"

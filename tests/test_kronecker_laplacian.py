@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kronspec import experiments
+from kronspec import checks, spectral
 from kronspec.checks import complete_graph, cycle_graph
 from kronspec.generators import GeneratorSpec, generate_connected, watts_strogatz
 from kronspec.graphs import (
@@ -24,7 +24,6 @@ from kronspec.graphs import (
     normalized_laplacian,
 )
 from kronspec.metrics import correlation_profile
-from kronspec.spectral import owned_eigenvalues, sym_eig
 from kronspec.theory import mean_rms_ratio
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -98,8 +97,8 @@ def random_graphs(draw):
 def test_block_spectrum_matches_dense(r, other, swap):
     g, h = (other, r) if swap else (r, other)
     op = KroneckerLaplacian(g, h)
-    experiments._spectra.clear()
-    spectrum = experiments.product_spectrum(op)
+    spectral._spectra.clear()
+    spectrum = spectral.product_spectrum(op)
     reference = np.linalg.eigvalsh(dense_laplacian(g, h))
     scale = reference[-1]
     assert np.abs(spectrum - reference).max() <= 1e-12 * scale
@@ -110,34 +109,48 @@ def test_block_spectrum_matches_dense(r, other, swap):
 
 
 @PROPERTY
-@given(st.one_of(factor_pairs(), st.tuples(regular_graphs(), random_graphs())), st.booleans())
-def test_owned_matrices_are_exactly_symmetric(pair, swap):
-    # owned_eigenvalues skips the symmetry scan; this is why it may: every
-    # matrix the engine hands it, dense product or block, equals its transpose
+@given(
+    st.one_of(factor_pairs(), st.tuples(regular_graphs(), random_graphs())),
+    st.booleans(),
+    st.integers(2, 8),
+    st.integers(2, 8),
+)
+def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
+    # no solve scans its input for symmetry; this is why none needs to: every
+    # matrix a kronspec solve receives equals its transpose exactly
     g, h = pair[::-1] if swap else pair
-    op = KroneckerLaplacian(g, h)
-    dense = op.dense()
-    assert np.array_equal(dense, dense.T)
-    owned = []
+    solved = {"eigh": [], "eigvalsh": []}
 
-    def checked(m):
-        owned.append(np.array_equal(m, m.T))
-        return owned_eigenvalues(m)
+    def recording(name, solve):
+        def checked(m):
+            solved[name].append(np.array_equal(m, m.T))
+            return solve(m)
 
-    experiments._spectra.clear()
+        return checked
+
+    spectral._spectra.clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "owned_eigenvalues", checked)
-        experiments.product_spectrum(op)
-    experiments._spectra.clear()
-    assert owned and all(owned)
+        for name in solved:
+            mp.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        spectral.factor_spectra(g)
+        spectral.factor_spectra(h)
+        spectral.product_spectrum(KroneckerLaplacian(g, h))
+        checks.expected_spectrum_gap(n1, n2)
+    spectral._spectra.clear()
+    # two bases per factor; the regular factor's adjacency and one block per
+    # vertex of it, or one dense product; the two expected-adjacency products
+    regular = [f.n for f in (g, h) if np.all(f.degrees == f.degrees[0])]
+    assert len(solved["eigh"]) == 4
+    assert len(solved["eigvalsh"]) == (1 + max(regular) if regular else 1) + 2
+    assert all(solved["eigh"]) and all(solved["eigvalsh"])
 
 
 @PROPERTY
 @given(factor_pairs(), st.sampled_from(sorted(BASES)))
 def test_profile_matches_dense_reference(pair, basis):
     g, h = pair
-    b1 = sym_eig(BASES[basis](g)).eigenvectors
-    b2 = sym_eig(BASES[basis](h)).eigenvectors
+    b1 = np.linalg.eigh(BASES[basis](g)).eigenvectors
+    b2 = np.linalg.eigh(BASES[basis](h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), b1, b2)
     assert profile.shape == (g.n * h.n - 1,)
     assert np.abs(profile - dense_profile(g, h, b1, b2)).max() <= 1e-12
@@ -148,10 +161,10 @@ def test_profile_matches_dense_reference(pair, basis):
 @PROPERTY
 @given(factor_pairs(), st.sampled_from(sorted(BASES)), st.integers(0, 2**32 - 1))
 def test_profile_ignores_eigenvector_signs(pair, basis, seed):
-    # sym_eig promises no eigenvector sign, so flipping columns must change nothing
+    # eigh promises no eigenvector sign, so flipping columns must change nothing
     g, h = pair
-    b1 = sym_eig(BASES[basis](g)).eigenvectors
-    b2 = sym_eig(BASES[basis](h)).eigenvectors
+    b1 = np.linalg.eigh(BASES[basis](g)).eigenvectors
+    b2 = np.linalg.eigh(BASES[basis](h)).eigenvectors
     rng = np.random.default_rng(seed)
     flips1 = np.where(rng.random(g.n) < 0.5, -1.0, 1.0)
     flips2 = np.where(rng.random(h.n) < 0.5, -1.0, 1.0)
@@ -166,8 +179,8 @@ def test_profile_ignores_eigenvector_signs(pair, basis, seed):
 @given(factor_pairs())
 def test_first_row_is_mean_over_rms(pair):
     g, h = pair
-    w1 = sym_eig(laplacian(g)).eigenvectors
-    w2 = sym_eig(laplacian(h)).eigenvectors
+    w1 = np.linalg.eigh(laplacian(g)).eigenvectors
+    w2 = np.linalg.eigh(laplacian(h)).eigenvectors
     row = correlation_profile(KroneckerLaplacian(g, h), w1, w2)[: h.n - 1]
     assert np.abs(row - mean_rms_ratio(g.degrees)).max() <= 1e-12
 
@@ -191,8 +204,8 @@ def test_matvec_matches_dense(pair, columns, seed):
 ])
 @pytest.mark.parametrize("basis", sorted(BASES))
 def test_regular_factors_give_all_ones(g, h, basis):
-    b1 = sym_eig(BASES[basis](g)).eigenvectors
-    b2 = sym_eig(BASES[basis](h)).eigenvectors
+    b1 = np.linalg.eigh(BASES[basis](g)).eigenvectors
+    b2 = np.linalg.eigh(BASES[basis](h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), b1, b2)
     assert np.abs(profile - 1.0).max() <= 1e-12
 
@@ -214,6 +227,6 @@ def test_matvec_rejects_wrong_length():
 def test_zero_image_raises():
     # K2 x K2 is two disjoint edges: u_1 kron v_1 lies in the kernel
     k2 = complete_graph(2)
-    w = sym_eig(laplacian(k2)).eigenvectors
+    w = np.linalg.eigh(laplacian(k2)).eigenvectors
     with pytest.raises(ValueError, match=r"pair \(1, 1\) maps to the zero vector"):
         correlation_profile(KroneckerLaplacian(k2, k2), w, w)

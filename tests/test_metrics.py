@@ -26,14 +26,13 @@ from kronspec.metrics import (
     kde,
     percentage_errors,
 )
-from kronspec.spectral import sym_eig, sym_eigenvalues
 from kronspec.theory import mean_rms_ratio
 
 
 def test_correlation_profile_regular_factors_all_one():
     c4, k3 = cycle_graph(4), complete_graph(3)
-    w1 = sym_eig(laplacian(c4)).eigenvectors
-    w2 = sym_eig(laplacian(k3)).eigenvectors
+    w1 = np.linalg.eigh(laplacian(c4)).eigenvectors
+    w2 = np.linalg.eigh(laplacian(k3)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(c4, k3), w1, w2)
     assert profile.shape == (11,)
     assert np.abs(profile - 1.0).max() <= 1e-9
@@ -42,8 +41,8 @@ def test_correlation_profile_regular_factors_all_one():
 def test_correlation_profile_first_row_is_mean_over_rms():
     g = generate_connected(GeneratorSpec("ER", 12, 0.4, seed=51))
     h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=52))
-    w1 = sym_eig(laplacian(g)).eigenvectors
-    w2 = sym_eig(laplacian(h)).eigenvectors
+    w1 = np.linalg.eigh(laplacian(g)).eigenvectors
+    w2 = np.linalg.eigh(laplacian(h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), w1, w2)
     row = profile[: h.n - 1]
     assert np.abs(row - mean_rms_ratio(g.degrees)).max() <= 1e-10
@@ -56,8 +55,8 @@ def test_correlation_profile_exact_eigenvector_gives_one():
     g = cycle_graph(5)
     h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=52))
     assert len(set(h.degrees.tolist())) > 1
-    w1 = sym_eig(laplacian(g)).eigenvectors
-    w2 = sym_eig(laplacian(h)).eigenvectors
+    w1 = np.linalg.eigh(laplacian(g)).eigenvectors
+    w2 = np.linalg.eigh(laplacian(h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), w1, w2)
     assert np.abs(profile[: h.n - 1] - 1.0).max() <= 1e-12
     assert np.abs(profile[h.n - 1:] - 1.0).max() > 1e-3  # later rows are not eigenvectors
@@ -66,8 +65,8 @@ def test_correlation_profile_exact_eigenvector_gives_one():
 def test_correlation_profile_values_in_range():
     g = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=61))
     h = generate_connected(GeneratorSpec("ER", 8, 0.4, seed=62))
-    v1 = sym_eig(normalized_laplacian(g)).eigenvectors
-    v2 = sym_eig(normalized_laplacian(h)).eigenvectors
+    v1 = np.linalg.eigh(normalized_laplacian(g)).eigenvectors
+    v2 = np.linalg.eigh(normalized_laplacian(h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), v1, v2)
     assert profile.min() >= -1e-12  # PSD quadratic form
     assert profile.max() <= 1.0 + 1e-12
@@ -77,8 +76,8 @@ def test_correlation_profile_restricted_pairs():
     # a subset of pairs is read off the flat profile at its row-major index
     g = generate_connected(GeneratorSpec("ER", 7, 0.5, seed=71))
     h = generate_connected(GeneratorSpec("ER", 6, 0.5, seed=72))
-    v1 = sym_eig(normalized_laplacian(g)).eigenvectors
-    v2 = sym_eig(normalized_laplacian(h)).eigenvectors
+    v1 = np.linalg.eigh(normalized_laplacian(g)).eigenvectors
+    v2 = np.linalg.eigh(normalized_laplacian(h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), v1, v2)
     lap_product = laplacian(kronecker_graph(g, h))
     for i, j in [(0, 1), (1, 0), (3, 2), (g.n - 1, h.n - 1)]:
@@ -90,7 +89,7 @@ def test_correlation_profile_restricted_pairs():
 
 def test_correlation_profile_rejects_mismatched_bases():
     g, h = cycle_graph(5), complete_graph(3)
-    w1 = sym_eig(laplacian(g)).eigenvectors
+    w1 = np.linalg.eigh(laplacian(g)).eigenvectors
     with pytest.raises(ValueError, match="do not match"):
         correlation_profile(KroneckerLaplacian(g, h), w1, w1)
 
@@ -111,16 +110,16 @@ def test_percentage_errors_sorts_estimates():
 def test_percentage_errors_rejects_disconnected():
     k2 = build_graph(2, [(0, 1)])
     product = kronecker_graph(k2, k2)
-    actual = sym_eigenvalues(laplacian(product))
+    actual = np.linalg.eigvalsh(laplacian(product))
     with pytest.raises(ValueError):
         percentage_errors(np.array([0.0, 0.0, 2.0, 2.0]), actual)
 
 
 def test_percentage_errors_exact_for_regular_factors():
     c4, k3 = cycle_graph(4), complete_graph(3)
-    lam1, d1 = sym_eigenvalues(normalized_laplacian(c4)), np.sort(c4.degrees)
-    lam2, d2 = sym_eigenvalues(normalized_laplacian(k3)), np.sort(k3.degrees)
-    actual = sym_eigenvalues(laplacian(kronecker_graph(c4, k3)))
+    lam1, d1 = np.linalg.eigvalsh(normalized_laplacian(c4)), np.sort(c4.degrees)
+    lam2, d2 = np.linalg.eigvalsh(normalized_laplacian(k3)), np.sort(k3.degrees)
+    actual = np.linalg.eigvalsh(laplacian(kronecker_graph(c4, k3)))
     errors = percentage_errors(normalized_estimate(lam1, d1, lam2, d2), actual)
     assert np.abs(errors).max() <= 1e-7
 

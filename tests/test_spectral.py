@@ -1,4 +1,6 @@
-"""Eigendecomposition contract and vector utilities."""
+"""The eigensolves of spectral.py: factor decompositions and in-place product solves."""
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,94 +8,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronspec import spectral
+from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.graphs import (
+    Graph,
     KroneckerLaplacian,
     build_graph,
     kronecker_graph,
     laplacian,
     normalized_laplacian,
 )
-from kronspec.spectral import SYMMETRY_BLOCK, owned_eigenvalues, sym_eig, sym_eigenvalues
+from kronspec.spectral import factor_spectra, owned_eigenvalues
+
+BASES = {"laplacian": laplacian, "normalized": normalized_laplacian}
+
+
+def generated_graphs():
+    """ER, WS and BA factors of orders 8-20 at two densities, each drawn connected."""
+    return [
+        generate_connected(GeneratorSpec(model, n, density, seed))
+        for seed, (model, n, density) in enumerate(
+            (m, n, d) for m in ("ER", "WS", "BA") for n in (8, 20) for d in (0.3, 0.6)
+        )
+    ]
 
 
 def test_k2_laplacian_spectrum():
-    eig = sym_eig(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    eig = factor_spectra(complete_graph(2)).laplacian
     assert np.allclose(eig.eigenvalues, [0, 2], atol=1e-12)
 
 
 def test_star_spectrum():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    eig = sym_eig(laplacian(star))
+    eig = factor_spectra(star).laplacian
     assert np.allclose(eig.eigenvalues, [0, 1, 1, 4], atol=1e-12)
 
 
 def test_reconstruction_of_random_symmetric():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((8, 8))
-    m = m + m.T
-    eig = sym_eig(m)
-    rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-    assert np.linalg.norm(rebuilt - m) <= 1e-9
+    for g, basis in product(generated_graphs(), BASES):
+        eig = getattr(factor_spectra(g), basis)
+        rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
+        assert np.linalg.norm(rebuilt - BASES[basis](g)) <= 1e-9 * g.degrees.max()
 
 
 def test_decomposition_invariants():
-    rng = np.random.default_rng(29)
-    m = rng.standard_normal((12, 12))
-    m = m + m.T
-    eig = sym_eig(m)
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
-    residual = m @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues[None, :]
-    assert np.abs(residual).max() <= 1e-10 * np.linalg.norm(m)
-    gram = eig.eigenvectors.T @ eig.eigenvectors
-    assert np.abs(gram - np.eye(12)).max() <= 1e-9
+    # ascending eigenvalues, small residuals and orthonormal eigenvectors
+    for g, basis in product(generated_graphs(), BASES):
+        m, eig = BASES[basis](g), getattr(factor_spectra(g), basis)
+        assert np.all(np.diff(eig.eigenvalues) >= 0)
+        residual = m @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues[None, :]
+        assert np.abs(residual).max() <= 1e-10 * np.linalg.norm(m)
+        gram = eig.eigenvectors.T @ eig.eigenvectors
+        assert np.abs(gram - np.eye(g.n)).max() <= 1e-9
 
 
-def test_sym_eig_is_deterministic():
-    rng = np.random.default_rng(31)
-    m = rng.standard_normal((6, 6))
-    m = m + m.T
-    first = sym_eig(m)
-    second = sym_eig(m.copy())
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
-
-
-def test_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
-def test_asymmetry_in_last_block_raises():
-    # the check walks row blocks; a defect in the final, partial block counts too
-    n = 2 * SYMMETRY_BLOCK + 37
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((n, n))
-    m = m + m.T
-    sym_eigenvalues(m)
-    m[n - 1, 3] += 1e-6
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eigenvalues(m)
-
-
-def test_symmetry_tolerance_scales_with_largest_entry():
-    m = np.array([[0.0, 1e6], [1e6 + 1e-5, 0.0]])  # relative gap 1e-11
-    assert np.allclose(sym_eigenvalues(m), [-1e6, 1e6])
-    m[1, 0] = 1e6 + 1e-3  # relative gap 1e-9, above the 1e-10 default
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eigenvalues(m)
+def test_factor_spectra_is_deterministic():
+    for g in generated_graphs():
+        first, second = factor_spectra(g), factor_spectra(Graph(g.adjacency.copy()))
+        for basis in BASES:
+            for a, b in zip(getattr(first, basis), getattr(second, basis)):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_connected_laplacian_kernel_is_ones():
-    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    eig = sym_eig(laplacian(g))
-    assert abs(eig.eigenvalues[0]) <= 1e-9
-    ones = np.ones(5) / np.sqrt(5)
-    assert abs(abs(eig.eigenvectors[:, 0] @ ones) - 1) <= 1e-9  # the ones direction, either sign
+    chorded_cycle = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    for g in [chorded_cycle, *generated_graphs()]:
+        eig = factor_spectra(g).laplacian
+        assert abs(eig.eigenvalues[0]) <= 1e-9 * g.degrees.max()
+        ones = np.ones(g.n) / np.sqrt(g.n)
+        # the ones direction, either sign
+        assert abs(abs(eig.eigenvectors[:, 0] @ ones) - 1) <= 1e-9
 
 
 def test_normalized_spectrum_bounds():
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-    values = sym_eigenvalues(normalized_laplacian(g))
+    values = factor_spectra(g).normalized.eigenvalues
     assert values[0] >= -1e-9 and values[-1] <= 2 + 1e-9
 
 
@@ -102,13 +91,13 @@ def test_exact_normalized_kron_decomposition():
     # with v_i kron v_j as eigenvectors
     g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     h = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    eig_g = sym_eig(normalized_laplacian(g))
-    eig_h = sym_eig(normalized_laplacian(h))
+    eig_g = factor_spectra(g).normalized
+    eig_h = factor_spectra(h).normalized
     norm_product = normalized_laplacian(kronecker_graph(g, h))
     formula = (
         1.0 - (1.0 - eig_g.eigenvalues)[:, None] * (1.0 - eig_h.eigenvalues)[None, :]
     ).ravel()
-    numeric = sym_eigenvalues(norm_product)
+    numeric = np.linalg.eigvalsh(norm_product)
     assert np.abs(np.sort(formula) - numeric).max() <= 1e-8
     x = np.kron(eig_g.eigenvectors, eig_h.eigenvectors)
     residual = norm_product @ x - x * formula[None, :]
@@ -119,7 +108,7 @@ def test_colinearity_of_ones_kron_eigenvector():
     # L(1 kron w_j) = mu_j (d kron w_j)
     g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     h = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
-    eig_h = sym_eig(laplacian(h))
+    eig_h = factor_spectra(h).laplacian
     lap_product = laplacian(kronecker_graph(g, h))
     ones = np.ones(g.n)
     dvec = g.degrees.astype(float)
