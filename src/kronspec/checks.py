@@ -19,6 +19,7 @@ from .estimators import normalized_estimate, sayama_spectrum
 from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
+    _as_int,
     build_graph,
     cycle_graph,
     kronecker_graph,
@@ -160,8 +161,7 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
     graphs are paired up and both estimators evaluated under the correlated
     ordering; the smallest estimated value over all pairs is reported.
     """
-    if graph_count < 2:
-        raise ValueError(f"graph_count must be at least 2 to form a pair, got {graph_count}")
+    graph_count = _as_int("graph_count", graph_count, 2)  # at least one pair
     n_range, p_range, floor = [10, 40], [0.3, 0.7], -1e-12
     rng = np.random.default_rng(seed)
     spectra = []
@@ -198,8 +198,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     Laplacian eigenvector of a connected graph is the constant vector, and
     the cosine is scale-free, so u_1 is passed as all ones, not solved for.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    draws = _as_int("draws", draws, 1)
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
     eig_h = np.linalg.eigh(laplacian(h))

@@ -19,11 +19,12 @@ default and the most accurate heuristic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .graphs import _as_int
 
 # factor eigenvalues closer to zero than this (relative to the spectrum
 # scale) are snapped to exactly 0.0, so the estimate of the product's zero
@@ -47,23 +48,13 @@ class Estimator(str, Enum):
     NORMALIZED_LAPLACIAN = "NormalizedLaplacian"
 
 
-def _check_count(name: str, value) -> None:
-    """A ValueError naming ``name`` unless ``value`` is a nonnegative integer."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 @dataclass(frozen=True)
 class Ordering:
     """Eigenvalue-ordering heuristic plus its randomization knobs.
 
     ``swap_count`` is the number of random adjacent transpositions applied
     after sorting (randomized kinds only); None means the default n // 4.
-    Both it and ``randomization_seed`` are nonnegative integers.
+    Both it and ``randomization_seed`` are nonnegative ints by ``graphs._as_int``.
     """
 
     kind: OrderingKind = OrderingKind.CORRELATED
@@ -72,9 +63,10 @@ class Ordering:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", OrderingKind(self.kind))
-        _check_count("randomization_seed", self.randomization_seed)
+        seed = _as_int("randomization_seed", self.randomization_seed, 0)
+        object.__setattr__(self, "randomization_seed", seed)
         if self.swap_count is not None:
-            _check_count("swap_count", self.swap_count)
+            object.__setattr__(self, "swap_count", _as_int("swap_count", self.swap_count, 0))
         if self.kind not in _RANDOMIZED and self.swap_count not in (None, 0):
             raise ValueError(f"swap_count must be 0 for ordering kind {self.kind.value}")
 

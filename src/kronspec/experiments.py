@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import subprocess
-import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from hashlib import sha256
@@ -38,7 +37,7 @@ from .generators import (
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import KroneckerLaplacian, edge_density
+from .graphs import KroneckerLaplacian, _as_float, _as_int, edge_density
 from .metrics import (
     DensityCurve,
     ErrorProfile,
@@ -87,24 +86,8 @@ def _of_type(key: str, value, types, what: str):
     return value
 
 
-def _as_int(key: str, value) -> int:
-    """An integral JSON number as an int; a ValueError naming ``key`` otherwise."""
-    if not (type(value) is int or _as_float(key, value).is_integer()):  # bools fail in _as_float
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(key: str, value) -> float:
-    """A finite JSON number as a float; a ValueError naming ``key`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load reads both), huge ints
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return float(value)
-
-
-def _from_mapping(cls, name: str, data, coerce: dict):
-    """Dataclass ``cls`` from a JSON object; ``coerce[key](key, value)`` gives each field.
+def _from_mapping(cls, name: str, data):
+    """Dataclass ``cls`` from a JSON object, whose ``__post_init__`` checks each field.
 
     Absent keys take the field defaults. Input that is not a mapping, or
     that has keys ``cls`` lacks, is a ValueError naming ``name`` or the keys.
@@ -114,23 +97,19 @@ def _from_mapping(cls, name: str, data, coerce: dict):
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
-    return cls(**{key: coerce[key](key, v) if key in coerce else v for key, v in data.items()})
+    return cls(**data)
 
 
 # each config field's type rule, called as f(key, value) by ExperimentConfig.__post_init__
-# on every config, built in Python or loaded from JSON; Ordering turns kind names into members
-_ORDERING = {
-    "randomization_seed": _as_int,
-    "swap_count": lambda k, v: None if v is None else _as_int(k, v),
-}
+# on every config, built in Python or loaded from JSON; Ordering checks its own fields
 _ARRAY = (list, tuple)  # to_dict gives tuples
 _COERCE = {
     "orders": lambda k, v: tuple(_as_int(k, n) for n in _of_type(k, v, _ARRAY, "an array")),
     "density": _as_float,
-    "runs": _as_int,
+    "runs": lambda k, v: _as_int(k, v, 1),
     "estimators": lambda k, v: tuple(Estimator(e) for e in _of_type(k, v, _ARRAY, "an array")),
     "ordering": lambda k, v: (
-        v if v is None or isinstance(v, Ordering) else _from_mapping(Ordering, k, v, _ORDERING)
+        v if v is None or isinstance(v, Ordering) else _from_mapping(Ordering, k, v)
     ),
     "master_seed": _as_int,
     "output_dir": lambda k, v: None if v is None else _of_type(k, v, str, "a string or null"),
@@ -172,8 +151,6 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, coerce in _COERCE.items():
             object.__setattr__(self, key, coerce(key, getattr(self, key)))
-        if self.runs < 1:
-            raise ValueError("run count must be positive")
         if len(self.orders) != 2:
             raise ValueError(f"orders must have two entries, got {self.orders}")
         # GeneratorSpec checks model and orders, density_to_params the density
@@ -202,7 +179,7 @@ class ExperimentConfig:
         ``__post_init__`` gives a number its field's type (``"density": 1`` becomes 1.0), so
         equal configs hash equally; a wrong type is a ValueError naming its key.
         """
-        return _from_mapping(cls, "config", data, {})
+        return _from_mapping(cls, "config", data)
 
     def config_hash(self) -> str:
         hashed = self.to_dict()

@@ -14,12 +14,11 @@ report the achieved density alongside the requested one.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, cycle_graph, is_bipartite, is_connected
+from .graphs import Graph, _as_int, cycle_graph, is_bipartite, is_connected
 
 MODELS = ("ER", "WS", "BA", "CYCLE")
 
@@ -42,7 +41,10 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Everything needed to reproduce one random graph draw."""
+    """Everything needed to reproduce one random graph draw.
+
+    ``n`` (at least 2) and ``seed`` (at least 0) are ints by ``graphs._as_int``.
+    """
 
     model: str
     n: int
@@ -53,12 +55,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"order must be an integer, got {self.n!r}") from None
-        if self.n < 2:
-            raise ValueError(f"order must be at least 2, got {self.n}")
+        object.__setattr__(self, "n", _as_int("order", self.n, 2))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
         if self.model != "CYCLE" and not 0.0 < self.target_density < 1.0:
             raise ValueError(f"target density must be in (0, 1), got {self.target_density}")
         if not 0.0 <= self.ws_beta <= 1.0:

@@ -12,6 +12,8 @@ built and read-only after; its order and degrees are derived from it.
 
 from __future__ import annotations
 
+import operator
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable
@@ -22,6 +24,32 @@ import numpy as np
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _as_float(key: str, value) -> float:
+    """A finite number as a float; a ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load reads both), huge ints
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
+def _as_int(key: str, value, low: int | None = None) -> int:
+    """An integer given to kronspec, as an int; a ValueError naming ``key`` otherwise.
+
+    Any integer type (numpy's too) or an integral finite float is an
+    integer, a bool is not. A value below ``low``, when given, is rejected.
+    """
+    if isinstance(value, float) and _as_float(key, value).is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{key} must be {bound}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,11 +97,10 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on ``n`` vertices from an edge list.
 
-    Duplicate edges are ignored. Self-loops and out-of-range endpoints raise
-    ValueError.
+    ``n`` is an integer by :func:`_as_int`, at least 1. Duplicate edges are
+    ignored. Self-loops and out-of-range endpoints raise ValueError.
     """
-    if n < 1:
-        raise ValueError(f"graph order must be positive, got {n}")
+    n = _as_int("graph order", n, 1)
     adjacency = np.zeros((n, n))
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -227,7 +254,11 @@ def write_edge_list(g: Graph, dest: str | IO[str]) -> None:
 
 
 def read_edge_list(src: str | IO[str]) -> Graph:
-    """Read the edge-list format written by :func:`write_edge_list`."""
+    """Read the edge-list format written by :func:`write_edge_list`.
+
+    Every token is a nonnegative integer by :func:`_as_int`, and the header's
+    ``m`` must count the distinct edges, so the graph writes back unchanged.
+    """
     if hasattr(src, "read"):
         text = src.read()
     else:
@@ -236,8 +267,10 @@ def read_edge_list(src: str | IO[str]) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge-list header 'n m' missing")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
-    pairs = np.array(tokens[2:], dtype=np.int64).reshape(m, 2)
-    return build_graph(n, [(int(u), int(v)) for u, v in pairs])
+    n, m, *ends = (_as_int(f"edge-list token {t!r}", float(t), 0) for t in tokens)
+    if len(ends) != 2 * m:
+        raise ValueError(f"expected {m} edges, found {len(ends) // 2}")
+    g = build_graph(n, zip(ends[0::2], ends[1::2]))
+    if g.edge_count != m:
+        raise ValueError(f"edge-list header counts {m} edges, but {g.edge_count} are distinct")
+    return g

@@ -25,8 +25,9 @@ from .graphs import Graph, KroneckerLaplacian
 # percentile convention for all error bands: linear interpolation
 PERCENTILE_METHOD = "linear"
 
-# grid points per block of kernel evaluations in kde: bounds its working
-# memory to KDE_BLOCK x samples instead of grid_size x samples
+# grid points of every kde curve, and per block of its kernel evaluations:
+# blocks bound its working memory to KDE_BLOCK x samples, not KDE_GRID x samples
+KDE_GRID = 512
 KDE_BLOCK = 32
 
 
@@ -159,8 +160,8 @@ def aggregate_profile(error_vectors) -> ErrorProfile:
     return ErrorProfile(median=median, p5=p5, p95=p95)
 
 
-def kde(samples: np.ndarray, grid_size: int = 512) -> DensityCurve:
-    """Gaussian kernel density estimate on an even grid.
+def kde(samples: np.ndarray) -> DensityCurve:
+    """Gaussian kernel density estimate on an even grid of KDE_GRID points.
 
     The grid spans [min - 3h, max + 3h] with h the Silverman bandwidth
     1.06 * sigma * m^(-1/5) (sigma the sample standard deviation), so the
@@ -175,9 +176,9 @@ def kde(samples: np.ndarray, grid_size: int = 512) -> DensityCurve:
     h = 1.06 * float(np.std(samples, ddof=1)) * len(samples) ** (-0.2)
     if h <= 0.0:
         raise ValueError("zero-variance samples; kernel density degenerate")
-    grid = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h, grid_size)
-    sums = np.empty(grid_size)
-    for start in range(0, grid_size, KDE_BLOCK):
+    grid = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h, KDE_GRID)
+    sums = np.empty(KDE_GRID)
+    for start in range(0, KDE_GRID, KDE_BLOCK):
         z = (grid[start:start + KDE_BLOCK, None] - samples[None, :]) / h
         sums[start:start + KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1)
     density = sums / (len(samples) * h * math.sqrt(2 * math.pi))

@@ -4,7 +4,7 @@ Every test prints a PASS/FAIL line with the measured values (run pytest
 with -s to see them live). Expensive experiment bundles are computed once
 per module and shared, and fixtures that draw the same seeded factor pairs
 reuse their exact product spectra; a full tier-1 run, this module included,
-took 136 to 258 s over five runs on a 2-core machine.
+took about 300 s on a 2-core machine.
 
 Three criteria (9, 10 and 11) assert claimed thresholds verbatim even
 though measurement shows they cannot hold (markers: contested); each has a

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kronspec import generators
 from kronspec.cli import main
 from kronspec.graphs import read_edge_list, write_edge_list
 from kronspec.checks import cycle_graph
@@ -25,6 +26,17 @@ def test_generate_is_deterministic(tmp_path):
         main(["generate", "--model", "BA", "--n", "15", "--density", "0.3",
               "--seed", "9", "--output", str(path)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_rejects_a_negative_seed_before_drawing(tmp_path, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a graph was drawn before the seed was checked")
+
+    monkeypatch.setattr(generators, "_draw", no_draw)
+    out = tmp_path / "g.edges"
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        main(["generate", "--model", "ER", "--n", "20", "--seed", "-1", "--output", str(out)])
+    assert not out.exists()
 
 
 def test_estimate_outputs_exact_and_estimates(tmp_path):

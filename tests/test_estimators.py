@@ -87,6 +87,12 @@ def test_ordering_validation():
     assert sorted(perm.tolist()) == list(range(8))
 
 
+def test_ordering_rejects_a_bool_seed():
+    # a bool is no integer, so no Ordering writes a config that from_dict rejects
+    with pytest.raises(ValueError, match="randomization_seed must be an integer"):
+        Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=True)
+
+
 def test_k2_factors_match_exact_product():
     # both estimators reproduce the spectrum of K2 (x) K2: {0, 0, 2, 2}
     mu = np.array([0.0, 2.0])

@@ -27,6 +27,9 @@ from kronspec.graphs import KroneckerLaplacian, cycle_graph
 from kronspec.spectral import product_spectrum
 
 
+ER_SMALL = {"model": "ER", "orders": (10, 12), "density": 0.4}
+
+
 def cycle_config(**overrides):
     base = dict(
         model="CYCLE",
@@ -220,6 +223,26 @@ def test_config_validation():
                 "ordering": {"kind": "CorrelatedRandomized", "swap_count": 1.5},
             }
         )
+
+
+def test_numpy_integer_ordering_seed_hashes_like_an_int():
+    # a numpy seed is stored as an int, so the config hash is computed, and equals the plain one
+    configs = [
+        ExperimentConfig(
+            **ER_SMALL, ordering=Ordering(OrderingKind.UNCORRELATED, randomization_seed=seed)
+        )
+        for seed in (np.int64(3), 3)
+    ]
+    assert type(configs[0].ordering.randomization_seed) is int
+    assert configs[0].config_hash() == configs[1].config_hash()
+
+
+@pytest.mark.parametrize(
+    "extra", [{"orders": (np.int64(10), 12)}, {"runs": np.int64(3)}, {"master_seed": np.int64(5)}]
+)
+def test_config_accepts_numpy_integers(extra):
+    config = ExperimentConfig(**{**ER_SMALL, **extra})
+    assert config == ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
 
 
 def test_ordering_labels():

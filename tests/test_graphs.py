@@ -266,6 +266,17 @@ def test_read_edge_list_rejects_malformed():
         read_edge_list(io.StringIO("3 2\n0 1\n"))
 
 
+def test_read_edge_list_holds_the_edges_its_header_counts():
+    # "1 0" repeats "0 1", so the three edges of the header are two distinct ones
+    with pytest.raises(ValueError, match="3 edges, but 2 are distinct"):
+        read_edge_list(io.StringIO("3 3\n0 1\n1 0\n1 2\n"))
+
+
+def test_read_edge_list_names_a_token_that_is_no_integer():
+    with pytest.raises(ValueError, match="edge-list token '1.5' must be an integer"):
+        read_edge_list(io.StringIO("3 1\n0 1.5\n"))
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(1, 12))

@@ -1,0 +1,96 @@
+"""One integer rule for every integer kronspec is given, whatever the entry point.
+
+An accepted value is any integer type (numpy's too) or an integral finite
+float, stored as a Python int; bools, fractions, strings, NaN and values
+below the field's bound are a ValueError naming the field.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kronspec import checks
+from kronspec.estimators import Ordering, OrderingKind
+from kronspec.experiments import ExperimentConfig
+from kronspec.generators import GeneratorSpec
+from kronspec.graphs import build_graph
+
+ER = {"model": "ER", "orders": (10, 12), "density": 0.4}
+RANDOMIZED = {"kind": "CorrelatedRandomized"}
+
+
+def built(**extra) -> ExperimentConfig:
+    return ExperimentConfig(**{**ER, **extra})
+
+
+def from_dict(**extra) -> ExperimentConfig:
+    return ExperimentConfig.from_dict({**ER, **extra})
+
+
+# entry point: (the value it stores for v, a regex naming the field, a value below its bound)
+ENTRY_POINTS = {
+    "config.orders": (lambda v: built(orders=(v, 12)).orders[0], "order", 1),
+    "from_dict.orders": (lambda v: from_dict(orders=[v, 12]).orders[0], "order", 1),
+    "config.runs": (lambda v: built(runs=v).runs, "runs", 0),
+    "from_dict.runs": (lambda v: from_dict(runs=v).runs, "runs", 0),
+    "config.master_seed": (lambda v: built(master_seed=v).master_seed, "master_seed", None),
+    "from_dict.master_seed": (lambda v: from_dict(master_seed=v).master_seed, "master_seed", None),
+    "from_dict.ordering.randomization_seed": (
+        lambda v: from_dict(ordering={**RANDOMIZED, "randomization_seed": v})
+        .ordering.randomization_seed,
+        "randomization_seed",
+        -1,
+    ),
+    "from_dict.ordering.swap_count": (
+        lambda v: from_dict(ordering={**RANDOMIZED, "swap_count": v}).ordering.swap_count,
+        "swap_count",
+        -1,
+    ),
+    "Ordering.randomization_seed": (
+        lambda v: Ordering(OrderingKind.UNCORRELATED, randomization_seed=v).randomization_seed,
+        "randomization_seed",
+        -1,
+    ),
+    "Ordering.swap_count": (
+        lambda v: Ordering(OrderingKind.CORRELATED_RANDOMIZED, swap_count=v).swap_count,
+        "swap_count",
+        -1,
+    ),
+    "GeneratorSpec.n": (lambda v: GeneratorSpec("ER", v, 0.5, seed=0).n, "order", 1),
+    "GeneratorSpec.seed": (lambda v: GeneratorSpec("ER", 10, 0.5, seed=v).seed, "seed", -1),
+    "build_graph": (lambda v: build_graph(v, []).n, "order", 0),
+    "checks.er_r1j_monte_carlo": (lambda v: checks.er_r1j_monte_carlo(v, seed=0), "draws", 0),
+    "checks.sayama_nonnegativity_sweep": (
+        lambda v: checks.sayama_nonnegativity_sweep(v, seed=0),
+        "graph_count",
+        1,
+    ),
+}
+# the checks would run on an accepted size, so only their rejections are tested
+SIZED_CHECKS = ("checks.er_r1j_monte_carlo", "checks.sayama_nonnegativity_sweep")
+
+ACCEPTED = [3, np.int64(3), np.int32(3), 3.0]
+REJECTED = [True, 2.5, "3", math.nan]
+
+
+def rejections():
+    for entry, (_, _, below) in ENTRY_POINTS.items():
+        for value in REJECTED + ([] if below is None else [below]):
+            yield pytest.param(entry, value, id=f"{entry}-{value!r}")
+
+
+@pytest.mark.parametrize("value", ACCEPTED, ids=repr)
+@pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if e not in SIZED_CHECKS])
+def test_integer_rule_accepts(entry, value):
+    stored = ENTRY_POINTS[entry][0](value)
+    assert type(stored) is int
+    assert json.dumps(stored) == "3"
+
+
+@pytest.mark.parametrize("entry, value", rejections())
+def test_integer_rule_rejects(entry, value):
+    store, name, _ = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=name):
+        store(value)

@@ -19,6 +19,7 @@ from kronspec.graphs import (
     laplacian,
     normalized_laplacian,
 )
+from kronspec import metrics
 from kronspec.metrics import (
     KDE_BLOCK,
     aggregate_profile,
@@ -161,7 +162,7 @@ def test_aggregate_profile_empty_raises():
 def test_kde_standard_normal_peak():
     rng = np.random.default_rng(41)
     samples = rng.standard_normal(10000)
-    curve = kde(samples, grid_size=1024)
+    curve = kde(samples)
     peak_location = curve.grid[np.argmax(curve.density)]
     assert abs(peak_location) <= 0.15
     assert abs(curve.density.max() - 1 / np.sqrt(2 * np.pi)) <= 0.02
@@ -175,16 +176,16 @@ def test_kde_integrates_to_one():
 
 
 def test_kde_symmetric_two_point():
-    curve = kde(np.array([-2.0, 2.0]), grid_size=301)
+    curve = kde(np.array([-2.0, 2.0]))
     assert np.abs(curve.density - curve.density[::-1]).max() <= 1e-12
 
 
-def test_kde_blocks_match_one_shot_evaluation():
+def test_kde_blocks_match_one_shot_evaluation(monkeypatch):
     # a grid that ends in a partial block gives the same bytes as one
     # grid x samples evaluation of the same formula
     samples = np.random.default_rng(47).normal(0.8, 0.1, size=1499)
-    grid_size = 3 * KDE_BLOCK + 5
-    curve = kde(samples, grid_size=grid_size)
+    monkeypatch.setattr(metrics, "KDE_GRID", 3 * KDE_BLOCK + 5)
+    curve = kde(samples)
     h = curve.bandwidth
     z = (curve.grid[:, None] - samples[None, :]) / h
     one_shot = np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * h * np.sqrt(2 * np.pi))
