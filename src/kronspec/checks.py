@@ -20,12 +20,12 @@ from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
     _as_int,
+    _normalize_owned,
     build_graph,
     cycle_graph,
     kronecker_graph,
     laplacian,
     normalized_laplacian,
-    normalized_laplacian_of,
 )
 from .theory import (
     asymptotic_cubic,
@@ -137,14 +137,19 @@ def expected_r1j_grid() -> dict:
 
 
 def expected_spectrum_gap(n1: int, n2: int) -> dict:
-    """Closed-form four-level spectrum vs a direct eigensolve, per p."""
+    """Closed-form four-level spectrum vs a direct eigensolve, per p.
+
+    The normalized Laplacian of each expected adjacency ``kron(bar1, bar2)``
+    is built in the buffer ``np.kron`` returns (:func:`graphs._normalize_owned`),
+    so a solve holds that one order-n1*n2 matrix plus ``eigvalsh``'s working copy.
+    """
     probs, tolerance = (0.3, 1.0), 1e-8
     levels = expected_kron_normalized_spectrum(n1, n2)
     closed = np.sort(np.concatenate([np.full(mult, value) for value, mult in levels]))
     worst = 0.0
     for p in probs:
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
-        numeric = np.linalg.eigvalsh(normalized_laplacian_of(np.kron(bar1, bar2)))
+        numeric = np.linalg.eigvalsh(_normalize_owned(np.kron(bar1, bar2)))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return {
         "inputs": {"orders": [n1, n2], "probs": list(probs), "tolerance": tolerance},

@@ -24,6 +24,7 @@ from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
 from .experiments import (
     ExperimentConfig,
     FIGURES,
+    default_ordering,
     estimate_spectrum,
     reproduce_figure,
     run_experiment,
@@ -50,12 +51,16 @@ def _cmd_generate(args) -> int:
 def _cmd_estimate(args) -> int:
     g1 = read_edge_list(args.factor1)
     g2 = read_edge_list(args.factor2)
-    ordering = Ordering(kind=args.ordering, randomization_seed=args.seed)
+    estimators = (Estimator.SAYAMA_LAPLACIAN, Estimator.NORMALIZED_LAPLACIAN)
+    # as in experiment runs: an explicit --ordering applies to both estimators
+    orderings = [
+        Ordering(args.ordering, args.seed) if args.ordering else default_ordering(e, args.seed)
+        for e in estimators
+    ]
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     exact = product_spectrum(KroneckerLaplacian(g1, g2))
     sayama, normalized = (
-        np.sort(estimate_spectrum(estimator, f1, f2, ordering)).tolist()
-        for estimator in (Estimator.SAYAMA_LAPLACIAN, Estimator.NORMALIZED_LAPLACIAN)
+        np.sort(estimate_spectrum(e, f1, f2, o)).tolist() for e, o in zip(estimators, orderings)
     )
     rows = (
         f"{k},{e!r},{s!r},{n!r}"
@@ -63,7 +68,8 @@ def _cmd_estimate(args) -> int:
     )
     write_csv(
         args.output or sys.stdout,
-        f"ordering={ordering.kind.value}",
+        f"ordering_sayama={orderings[0].kind.value}"
+        f" ordering_normalized={orderings[1].kind.value} seed={args.seed}",
         "rank,exact,estimate_sayama,estimate_normalized",
         rows,
     )
@@ -128,7 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimated and exact product spectra for two edge lists")
     p.add_argument("factor1")
     p.add_argument("factor2")
-    p.add_argument("--ordering", default="Correlated", choices=[k.value for k in OrderingKind])
+    p.add_argument(
+        "--ordering",
+        default=None,
+        choices=[k.value for k in OrderingKind],
+        help="one ordering for both estimates (default: Correlated for Sayama, "
+        "Uncorrelated seeded by --seed for the normalized estimate, as in experiment runs)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=_cmd_estimate)

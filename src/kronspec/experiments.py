@@ -130,7 +130,7 @@ class ExperimentConfig:
     reproduces the reference error bands: Correlated for the Laplacian-basis
     estimate and a per-run seeded Uncorrelated shuffle for the
     normalized-basis estimate, whose value multiset is systematically biased
-    by any rank-correlated degree pairing (see resolve_ordering). An
+    by any rank-correlated degree pairing (see default_ordering). An
     explicit Ordering applies to both estimators.
     """
 
@@ -199,26 +199,31 @@ class RunRecord:
     correlations: dict[str, np.ndarray] | None  # per basis, in correlation_profile order
 
 
+def default_ordering(estimator: Estimator, seed: int) -> Ordering:
+    """The eigenvalue ordering an estimator uses when none is given.
+
+    The Laplacian-basis estimate pairs eigenvalues ascending against
+    ascending degrees (Correlated), which its additive mu*d cells need; the
+    normalized-basis estimate pairs them by a shuffle seeded by ``seed``
+    (Uncorrelated), because its multiplicative cells acquire a systematic
+    trace deficit under any rank-correlated pairing (sum of lam_(i) d_(i)
+    exceeds the mean-field value for similarly-sorted sequences) that
+    inflates the error medians on sparse irregular factors.
+    """
+    if estimator == Estimator.SAYAMA_LAPLACIAN:
+        return Ordering(kind=OrderingKind.CORRELATED)
+    return Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=seed)
+
+
 def resolve_ordering(config: ExperimentConfig, estimator: Estimator, run_index: int) -> Ordering:
     """The eigenvalue ordering one estimator uses in one run.
 
-    An explicit config ordering always wins. Otherwise: the Laplacian-basis
-    estimate pairs eigenvalues ascending against ascending degrees
-    (Correlated), which its additive mu*d cells need; the normalized-basis
-    estimate pairs them by a per-run seeded shuffle (Uncorrelated), because
-    its multiplicative cells acquire a systematic trace deficit under any
-    rank-correlated pairing (sum of lam_(i) d_(i) exceeds the mean-field
-    value for similarly-sorted sequences) that inflates the error medians
-    on sparse irregular factors.
+    An explicit config ordering always wins; otherwise the
+    :func:`default_ordering`, its shuffle seeded per run.
     """
     if config.ordering is not None:
         return config.ordering
-    if estimator == Estimator.SAYAMA_LAPLACIAN:
-        return Ordering(kind=OrderingKind.CORRELATED)
-    return Ordering(
-        kind=OrderingKind.UNCORRELATED,
-        randomization_seed=derive_seed(config.master_seed, run_index, "ordering"),
-    )
+    return default_ordering(estimator, derive_seed(config.master_seed, run_index, "ordering"))
 
 
 def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
@@ -495,6 +500,7 @@ def theory_suite(
     """
     from . import checks
 
+    seed = _as_int("seed", seed, 0)
     # the two checks sized by the arguments run first, so bad sizes fail before any solve
     report = {
         "er_r1j_monte_carlo": checks.er_r1j_monte_carlo(draws=er_draws, seed=seed),

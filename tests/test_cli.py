@@ -7,6 +7,10 @@ import pytest
 
 from kronspec import generators
 from kronspec.cli import main
+from kronspec.estimators import Estimator, Ordering, OrderingKind
+from kronspec.experiments import estimate_spectrum
+from kronspec.generators import GeneratorSpec, generate_connected
+from kronspec.spectral import factor_spectra
 from kronspec.graphs import read_edge_list, write_edge_list
 from kronspec.checks import cycle_graph
 
@@ -53,6 +57,32 @@ def test_estimate_outputs_exact_and_estimates(tmp_path):
     exact = np.array([float(r[1]) for r in rows])
     sayama = np.array([float(r[2]) for r in rows])
     assert np.abs(exact - sayama).max() <= 1e-9
+
+
+@pytest.mark.parametrize("ordering", [None, "Correlated"])
+def test_estimate_pairs_orderings_as_experiment_runs(tmp_path, ordering):
+    # no --ordering: Correlated for Sayama, Uncorrelated seeded by --seed for
+    # the normalized estimate; an explicit --ordering applies to both
+    g1 = generate_connected(GeneratorSpec("ER", 12, 0.3, 1))
+    g2 = generate_connected(GeneratorSpec("ER", 15, 0.3, 2))
+    f1, f2 = tmp_path / "g1.edges", tmp_path / "g2.edges"
+    write_edge_list(g1, str(f1))
+    write_edge_list(g2, str(f2))
+    out = tmp_path / "spectra.csv"
+    argv = ["estimate", str(f1), str(f2), "--seed", "5", "--output", str(out)]
+    assert main(argv + (["--ordering", ordering] if ordering else [])) == 0
+    lines = out.read_text().splitlines()
+    expected = {
+        Estimator.SAYAMA_LAPLACIAN: Ordering(ordering or OrderingKind.CORRELATED, 5),
+        Estimator.NORMALIZED_LAPLACIAN: Ordering(ordering or OrderingKind.UNCORRELATED, 5),
+    }
+    kinds = [pairing.kind.value for pairing in expected.values()]
+    assert lines[0].endswith(f"ordering_sayama={kinds[0]} ordering_normalized={kinds[1]} seed=5")
+    columns = np.array([[float(x) for x in line.split(",")[2:]] for line in lines[2:]]).T
+    spectra1, spectra2 = factor_spectra(g1), factor_spectra(g2)
+    for column, (estimator, pairing) in zip(columns, expected.items()):
+        reference = np.sort(estimate_spectrum(estimator, spectra1, spectra2, pairing))
+        assert np.array_equal(column, reference)
 
 
 def test_experiment_subcommand(tmp_path):

@@ -399,6 +399,10 @@ def test_theory_suite_rejects_degenerate_sizes(monkeypatch):
         theory_suite(seed=3, er_draws=3, graph_count=1)
     with pytest.raises(ValueError, match="draws"):
         theory_suite(seed=3, er_draws=0, graph_count=20)
+    # and a bad seed before any check at all
+    monkeypatch.setattr(checks, "er_r1j_monte_carlo", unreachable)
+    with pytest.raises(ValueError, match="seed"):
+        theory_suite(seed=-1, er_draws=3, graph_count=20)
 
 
 def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
@@ -533,3 +537,32 @@ def test_block_spectrum_ignores_blas_thread_count():
     ]
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+def test_desk_expected_spectrum_check_holds_one_product_matrix():
+    # the order-1500 normalized Laplacian is built in the np.kron buffer, so
+    # the check's peak is that 18 MB matrix and eigvalsh's working copy; a
+    # separate Laplacian beside the kron argument made it three (52 MB).
+    # The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at the
+    # RSS of the process that started it (here, pytest).
+    code = (
+        "from kronspec import checks\n"
+        "def peak_mb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:')) / 1024\n"
+        "checks.expected_spectrum_gap(5, 7)\n"
+        "before = peak_mb()\n"
+        "assert checks.expected_spectrum_gap(30, 50)['pass']\n"
+        "print(peak_mb() - before)\n"
+    )
+    src = str(Path(kronspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    order_1500_mb = 1500 * 1500 * 8 / 2**20
+    assert float(out.stdout) < 2.5 * order_1500_mb
