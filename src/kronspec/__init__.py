@@ -10,7 +10,6 @@ from .graphs import (
     kronecker_graph,
     laplacian,
     normalized_laplacian,
-    normalized_laplacian_of,
     read_edge_list,
     write_edge_list,
 )

@@ -24,9 +24,9 @@ from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
 from .experiments import (
     ExperimentConfig,
     FIGURES,
-    default_ordering,
     estimate_spectrum,
     reproduce_figure,
+    resolve_ordering,
     run_experiment,
     theory_suite,
     write_csv,
@@ -52,11 +52,8 @@ def _cmd_estimate(args) -> int:
     g1 = read_edge_list(args.factor1)
     g2 = read_edge_list(args.factor2)
     estimators = (Estimator.SAYAMA_LAPLACIAN, Estimator.NORMALIZED_LAPLACIAN)
-    # as in experiment runs: an explicit --ordering applies to both estimators
-    orderings = [
-        Ordering(args.ordering, args.seed) if args.ordering else default_ordering(e, args.seed)
-        for e in estimators
-    ]
+    explicit = Ordering(args.ordering, args.seed) if args.ordering else None
+    orderings = [resolve_ordering(explicit, e, args.seed) for e in estimators]
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     exact = product_spectrum(KroneckerLaplacian(g1, g2))
     sayama, normalized = (

@@ -13,8 +13,10 @@ heuristic chooses:
 Both return the n1*n2 estimated eigenvalues as a flat float64 array in
 row-major order over the (reordered) factor indices; the corresponding
 estimated eigenvectors are Kronecker products of factor eigenvector columns.
-The correlated ordering (eigenvalues ascending, like the degrees) is the
-default and the most accurate heuristic.
+``Ordering()`` (Correlated: eigenvalues ascending, like the degrees) is only
+the functions' argument default. The experiment pipeline's per-estimator
+default, under which Correlated biases the normalized estimate low, lives in
+``experiments.resolve_ordering``.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ class ExperimentConfig:
     reproduces the reference error bands: Correlated for the Laplacian-basis
     estimate and a per-run seeded Uncorrelated shuffle for the
     normalized-basis estimate, whose value multiset is systematically biased
-    by any rank-correlated degree pairing (see default_ordering). An
+    by any rank-correlated degree pairing (see resolve_ordering). An
     explicit Ordering applies to both estimators.
     """
 
@@ -153,6 +153,9 @@ class ExperimentConfig:
             object.__setattr__(self, key, coerce(key, getattr(self, key)))
         if len(self.orders) != 2:
             raise ValueError(f"orders must have two entries, got {self.orders}")
+        if len(set(self.estimators)) != len(self.estimators):
+            names = [e.value for e in self.estimators]
+            raise ValueError(f"estimators must not repeat, got {names}")
         # GeneratorSpec checks model and orders, density_to_params the density
         for n in self.orders:
             density_to_params(self.factor_spec(n, seed=0))
@@ -199,36 +202,28 @@ class RunRecord:
     correlations: dict[str, np.ndarray] | None  # per basis, in correlation_profile order
 
 
-def default_ordering(estimator: Estimator, seed: int) -> Ordering:
-    """The eigenvalue ordering an estimator uses when none is given.
+def resolve_ordering(ordering: Ordering | None, estimator: Estimator, seed: int) -> Ordering:
+    """The eigenvalue ordering an estimator uses: ``ordering`` when given, else its default.
 
-    The Laplacian-basis estimate pairs eigenvalues ascending against
-    ascending degrees (Correlated), which its additive mu*d cells need; the
+    An explicit ordering applies to every estimator. By default the
+    Laplacian-basis estimate pairs eigenvalues ascending against ascending
+    degrees (Correlated), which its additive mu*d cells need; the
     normalized-basis estimate pairs them by a shuffle seeded by ``seed``
     (Uncorrelated), because its multiplicative cells acquire a systematic
     trace deficit under any rank-correlated pairing (sum of lam_(i) d_(i)
     exceeds the mean-field value for similarly-sorted sequences) that
     inflates the error medians on sparse irregular factors.
     """
+    if ordering is not None:
+        return ordering
     if estimator == Estimator.SAYAMA_LAPLACIAN:
         return Ordering(kind=OrderingKind.CORRELATED)
     return Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=seed)
 
 
-def resolve_ordering(config: ExperimentConfig, estimator: Estimator, run_index: int) -> Ordering:
-    """The eigenvalue ordering one estimator uses in one run.
-
-    An explicit config ordering always wins; otherwise the
-    :func:`default_ordering`, its shuffle seeded per run.
-    """
-    if config.ordering is not None:
-        return config.ordering
-    return default_ordering(estimator, derive_seed(config.master_seed, run_index, "ordering"))
-
-
 def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
     """The ``ordering`` column of one estimator's error table."""
-    kind = resolve_ordering(config, estimator, 0).kind
+    kind = resolve_ordering(config.ordering, estimator, 0).kind
     if config.ordering is None and kind == OrderingKind.UNCORRELATED:
         return f"{kind.value}[per-run seed]"
     return kind.value
@@ -256,12 +251,12 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     op = KroneckerLaplacian(g1, g2)
     actual = product_spectrum(op)
+    seed = derive_seed(config.master_seed, run_index, "ordering")
     errors = {
-        estimator: percentage_errors(
-            estimate_spectrum(estimator, f1, f2, resolve_ordering(config, estimator, run_index)),
-            actual,
+        e: percentage_errors(
+            estimate_spectrum(e, f1, f2, resolve_ordering(config.ordering, e, seed)), actual
         )
-        for estimator in config.estimators
+        for e in config.estimators
     }
 
     correlations = None

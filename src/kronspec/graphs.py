@@ -125,45 +125,26 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``.
+    """Normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``, as a new array.
 
     Requires every degree >= 1; eigenvalues of the result lie in [0, 2].
     """
-    return normalized_laplacian_of(g.adjacency)
-
-
-def normalized_laplacian_of(matrix: np.ndarray) -> np.ndarray:
-    """Normalized Laplacian of a symmetric nonnegative matrix, as a new array.
-
-    Degrees are row sums. Used for weighted matrices such as expected
-    adjacency matrices, where entries are probabilities rather than 0/1.
-    The input is copied once to float64 and left unchanged; the copy is
-    normalized in place by :func:`_normalize_owned`.
-    """
-    return _normalize_owned(np.array(matrix, dtype=np.float64))
-
-
-# Rows scaled per step by _normalize_owned: at order 1500 the scaling block
-# is 1.5 MB, against 18 MB for a whole-matrix np.outer.
-_NORMALIZE_ROWS = 128
+    return _normalize_owned(np.array(g.adjacency))
 
 
 def _normalize_owned(lap: np.ndarray) -> np.ndarray:
     """Turn a float64 matrix the caller gives up into its normalized Laplacian, in place.
 
-    Entry (i, j) becomes ``-(a_i a_j) m_ij`` with ``a = deg**-1/2``, the same
-    bits as a whole-matrix ``-np.outer(a, a) * m``, so a symmetric input
-    stays exactly symmetric; then 1 is added on the diagonal. Works one
-    block of rows at a time, so no second N x N array is made.
+    Degrees are row sums, so weighted matrices such as expected adjacency
+    matrices work too. Entry (i, j) becomes ``(a_i * -a_j) m_ij`` with
+    ``a = deg**-1/2``, which is exactly ``-(a_i a_j) m_ij``, so a symmetric
+    input stays exactly symmetric; then 1 is added on the diagonal.
     """
     deg = lap.sum(axis=1)
     if np.any(deg <= 0):
         raise ValueError(f"vertex {np.argmax(deg <= 0)} is isolated; no normalized Laplacian")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    for start in range(0, len(lap), _NORMALIZE_ROWS):
-        rows = slice(start, start + _NORMALIZE_ROWS)
-        # outer() makes the scaling factor exactly symmetric in floating point
-        lap[rows] *= -np.outer(inv_sqrt[rows], inv_sqrt)
+    lap *= np.outer(inv_sqrt, -inv_sqrt)
     np.fill_diagonal(lap, lap.diagonal() + 1.0)
     return lap
 

@@ -143,16 +143,28 @@ def test_correlation_density_csv_layout(tmp_path):
 
 
 def test_per_estimator_ordering_defaults():
-    config = cycle_config(model="ER", orders=(10, 12), density=0.4)
-    sayama = resolve_ordering(config, Estimator.SAYAMA_LAPLACIAN, run_index=0)
-    assert sayama.kind == OrderingKind.CORRELATED
-    norm0 = resolve_ordering(config, Estimator.NORMALIZED_LAPLACIAN, run_index=0)
-    norm1 = resolve_ordering(config, Estimator.NORMALIZED_LAPLACIAN, run_index=1)
-    assert norm0.kind == OrderingKind.UNCORRELATED
-    assert norm0.randomization_seed != norm1.randomization_seed
-    explicit = cycle_config(ordering=Ordering(kind=OrderingKind.ANTI_CORRELATED))
+    sayama = resolve_ordering(None, Estimator.SAYAMA_LAPLACIAN, seed=7)
+    assert sayama == Ordering(kind=OrderingKind.CORRELATED)
+    norm = resolve_ordering(None, Estimator.NORMALIZED_LAPLACIAN, seed=7)
+    assert norm == Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=7)
+    explicit = Ordering(kind=OrderingKind.ANTI_CORRELATED)
     for estimator in Estimator:
-        assert resolve_ordering(explicit, estimator, 0).kind == OrderingKind.ANTI_CORRELATED
+        assert resolve_ordering(explicit, estimator, seed=7) is explicit
+
+
+def test_run_single_seeds_the_default_pairing_per_run(monkeypatch):
+    seeds = []
+
+    def recording(ordering, estimator, seed):
+        seeds.append(seed)
+        return resolve_ordering(ordering, estimator, seed)
+
+    monkeypatch.setattr(experiments, "resolve_ordering", recording)
+    config = cycle_config(compute_correlations=False)
+    for run_index in (0, 1):
+        run_single(config, run_index)
+    # one seed per run, shared by both estimators
+    assert seeds[0] == seeds[1] != seeds[2] == seeds[3]
 
 
 def test_config_json_round_trip():
@@ -301,6 +313,7 @@ def test_config_rejects_unknown_keys():
         ({"orders": "12"}, "orders"),
         ({"output_dir": 5}, "output_dir"),
         ({"ordering": {"kind": "Uncorrelated", "randomization_seed": -1}}, "randomization_seed"),
+        ({"estimators": ["SayamaLaplacian", "SayamaLaplacian"]}, "estimators"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):

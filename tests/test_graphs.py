@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronspec.generators import barabasi_albert, erdos_renyi, watts_strogatz
-from kronspec import graphs as graphs_module
 from kronspec.graphs import (
     Graph,
     KroneckerLaplacian,
+    _normalize_owned,
     build_graph,
     cycle_graph,
     edge_density,
@@ -20,7 +20,6 @@ from kronspec.graphs import (
     kronecker_graph,
     laplacian,
     normalized_laplacian,
-    normalized_laplacian_of,
     read_edge_list,
     write_edge_list,
 )
@@ -234,15 +233,24 @@ def test_edge_density():
     assert edge_density(star4()) == 0.5
 
 
-def test_normalized_laplacian_of_weighted_matrix():
+def test_normalized_laplacian_is_a_new_writable_array():
+    g = triangle()
+    before = g.adjacency.copy()
+    norm = normalized_laplacian(g)
+    assert norm.flags.writeable
+    assert not np.shares_memory(norm, g.adjacency)
+    assert np.array_equal(g.adjacency, before)
+
+
+def test_normalize_owned_weighted_matrix():
     # scaling the matrix leaves the normalized Laplacian unchanged
     base = np.array([[0, 2.0, 1.0], [2.0, 0, 1.0], [1.0, 1.0, 0]])
-    assert np.allclose(normalized_laplacian_of(base), normalized_laplacian_of(3.7 * base))
+    assert np.allclose(_normalize_owned(base.copy()), _normalize_owned(3.7 * base))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 2 * graphs_module._NORMALIZE_ROWS + 1), st.integers(0, 2**32 - 1))
-def test_normalized_laplacian_of_matches_whole_matrix_formula(n, seed):
+@given(st.integers(1, 257), st.integers(0, 2**32 - 1))
+def test_normalize_owned_matches_whole_matrix_formula(n, seed):
     # a random symmetric nonnegative weighted matrix, zeros included; every
     # row keeps a positive entry on a cycle (n = 1: the diagonal)
     rng = np.random.default_rng(seed)
@@ -250,18 +258,17 @@ def test_normalized_laplacian_of_matches_whole_matrix_formula(n, seed):
     m = np.triu(m) + np.triu(m, 1).T
     ring = (np.arange(n) + 1) % n
     m[np.arange(n), ring] = m[ring, np.arange(n)] = 1.5
-    before = m.copy()
     inv_sqrt = 1.0 / np.sqrt(m.sum(axis=1))
     expected = -np.outer(inv_sqrt, inv_sqrt) * m
     np.fill_diagonal(expected, expected.diagonal() + 1.0)
-    lap = normalized_laplacian_of(m)
-    # the same bits as one whole-matrix outer product, signed zeros included
+    buffer = m.copy()
+    lap = _normalize_owned(buffer)
+    # the same bits as the whole-matrix formula, signed zeros included
     assert np.array_equal(lap, expected)
     assert np.array_equal(np.signbit(lap), np.signbit(expected))
     assert np.array_equal(lap, lap.T)
-    # a new array; the input is left as it was
-    assert not np.shares_memory(lap, m)
-    assert np.array_equal(m, before)
+    # built in the buffer it was given, so no second N x N array is made
+    assert np.shares_memory(lap, buffer)
 
 
 def test_edge_list_round_trip():
