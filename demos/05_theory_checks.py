@@ -12,7 +12,7 @@ reported too).
 
 import json
 
-from kronspec import theory_suite
+from kronspec.checks import theory_suite
 
 report = theory_suite(output_dir="demos_out/theory", seed=5, er_draws=20, graph_count=100)
 

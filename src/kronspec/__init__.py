@@ -56,7 +56,7 @@ from .experiments import (
     reproduce_figure,
     run_experiment,
     run_single,
-    theory_suite,
 )
+from .checks import theory_suite
 
 __version__ = "0.1.0"

@@ -4,18 +4,20 @@ Each check function is a seeded, deterministic driver that measures the gap
 between a predicted quantity and what the estimators, or the product
 Laplacian applied to explicitly formed vectors, actually produce on
 generated graphs, returning ``{"inputs", "predicted", "observed", "pass"}``.
-``experiments.theory_suite`` packages them into the theory report emitted
-by the CLI; the acceptance tests call them individually and assert their
-stated tolerances.
+:func:`theory_suite` packages them into the theory report emitted by the
+CLI; the acceptance tests call them individually and assert their stated
+tolerances.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from .estimators import normalized_estimate, sayama_spectrum
+from .experiments import _version, _write_json
 from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
@@ -126,13 +128,17 @@ def asymptotic_inequality_grid() -> dict:
 
 
 def expected_r1j_grid() -> dict:
+    """The ER expectation of r(1, j) over an (n, p) grid: in (0, 1) and increasing in n and p."""
     orders, densities = (30, 50, 100, 200), (0.10, 0.30, 0.65)
     values = {f"n={n},p={p}": expected_r1j(n, p) for n in orders for p in densities}
+    grid = np.reshape(list(values.values()), (len(orders), len(densities)))
+    inside = bool(((grid > 0) & (grid < 1)).all())
+    increasing = bool((np.diff(grid, axis=0) > 0).all() and (np.diff(grid, axis=1) > 0).all())
     return {
         "inputs": {"orders": list(orders), "densities": list(densities)},
-        "predicted": None,
+        "predicted": "in (0, 1), strictly increasing in n at each p and in p at each n",
         "observed": values,
-        "pass": True,
+        "pass": inside and increasing,
     }
 
 
@@ -322,3 +328,38 @@ def rprime_bound_slack(seed: int) -> dict:
         "pass": min_slack_corrected >= slack_floor,
     }
 
+
+def theory_suite(
+    output_dir: str | None = None,
+    seed: int = 12345,
+    er_draws: int = 100,
+    graph_count: int = 1000,
+) -> dict:
+    """Run every closed-form/bound/Monte-Carlo check and report pass/fail.
+
+    Returns the report dict; also writes theory_report.json when an output
+    directory is given.
+    """
+    seed = _as_int("seed", seed, 0)
+    # the two checks sized by the arguments run first, so bad sizes fail before any solve
+    report = {
+        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=er_draws, seed=seed),
+        "sayama_nonnegativity": sayama_nonnegativity_sweep(graph_count=graph_count, seed=seed),
+        "mean_rms_closed_forms": closed_form_mean_rms(),
+        "staircase_limit": staircase_limit(),
+        "asymptotic_inequality_grid": asymptotic_inequality_grid(),
+        "expected_r1j_grid": expected_r1j_grid(),
+        "expected_spectrum_small": expected_spectrum_gap(5, 7),
+        "expected_spectrum_desk": expected_spectrum_gap(30, 50),
+        "r1j_closed_form": r1j_closed_form_gap(seed=seed),
+        "colinearity": colinearity_residual(seed=seed),
+        "normalized_decomposition": normalized_decomposition_gaps(seed=seed),
+        "rprime_lower_bound": rprime_bound_slack(seed=seed),
+    }
+    report["all_pass"] = all(entry["pass"] for entry in report.values())
+    report["version"] = _version()
+    if output_dir is not None:
+        out = Path(output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "theory_report.json", report)
+    return report

@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .checks import theory_suite
 from .estimators import Estimator, Ordering, OrderingKind
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
 from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
@@ -28,7 +29,6 @@ from .experiments import (
     reproduce_figure,
     resolve_ordering,
     run_experiment,
-    theory_suite,
     write_csv,
 )
 from .spectral import factor_spectra, product_spectrum

@@ -481,42 +481,3 @@ def reproduce_figure(
     _write_json(Path(output_dir, f"{figure_id}_manifest.json"), manifest)
     return manifest
 
-
-def theory_suite(
-    output_dir: str | None = None,
-    seed: int = 12345,
-    er_draws: int = 100,
-    graph_count: int = 1000,
-) -> dict:
-    """Run every closed-form/bound/Monte-Carlo check and report pass/fail.
-
-    Returns the report dict; also writes theory_report.json when an output
-    directory is given.
-    """
-    from . import checks
-
-    seed = _as_int("seed", seed, 0)
-    # the two checks sized by the arguments run first, so bad sizes fail before any solve
-    report = {
-        "er_r1j_monte_carlo": checks.er_r1j_monte_carlo(draws=er_draws, seed=seed),
-        "sayama_nonnegativity": checks.sayama_nonnegativity_sweep(
-            graph_count=graph_count, seed=seed
-        ),
-        "mean_rms_closed_forms": checks.closed_form_mean_rms(),
-        "staircase_limit": checks.staircase_limit(),
-        "asymptotic_inequality_grid": checks.asymptotic_inequality_grid(),
-        "expected_r1j_grid": checks.expected_r1j_grid(),
-        "expected_spectrum_small": checks.expected_spectrum_gap(5, 7),
-        "expected_spectrum_desk": checks.expected_spectrum_gap(30, 50),
-        "r1j_closed_form": checks.r1j_closed_form_gap(seed=seed),
-        "colinearity": checks.colinearity_residual(seed=seed),
-        "normalized_decomposition": checks.normalized_decomposition_gaps(seed=seed),
-        "rprime_lower_bound": checks.rprime_bound_slack(seed=seed),
-    }
-    report["all_pass"] = all(entry["pass"] for entry in report.values())
-    report["version"] = _version()
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "theory_report.json", report)
-    return report

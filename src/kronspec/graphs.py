@@ -186,17 +186,6 @@ class KroneckerLaplacian:
         scaled = np.multiply.outer(g.degrees, h.degrees)[:, :, None] * cube
         return (scaled - mixed).reshape(x.shape)
 
-    def dense(self) -> np.ndarray:
-        """The N x N matrix ``diag(kron(d1, d2)) - kron(A1, A2)`` as float64.
-
-        Built straight from the factors, never through
-        :func:`kronecker_graph`; entry for entry (signed zeros included) it
-        equals ``laplacian(kronecker_graph(g, h))``.
-        """
-        lap = np.kron(-self.first.adjacency, self.second.adjacency)
-        np.fill_diagonal(lap, np.kron(self.first.degrees, self.second.degrees))
-        return lap
-
 
 def is_connected(g: Graph) -> bool:
     """True iff a traversal from vertex 0 reaches every vertex."""

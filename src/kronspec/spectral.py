@@ -6,15 +6,19 @@ quadratic forms, residual norms) is sign-invariant. :func:`product_spectrum`
 makes every solve decision for the product Laplacian: blocks or dense, in
 place or copied, solved or read from the per-process cache.
 
-No solve scans its input for symmetry, because every matrix solved here is
-built symmetric: ``Graph.__post_init__`` checks that an adjacency equals its
-transpose exactly where outside input enters, and each Laplacian, block and
-product is formed from such adjacencies by operations that keep the equality.
+No solve scans its input for symmetry. ``Graph.__post_init__`` checks that
+an adjacency equals its transpose exactly where outside input enters, and
+each factor Laplacian and block is formed from such adjacencies by
+operations that keep the equality. :func:`owned_eigenvalues` reads only the
+upper triangle (diagonal included) of the matrix it is given, so the dense
+product (:func:`_product_upper`) is built as that triangle alone, its lower
+triangle left as zero pages that are never written.
 ``test_owned_matrices_are_exactly_symmetric`` checks every matrix a solve receives.
 """
 
 from __future__ import annotations
 
+import mmap
 from hashlib import sha256
 from typing import NamedTuple
 
@@ -50,23 +54,56 @@ def factor_spectra(g: Graph) -> FactorSpectra:
 
 
 def owned_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a C-ordered float64 matrix, symmetric by construction.
+    """Ascending eigenvalues of a C-ordered float64 symmetric matrix, from its upper triangle.
 
-    The caller built ``m`` and gives it up. From order ``IN_PLACE_MIN_ORDER``
-    the solve overwrites ``m`` instead of copying it, with the same bits as
+    Only the upper triangle of ``m``, diagonal included, is read. The caller
+    built ``m`` and gives it up. From order ``IN_PLACE_MIN_ORDER`` the solve
+    overwrites ``m`` instead of copying it, with the same bits as
     ``np.linalg.eigvalsh``.
     """
+    # m.T is a Fortran-ordered view whose lower triangle, the one LAPACK
+    # reads, is m's upper triangle
     if m.shape[0] < IN_PLACE_MIN_ORDER:
-        return np.linalg.eigvalsh(m)
+        return np.linalg.eigvalsh(m.T)
     import scipy.linalg
 
-    # m.T is a Fortran-ordered view of the same matrix, so LAPACK works in it
     return scipy.linalg.eigh(
         m.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
     )
 
 
 _spectra: dict[str, np.ndarray] = {}  # least recently used first
+
+
+def _product_upper(op: KroneckerLaplacian) -> np.ndarray:
+    """The upper triangle of ``op``'s N x N Laplacian, diagonal included, C-ordered.
+
+    Entry for entry, signed zeros included, it is the upper triangle of
+    ``diag(d1 (x) d2) + (-A1) (x) A2`` (as ``np.kron`` forms it), written one
+    block row at a time from the factors. The buffer is a fresh anonymous
+    mapping without huge pages, and nothing is written below the diagonal,
+    so those entries stay +0.0 in pages that are never committed.
+    """
+    g, h = op.first, op.second
+    n = g.n * h.n
+    # private, because reading an unwritten page of a shared (shmem) mapping
+    # allocates it, and no huge pages, because each would commit 2 MB around
+    # the entries written into it
+    buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if no_huge_pages is not None:
+        buf.madvise(no_huge_pages)
+    m = np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+    upper = np.triu_indices(h.n)
+    for i in range(g.n):
+        rows = m[i * h.n : (i + 1) * h.n]
+        # block (i, j) is -A1[i, j] * A2; those right of the diagonal block in one step
+        right = rows.reshape(h.n, g.n, h.n)[:, i + 1 :]
+        np.multiply(-g.adjacency[i, i + 1 :, None], h.adjacency[:, None, :], out=right)
+        block = -g.adjacency[i, i] * h.adjacency
+        np.fill_diagonal(block, g.degrees[i] * h.degrees)
+        rows[:, i * h.n : (i + 1) * h.n][upper] = block[upper]
+    return m
 
 
 def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
@@ -93,11 +130,12 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     """Ascending exact eigenvalues of the product Laplacian, read-only.
 
     A regular factor gives n small blocks (:func:`_block_spectrum`) and no
-    N x N matrix; any other product is solved densely from ``op.dense()`` by
-    :func:`owned_eigenvalues`. A process solves each distinct product once:
-    the spectrum is kept under a SHA-256 of the two factor adjacencies, in
-    order (the degrees are their row sums), so a repeated product (the same
-    seeded pair under another ordering) skips both the build and the solve.
+    N x N matrix; any other product is solved densely by
+    :func:`owned_eigenvalues` from the upper triangle :func:`_product_upper`
+    builds. A process solves each distinct product once: the spectrum is
+    kept under a SHA-256 of the two factor adjacencies, in order (the
+    degrees are their row sums), so a repeated product (the same seeded pair
+    under another ordering) skips both the build and the solve.
     """
     digest = sha256()
     for g in (op.first, op.second):
@@ -108,7 +146,7 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     if spectrum is None:
         spectrum = _block_spectrum(op)
         if spectrum is None:
-            spectrum = owned_eigenvalues(op.dense())
+            spectrum = owned_eigenvalues(_product_upper(op))
         spectrum.setflags(write=False)
     _spectra[key] = spectrum
     if len(_spectra) > SPECTRUM_CACHE_ENTRIES:

@@ -53,9 +53,18 @@ def factor_pairs(draw):
 
 
 def dense_laplacian(g, h) -> np.ndarray:
-    a1 = g.adjacency.astype(np.float64)
-    a2 = h.adjacency.astype(np.float64)
-    return np.diag(np.kron(g.degrees, h.degrees).astype(np.float64)) - np.kron(a1, a2)
+    """The product graph's Laplacian: ``-kron(A1, A2)``, degree products on the diagonal.
+
+    Every zero off the diagonal is -0.0, as in the matrix kronspec solves.
+    """
+    return laplacian(kronecker_graph(g, h))
+
+
+def assert_upper_triangle_of(m: np.ndarray, reference: np.ndarray) -> None:
+    """``m`` holds ``reference``'s upper triangle bit for bit and +0.0 below the diagonal."""
+    assert np.triu(m).tobytes() == np.triu(reference).tobytes()
+    below = np.tril(m, -1)
+    assert below.tobytes() == np.zeros_like(below).tobytes()
 
 
 def dense_profile(g, h, basis1, basis2) -> np.ndarray:
@@ -117,20 +126,23 @@ def test_block_spectrum_matches_dense(r, other, swap):
 )
 def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     # no solve scans its input for symmetry; this is why none needs to: every
-    # matrix a kronspec solve receives equals its transpose exactly
+    # factor basis, block and expected-adjacency matrix a kronspec solve
+    # receives equals its transpose exactly, and the dense product holds the
+    # exact product Laplacian's bits in the triangle LAPACK reads (the lower
+    # one of the m.T it receives), with +0.0 in the other
     g, h = pair[::-1] if swap else pair
-    solved = {"eigh": [], "eigvalsh": []}
+    received = []
 
     def recording(name, solve):
-        def checked(m):
-            solved[name].append(np.array_equal(m, m.T))
+        def kept(m):
+            received.append((name, m))
             return solve(m)
 
-        return checked
+        return kept
 
     spectral._spectra.clear()
     with pytest.MonkeyPatch.context() as mp:
-        for name in solved:
+        for name in ("eigh", "eigvalsh"):
             mp.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
         spectral.factor_spectra(g)
         spectral.factor_spectra(h)
@@ -140,9 +152,12 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     # two bases per factor; the regular factor's adjacency and one block per
     # vertex of it, or one dense product; the two expected-adjacency products
     regular = [f.n for f in (g, h) if np.all(f.degrees == f.degrees[0])]
-    assert len(solved["eigh"]) == 4
-    assert len(solved["eigvalsh"]) == (1 + max(regular) if regular else 1) + 2
-    assert all(solved["eigh"]) and all(solved["eigvalsh"])
+    product_solves = 1 + max(regular) if regular else 1
+    assert [name for name, _ in received] == ["eigh"] * 4 + ["eigvalsh"] * (product_solves + 2)
+    symmetric = [m for _, m in received]
+    if not regular:
+        assert_upper_triangle_of(symmetric.pop(4).T, dense_laplacian(g, h))
+    assert all(np.array_equal(m, m.T) for m in symmetric)
 
 
 @PROPERTY
@@ -192,7 +207,7 @@ def test_matvec_matches_dense(pair, columns, seed):
     op = KroneckerLaplacian(g, h)
     x = np.random.default_rng(seed).standard_normal((g.n * h.n, columns))
     reference = dense_laplacian(g, h)
-    assert np.array_equal(op.dense(), reference)
+    assert_upper_triangle_of(spectral._product_upper(op), reference)
     assert np.abs(op.matvec(x) - reference @ x).max() <= 1e-12 * max(1.0, np.abs(x).max())
     assert np.allclose(op.matvec(x[:, 0]), reference @ x[:, 0], rtol=0, atol=1e-12)
 
@@ -213,9 +228,11 @@ def test_regular_factors_give_all_ones(g, h, basis):
 def test_dense_is_bitwise_the_product_graph_laplacian():
     g = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=3))
     h = generate_connected(GeneratorSpec("BA", 7, 0.5, seed=4))
-    dense = KroneckerLaplacian(g, h).dense()
-    # same bytes, signed zeros included, so the eigensolver sees the same input
-    assert dense.tobytes() == laplacian(kronecker_graph(g, h)).tobytes()
+    upper = spectral._product_upper(KroneckerLaplacian(g, h))
+    # same bytes in the triangle LAPACK reads, signed zeros included, so the
+    # eigensolver sees the same input as from the full product graph Laplacian
+    assert_upper_triangle_of(upper, laplacian(kronecker_graph(g, h)))
+    assert np.signbit(upper[0, 1:]).all()
 
 
 def test_matvec_rejects_wrong_length():

@@ -1,12 +1,17 @@
 """The eigensolves of spectral.py: factor decompositions and in-place product solves."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronspec
 from kronspec import spectral
 from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
@@ -135,13 +140,15 @@ def er_ws_ba_products(draw):
 @given(er_ws_ba_products())
 def test_in_place_solve_is_bit_exact(op):
     # the order constant is patched down so the in-place scipy path runs on
-    # small products; it must give eigvalsh's bits and work in m's buffer
+    # small products; from the upper triangle alone it must give the bits
+    # eigvalsh gives for the whole product Laplacian, and work in m's buffer
+    reference = laplacian(kronecker_graph(op.first, op.second))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "IN_PLACE_MIN_ORDER", 1)
-        m = op.dense()
+        m = spectral._product_upper(op)
         values = owned_eigenvalues(m)
-    assert values.tobytes() == np.linalg.eigvalsh(op.dense()).tobytes()
-    assert not np.array_equal(m, op.dense())
+    assert values.tobytes() == np.linalg.eigvalsh(reference).tobytes()
+    assert not np.array_equal(np.triu(m), np.triu(reference))
 
 
 def test_in_place_solve_is_bit_exact_at_the_real_order():
@@ -151,8 +158,45 @@ def test_in_place_solve_is_bit_exact_at_the_real_order():
         generate_connected(GeneratorSpec("ER", 70, 0.3, 6)),
     )
     assert op.first.n * op.second.n == spectral.IN_PLACE_MIN_ORDER
-    m = op.dense()
+    m = spectral._product_upper(op)
     values = owned_eigenvalues(m)
-    assert not np.array_equal(m, op.dense())
+    # LAPACK's tridiagonal reduction replaced the degree products on m's diagonal
+    assert not np.array_equal(np.diagonal(m), np.kron(op.first.degrees, op.second.degrees))
     del m
-    assert values.tobytes() == np.linalg.eigvalsh(op.dense()).tobytes()
+    reference = laplacian(kronecker_graph(op.first, op.second))
+    assert values.tobytes() == np.linalg.eigvalsh(reference).tobytes()
+
+
+def test_in_place_product_solve_commits_about_half_the_matrix():
+    # the dense product is built as the upper triangle alone, in a mapping
+    # whose lower triangle is never written, so the in-place solve at the
+    # real order commits about half of its N x N matrix; the full matrix
+    # read 1.0x. VmHWM is read in a fresh process after scipy.linalg is
+    # loaded, so only the build and the solve raise it.
+    code = (
+        "import scipy.linalg\n"
+        "from kronspec.spectral import product_spectrum\n"
+        "from kronspec.generators import GeneratorSpec, generate_connected\n"
+        "from kronspec.graphs import KroneckerLaplacian\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:')) * 1024\n"
+        "op = KroneckerLaplacian(\n"
+        "    generate_connected(GeneratorSpec('ER', 50, 0.3, 5)),\n"
+        "    generate_connected(GeneratorSpec('ER', 70, 0.3, 6)),\n"
+        ")\n"
+        "before = peak()\n"
+        "assert product_spectrum(op).shape == (3500,)\n"
+        "print(peak() - before)\n"
+    )
+    src = str(Path(kronspec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert spectral.IN_PLACE_MIN_ORDER == 3500
+    assert int(out.stdout) < 0.75 * 8 * 3500**2

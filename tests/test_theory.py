@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kronspec import checks
 from kronspec.checks import (
     complete_bipartite_graph,
     complete_graph,
@@ -75,6 +76,24 @@ def test_expected_r1j_values():
     grid = [expected_r1j(n, 0.3) for n in (10, 30, 100, 300, 1000)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
     assert grid[-1] > 0.995
+
+
+def test_expected_r1j_grid_holds_its_claim():
+    entry = checks.expected_r1j_grid()
+    assert entry["pass"] is True
+    assert entry["observed"] == {
+        f"n={n},p={p}": expected_r1j(n, p) for n in (30, 50, 100, 200) for p in (0.1, 0.3, 0.65)
+    }
+
+
+@pytest.mark.parametrize("broken", [
+    lambda n, p: 1.0 / n,  # decreasing in n
+    lambda n, p: 1.0 - p / 2 - 1.0 / n,  # decreasing in p
+    lambda n, p: n * p / 10,  # increasing in both, but leaves (0, 1)
+])
+def test_expected_r1j_grid_fails_a_broken_formula(monkeypatch, broken):
+    monkeypatch.setattr(checks, "expected_r1j", broken)
+    assert checks.expected_r1j_grid()["pass"] is False
 
 
 def test_expected_r1j_validation():
