@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import normalized_estimate, sayama_spectrum
-from .experiments import _version, _write_json
+from .experiments import _write_json, version_string
 from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
@@ -357,7 +357,7 @@ def theory_suite(
         "rprime_lower_bound": rprime_bound_slack(seed=seed),
     }
     report["all_pass"] = all(entry["pass"] for entry in report.values())
-    report["version"] = _version()
+    report["version"] = version_string()
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)

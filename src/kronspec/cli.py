@@ -57,18 +57,14 @@ def _cmd_estimate(args) -> int:
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     exact = product_spectrum(KroneckerLaplacian(g1, g2))
     sayama, normalized = (
-        np.sort(estimate_spectrum(e, f1, f2, o)).tolist() for e, o in zip(estimators, orderings)
-    )
-    rows = (
-        f"{k},{e!r},{s!r},{n!r}"
-        for k, (e, s, n) in enumerate(zip(exact.tolist(), sayama, normalized), start=1)
+        np.sort(estimate_spectrum(e, f1, f2, o)) for e, o in zip(estimators, orderings)
     )
     write_csv(
         args.output or sys.stdout,
         f"ordering_sayama={orderings[0].kind.value}"
         f" ordering_normalized={orderings[1].kind.value} seed={args.seed}",
-        "rank,exact,estimate_sayama,estimate_normalized",
-        rows,
+        {"rank": range(1, len(exact) + 1), "exact": exact}
+        | {"estimate_sayama": sayama, "estimate_normalized": normalized},
     )
     if args.output:
         print(f"wrote {args.output}: {len(exact)} eigenvalues")

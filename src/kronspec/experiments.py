@@ -23,9 +23,9 @@ import subprocess
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from hashlib import sha256
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -51,11 +51,11 @@ from .spectral import FactorSpectra, factor_spectra, product_spectrum
 BASES = ("laplacian", "normalized")
 
 
+@functools.cache
 def version_string() -> str:
     """git-describe of the working tree, falling back to the package version.
 
-    Starts a subprocess on every call; report writers stamp their files
-    through the once-per-process :func:`_version` instead.
+    Computed once per process, so every report a process writes carries the same stamp.
     """
     try:
         out = subprocess.run(
@@ -72,11 +72,6 @@ def version_string() -> str:
     from kronspec import __version__
 
     return f"kronspec-{__version__}"
-
-
-@functools.cache
-def _version() -> str:
-    return version_string()
 
 
 def _of_type(key: str, value, types, what: str):
@@ -159,6 +154,9 @@ class ExperimentConfig:
         # GeneratorSpec checks model and orders, density_to_params the density
         for n in self.orders:
             density_to_params(self.factor_spec(n, seed=0))
+        if self.model == "CYCLE" and all(n % 2 == 0 for n in self.orders):
+            # even cycles are bipartite, and a product of bipartite graphs is disconnected
+            raise ValueError(f"orders must not both be even for CYCLE, got {self.orders}")
 
     def factor_spec(self, n: int, seed: int) -> GeneratorSpec:
         return GeneratorSpec(
@@ -327,23 +325,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_json(path: Path, data: dict) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_csv(dest: str | Path | IO[str], note: str, header: str, rows: Iterable[str]) -> None:
-    """Write one report table: ``# kronspec=<version> <note>``, the header, then the rows.
+def _cell(x) -> str:
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
-    Each row is one formatted CSV line without its newline. ``dest`` is a
-    path or an open text stream.
+
+def write_csv(dest: str | Path | IO[str], note: str, columns: Mapping[str, object]) -> None:
+    """Write one report table: ``# kronspec=<version> <note>``, the column names, then the rows.
+
+    Each value of ``columns`` is a list, tuple, range or array with one cell per
+    row, or one value that every row shares. A float cell is written as
+    ``repr(float(x))`` and any other with ``str``, decided per cell on Python
+    values (arrays are read through ``tolist``), so an integer column stays
+    integral whatever its range. Columns of unequal length are a ValueError.
+    ``dest`` is a path or an open text stream.
     """
-    lines = (f"{line}\n" for line in chain([f"# kronspec={_version()} {note}", header], rows))
+    values = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in columns.items()}
+    lengths = {k: len(v) for k, v in values.items() if isinstance(v, (list, tuple, range))}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    n = max(lengths.values(), default=1)
+    cells = (map(_cell, v) if k in lengths else repeat(_cell(v), n) for k, v in values.items())
+    head = [f"# kronspec={version_string()} {note}", ",".join(columns)]
+    lines = (f"{line}\n" for line in chain(head, map(",".join, zip(*cells))))
     if hasattr(dest, "write"):
         dest.writelines(lines)
     else:
@@ -351,41 +360,10 @@ def write_csv(dest: str | Path | IO[str], note: str, header: str, rows: Iterable
             fh.writelines(lines)
 
 
-def _config_columns(config: ExperimentConfig) -> str:
-    """The ``model,density,n1,n2,runs`` columns that end every profile and density row."""
+def _config_columns(config: ExperimentConfig, density: str) -> dict:
+    """The model, target density, orders and run count that end every profile and density row."""
     n1, n2 = config.orders
-    return f"{config.model},{_fmt(config.density)},{n1},{n2},{config.runs}"
-
-
-def _error_table(
-    profile: ErrorProfile, config: ExperimentConfig, estimator: Estimator
-) -> tuple[str, Iterable[str]]:
-    tail = f"{estimator.value},{ordering_label(config, estimator)},{_config_columns(config)}"
-    rows = (
-        f"{k + 1},{_fmt(profile.median[k])},{_fmt(profile.p5[k])},{_fmt(profile.p95[k])},{tail}"
-        for k in range(len(profile.median))
-    )
-    return "rank,median,p5,p95,estimator,ordering,model,density,n1,n2,runs", rows
-
-
-def _density_table(
-    curve: DensityCurve, config: ExperimentConfig, basis: str
-) -> tuple[str, Iterable[str]]:
-    # orderings play no role here: correlation profiles depend on the bases only
-    tail = f"{_fmt(curve.bandwidth)},{basis},-,{_config_columns(config)}"
-    rows = (
-        f"{_fmt(curve.grid[k])},{_fmt(curve.density[k])},{tail}" for k in range(len(curve.grid))
-    )
-    return "grid,density,bandwidth,basis,ordering,model,density_target,n1,n2,runs", rows
-
-
-def _runs_table(records: list[RunRecord]) -> tuple[str, Iterable[str]]:
-    rows = (
-        f"{r.run_index},{r.factor_seeds[0]},{r.factor_seeds[1]},"
-        f"{_fmt(r.achieved_densities[0])},{_fmt(r.achieved_densities[1])}"
-        for r in records
-    )
-    return "run,factor_seed1,factor_seed2,achieved_density1,achieved_density2", rows
+    return {"model": config.model, density: config.density, "n1": n1, "n2": n2, "runs": config.runs}
 
 
 def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
@@ -393,26 +371,44 @@ def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     config = bundle.config
     config_hash = config.config_hash()
-    # (files key, file name, (header, rows)) of every table
+    # (files key, file name, columns) of every table
     tables = [
-        (f"error_profile/{e.value}", f"errors_{e.value}.csv", _error_table(p, config, e))
+        (
+            f"error_profile/{e.value}",
+            f"errors_{e.value}.csv",
+            {"rank": range(1, len(p.median) + 1), "median": p.median, "p5": p.p5, "p95": p.p95}
+            | {"estimator": e.value, "ordering": ordering_label(config, e)}
+            | _config_columns(config, "density"),
+        )
         for e, p in bundle.error_profiles.items()
     ]
+    # orderings play no role here: correlation profiles depend on the bases only
     tables += [
-        (f"density_curve/{b}", f"correlation_density_{b}.csv", _density_table(c, config, b))
+        (
+            f"density_curve/{b}",
+            f"correlation_density_{b}.csv",
+            {"grid": c.grid, "density": c.density, "bandwidth": c.bandwidth, "basis": b}
+            | {"ordering": "-"}
+            | _config_columns(config, "density_target"),
+        )
         for b, c in bundle.density_curves.items()
         if c is not None
     ]
-    tables.append(("runs", "runs.csv", _runs_table(bundle.records)))
+    records = bundle.records
+    seed1, seed2 = zip(*(r.factor_seeds for r in records))
+    density1, density2 = zip(*(r.achieved_densities for r in records))
+    runs = {"run": [r.run_index for r in records], "factor_seed1": seed1, "factor_seed2": seed2}
+    runs |= {"achieved_density1": density1, "achieved_density2": density2}
+    tables.append(("runs", "runs.csv", runs))
     files: dict[str, str] = {}
-    for key, name, (header, rows) in tables:
-        write_csv(out / name, f"config={config_hash}", header, rows)
+    for key, name, columns in tables:
+        write_csv(out / name, f"config={config_hash}", columns)
         files[key] = name
 
     config_dict = config.to_dict()
     config_dict.pop("output_dir")  # the manifest sits inside it already
     manifest = {
-        "version": _version(),
+        "version": version_string(),
         "config": config_dict,
         "config_hash": config_hash,
         "files": files,
@@ -477,7 +473,7 @@ def reproduce_figure(
             if key.startswith(f"{panel_kind}/"):
                 panels[f"{tag}/{key.split('/')[1]}"] = f"{tag}/{Path(path).name}"
 
-    manifest = {"figure": figure_id, "version": _version(), "panels": panels}
+    manifest = {"figure": figure_id, "version": version_string(), "panels": panels}
     _write_json(Path(output_dir, f"{figure_id}_manifest.json"), manifest)
     return manifest
 

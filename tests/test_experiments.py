@@ -1,5 +1,7 @@
 """Experiment orchestration: determinism, debug model, reports, figures."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -22,7 +24,7 @@ from kronspec.experiments import (
     run_experiment,
     run_single,
 )
-from kronspec.generators import generate_connected_pair
+from kronspec.generators import GenerationError, generate_connected_pair
 from kronspec.graphs import KroneckerLaplacian, cycle_graph, kronecker_graph, laplacian
 from kronspec.spectral import product_spectrum
 
@@ -140,6 +142,65 @@ def test_correlation_density_csv_layout(tmp_path):
         assert len(lines) == 2 + 512
         for line in lines[2:]:
             assert line.split(",", 3)[3] == f"{basis},-,ER,0.4,10,12,2"
+
+
+def read_columns(path):
+    """A report table read back with ``csv``: column name -> cells, below the comment line."""
+    with open(path, newline="") as fh:
+        next(fh)
+        header, *rows = csv.reader(fh)
+    return dict(zip(header, map(list, zip(*rows))))
+
+
+def test_report_cells_round_trip(tmp_path):
+    config = ExperimentConfig(
+        model="ER", orders=(12, 15), density=0.4, runs=3, master_seed=5, output_dir=str(tmp_path)
+    )
+    bundle = run_experiment(config)
+
+    def written(values):
+        return [repr(float(x)) for x in values]
+
+    # the first factor seeds lie on both sides of 2**63, where a float64 column would round
+    seeds = list(zip(*(tuple(s.seed for s in config.run_specs(i)) for i in range(config.runs))))
+    assert min(seeds[0]) < 2**63 <= max(seeds[0])
+    runs = read_columns(tmp_path / "runs.csv")
+    for k in (0, 1):
+        assert runs[f"factor_seed{k + 1}"] == [str(seed) for seed in seeds[k]]
+        achieved = [r.achieved_densities[k] for r in bundle.records]
+        assert runs[f"achieved_density{k + 1}"] == written(achieved)
+    for estimator, profile in bundle.error_profiles.items():
+        table = read_columns(tmp_path / f"errors_{estimator.value}.csv")
+        for key in ("median", "p5", "p95"):
+            assert table[key] == written(getattr(profile, key))
+        assert table["density"] == written([config.density] * len(profile.median))
+    for basis, curve in bundle.density_curves.items():
+        table = read_columns(tmp_path / f"correlation_density_{basis}.csv")
+        assert table["grid"] == written(curve.grid)
+        assert table["density"] == written(curve.density)
+        assert table["bandwidth"] == written([curve.bandwidth] * len(curve.grid))
+        assert table["density_target"] == written([config.density] * len(curve.grid))
+
+
+def test_write_csv_repeats_shared_values_and_rejects_ragged_columns():
+    out = io.StringIO()
+    columns = {
+        "k": range(1, 4),
+        "x": np.array([0.1, 2.0, 1e300]),
+        "seed": np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+        "tag": "a",
+        "h": np.float64(0.5),
+    }
+    experiments.write_csv(out, "note", columns)
+    assert out.getvalue().splitlines() == [
+        f"# kronspec={experiments.version_string()} note",
+        "k,x,seed,tag,h",
+        "1,0.1,18446744073709551615,a,0.5",
+        "2,2.0,0,a,0.5",
+        "3,1e+300,9223372036854775808,a,0.5",
+    ]
+    with pytest.raises(ValueError, match="length"):
+        experiments.write_csv(io.StringIO(), "note", {"a": [1, 2], "tag": "a", "b": np.zeros(3)})
 
 
 def test_per_estimator_ordering_defaults():
@@ -314,6 +375,8 @@ def test_config_rejects_unknown_keys():
         ({"output_dir": 5}, "output_dir"),
         ({"ordering": {"kind": "Uncorrelated", "randomization_seed": -1}}, "randomization_seed"),
         ({"estimators": ["SayamaLaplacian", "SayamaLaplacian"]}, "estimators"),
+        # two even cycles are bipartite, so their product is disconnected
+        ({"model": "CYCLE", "orders": [4, 6], "density": 0.5}, "orders"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):
@@ -342,10 +405,13 @@ def test_config_rejects_non_finite_numbers(literal, key):
         ExperimentConfig(**data)
 
 
-def test_generation_failure_names_run():
-    config = cycle_config(orders=(6, 8))  # even cycles: bipartite pair, no retry escape
-    with pytest.raises(RuntimeError, match="run 0"):
-        run_single(config, 0)
+def test_generation_failure_names_run(monkeypatch):
+    def fail(spec1, spec2):
+        raise GenerationError("no connected pair")
+
+    monkeypatch.setattr(experiments, "generate_connected_pair", fail)
+    with pytest.raises(RuntimeError, match="run 1: factor generation failed"):
+        run_single(cycle_config(), 1)
 
 
 def test_reproduce_figure_smoke(tmp_path):
@@ -420,15 +486,20 @@ def test_theory_suite_rejects_degenerate_sizes(monkeypatch):
 
 def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(experiments, "version_string", lambda: calls.append(1) or "v-test")
-    experiments._version.cache_clear()
+
+    def describe(args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="v-test\n")
+
+    monkeypatch.setattr(subprocess, "run", describe)
+    experiments.version_string.cache_clear()
     try:
         run_experiment(cycle_config(runs=1, output_dir=str(tmp_path)))
-        assert experiments._version() == "v-test"
-        assert calls == [1]
+        assert experiments.version_string() == "v-test"
+        assert len(calls) == 1 and calls[0][:2] == ["git", "describe"]
         assert "kronspec=v-test" in (tmp_path / "runs.csv").read_text()
     finally:
-        experiments._version.cache_clear()
+        experiments.version_string.cache_clear()
 
 
 def test_orderings_of_one_master_seed_solve_each_product_once(product_solves):
