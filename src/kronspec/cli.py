@@ -19,18 +19,10 @@ import sys
 import numpy as np
 
 from .checks import theory_suite
-from .estimators import Estimator, Ordering, OrderingKind
+from .estimators import Estimator, Ordering, OrderingKind, estimate_spectrum, resolve_ordering
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
 from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
-from .experiments import (
-    ExperimentConfig,
-    FIGURES,
-    estimate_spectrum,
-    reproduce_figure,
-    resolve_ordering,
-    run_experiment,
-    write_csv,
-)
+from .experiments import ExperimentConfig, FIGURES, reproduce_figure, run_experiment, write_csv
 from .spectral import factor_spectra, product_spectrum
 
 
@@ -51,20 +43,21 @@ def _cmd_generate(args) -> int:
 def _cmd_estimate(args) -> int:
     g1 = read_edge_list(args.factor1)
     g2 = read_edge_list(args.factor2)
-    estimators = (Estimator.SAYAMA_LAPLACIAN, Estimator.NORMALIZED_LAPLACIAN)
+    # the output format: an estimate_<key> column and an ordering_<key> note entry each
+    columns = {"sayama": Estimator.SAYAMA_LAPLACIAN, "normalized": Estimator.NORMALIZED_LAPLACIAN}
     explicit = Ordering(args.ordering, args.seed) if args.ordering else None
-    orderings = [resolve_ordering(explicit, e, args.seed) for e in estimators]
+    orderings = {k: resolve_ordering(explicit, e, args.seed) for k, e in columns.items()}
     f1, f2 = factor_spectra(g1), factor_spectra(g2)
     exact = product_spectrum(KroneckerLaplacian(g1, g2))
-    sayama, normalized = (
-        np.sort(estimate_spectrum(e, f1, f2, o)) for e, o in zip(estimators, orderings)
-    )
+    estimates = {
+        f"estimate_{k}": np.sort(estimate_spectrum(e, f1, f2, orderings[k]))
+        for k, e in columns.items()
+    }
+    note = " ".join(f"ordering_{k}={o.kind.value}" for k, o in orderings.items())
     write_csv(
         args.output or sys.stdout,
-        f"ordering_sayama={orderings[0].kind.value}"
-        f" ordering_normalized={orderings[1].kind.value} seed={args.seed}",
-        {"rank": range(1, len(exact) + 1), "exact": exact}
-        | {"estimate_sayama": sayama, "estimate_normalized": normalized},
+        f"{note} seed={args.seed}",
+        {"rank": range(1, len(exact) + 1), "exact": exact} | estimates,
     )
     if args.output:
         print(f"wrote {args.output}: {len(exact)} eigenvalues")
@@ -85,21 +78,22 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _given(args, *names) -> dict:
+    """The keyword arguments among ``names`` in ``args``: a flag whose default is
+    argparse.SUPPRESS is left out unless given, so the library states its default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_figure(args) -> int:
     manifest = reproduce_figure(
-        args.figure_id, args.output_dir, master_seed=args.master_seed, runs_override=args.runs
+        args.figure_id, args.output_dir, runs_override=args.runs, **_given(args, "master_seed")
     )
     print(f"wrote {len(manifest['panels'])} panels to {args.output_dir}")
     return 0
 
 
 def _cmd_theory(args) -> int:
-    report = theory_suite(
-        output_dir=args.output_dir,
-        seed=args.seed,
-        er_draws=args.draws,
-        graph_count=args.graphs,
-    )
+    report = theory_suite(**_given(args, "output_dir", "seed", "er_draws", "graph_count"))
     for name, entry in sorted(report.items()):
         if isinstance(entry, dict):
             print(f"{'PASS' if entry['pass'] else 'FAIL'}  {name}")
@@ -146,15 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="reproduce one reference figure, one report bundle per panel")
     p.add_argument("figure_id", choices=sorted(FIGURES))
     p.add_argument("--output-dir", "-o", required=True)
-    p.add_argument("--master-seed", type=int, default=1729)
+    p.add_argument("--master-seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--runs", type=int, default=None, help="override the per-panel run count")
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("theory", help="verify the closed forms and bounds")
+    p = sub.add_parser(
+        "theory", help="verify the closed forms and bounds", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--output-dir", "-o", default=None)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--draws", type=int, default=100, help="Monte-Carlo draws for the ER expectation")
-    p.add_argument("--graphs", type=int, default=1000, help="graphs in the nonnegativity sweep")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--draws", dest="er_draws", metavar="DRAWS", type=int,
+                   help="Monte-Carlo draws for the ER expectation")
+    p.add_argument("--graphs", dest="graph_count", metavar="GRAPHS", type=int,
+                   help="graphs in the nonnegativity sweep")
     p.set_defaults(func=_cmd_theory)
 
     return parser

@@ -14,9 +14,8 @@ Both return the n1*n2 estimated eigenvalues as a flat float64 array in
 row-major order over the (reordered) factor indices; the corresponding
 estimated eigenvectors are Kronecker products of factor eigenvector columns.
 ``Ordering()`` (Correlated: eigenvalues ascending, like the degrees) is only
-the functions' argument default. The experiment pipeline's per-estimator
-default, under which Correlated biases the normalized estimate low, lives in
-``experiments.resolve_ordering``.
+the functions' argument default. Each :class:`Estimator` is one row of
+``_RULES``, which :func:`resolve_ordering` and :func:`estimate_spectrum` read.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .graphs import _as_int
+from .spectral import FactorSpectra
 
 # factor eigenvalues closer to zero than this (relative to the spectrum
 # scale) are snapped to exactly 0.0, so the estimate of the product's zero
@@ -43,6 +43,8 @@ class OrderingKind(str, Enum):
 
 
 _RANDOMIZED = (OrderingKind.CORRELATED_RANDOMIZED, OrderingKind.ANTI_CORRELATED_RANDOMIZED)
+# the kinds whose permutation draws on randomization_seed
+_SEEDED = (OrderingKind.UNCORRELATED, *_RANDOMIZED)
 
 
 class Estimator(str, Enum):
@@ -109,21 +111,15 @@ def _snap_zeros(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_factors(values1, d1, values2, d2):
-    if len(values1) != len(d1):
-        raise ValueError(f"factor 1: {len(values1)} eigenvalues vs {len(d1)} degrees")
-    if len(values2) != len(d2):
-        raise ValueError(f"factor 2: {len(values2)} eigenvalues vs {len(d2)} degrees")
-
-
 def _combine(values1, d1, values2, d2, ordering, cell) -> np.ndarray:
-    _check_factors(values1, d1, values2, d2)
-    perm1 = apply_ordering(values1, ordering, seed_salt=1)
-    perm2 = apply_ordering(values2, ordering, seed_salt=2)
-    e1 = _snap_zeros(np.asarray(values1, dtype=np.float64)[perm1])
-    e2 = _snap_zeros(np.asarray(values2, dtype=np.float64)[perm2])
-    d1 = np.sort(np.asarray(d1, dtype=np.float64))
-    d2 = np.sort(np.asarray(d2, dtype=np.float64))
+    sides = []
+    for k, (values, d) in enumerate([(values1, d1), (values2, d2)], start=1):
+        if len(values) != len(d):
+            raise ValueError(f"factor {k}: {len(values)} eigenvalues vs {len(d)} degrees")
+        perm = apply_ordering(values, ordering, seed_salt=k)
+        e = _snap_zeros(np.asarray(values, dtype=np.float64)[perm])
+        sides.append((e, np.sort(np.asarray(d, dtype=np.float64))))
+    (e1, d1), (e2, d2) = sides
     return cell(e1[:, None], d1[:, None], e2[None, :], d2[None, :]).ravel()
 
 
@@ -152,3 +148,35 @@ def normalized_estimate(lam1, d1, lam2, d2, ordering: Ordering = Ordering()) -> 
         lambda e1, dd1, e2, dd2: (e1 + e2 - e1 * e2) * dd1 * dd2,
     )
 
+
+# (FactorSpectra field of the basis read, formula, default ordering kind) per estimator.
+# The additive mu*d cells of the Laplacian-basis estimate need eigenvalues ascending
+# like the degrees (Correlated). The multiplicative cells of the normalized-basis estimate
+# acquire a systematic trace deficit under any rank-correlated pairing (sum of
+# lam_(i) d_(i) exceeds the mean-field value for similarly-sorted sequences) that
+# inflates the error medians on sparse irregular factors, so it is shuffled (Uncorrelated).
+_RULES = {
+    Estimator.SAYAMA_LAPLACIAN: ("laplacian", sayama_spectrum, OrderingKind.CORRELATED),
+    Estimator.NORMALIZED_LAPLACIAN: ("normalized", normalized_estimate, OrderingKind.UNCORRELATED),
+}
+
+
+def resolve_ordering(ordering: Ordering | None, estimator: Estimator, seed: int) -> Ordering:
+    """The eigenvalue ordering an estimator uses: ``ordering`` when given, else its default.
+
+    An explicit ordering applies to every estimator; a default kind that draws on a
+    seed takes ``seed``, the per-run seed.
+    """
+    _, _, kind = _RULES[estimator]
+    if ordering is not None:
+        return ordering
+    return Ordering(kind, seed if kind in _SEEDED else 0)
+
+
+def estimate_spectrum(
+    estimator: Estimator, f1: FactorSpectra, f2: FactorSpectra, ordering: Ordering
+) -> np.ndarray:
+    """The n1*n2 estimated product eigenvalues of one estimator, unsorted."""
+    basis, formula, _ = _RULES[estimator]
+    basis1, basis2 = getattr(f1, basis), getattr(f2, basis)
+    return formula(basis1.eigenvalues, f1.degrees, basis2.eigenvalues, f2.degrees, ordering)

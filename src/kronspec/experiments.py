@@ -2,9 +2,9 @@
 
 One run generates a connected factor pair, takes its factor spectra and the
 exact product-Laplacian spectrum from :mod:`kronspec.spectral` (which makes
-every solve decision), and evaluates both estimators against it
-(:func:`estimate_spectrum`); the CLI ``estimate`` command goes through the
-same three functions. A full experiment repeats this over per-run seeds
+every solve decision), and evaluates each estimator against it
+(:func:`kronspec.estimators.estimate_spectrum`); the CLI ``estimate`` command
+goes through the same functions. A full experiment repeats this over per-run seeds
 derived from a master seed and aggregates percentage-error profiles and
 correlation-coefficient densities. A reference figure (:func:`reproduce_figure`)
 is one such experiment per panel, each written as a report bundle by
@@ -29,11 +29,11 @@ from typing import IO
 
 import numpy as np
 
-from .estimators import Estimator, Ordering, OrderingKind, normalized_estimate, sayama_spectrum
+from .estimators import _RULES, _SEEDED, Estimator, Ordering, estimate_spectrum, resolve_ordering
 from .generators import (
     DEFAULT_WS_BETA,
     GeneratorSpec,
-    density_to_params,
+    bipartite_for_every_seed,
     derive_seed,
     generate_connected_pair,
 )
@@ -46,7 +46,7 @@ from .metrics import (
     kde,
     percentage_errors,
 )
-from .spectral import FactorSpectra, factor_spectra, product_spectrum
+from .spectral import factor_spectra, product_spectrum
 
 BASES = ("laplacian", "normalized")
 
@@ -121,12 +121,9 @@ class ExperimentConfig:
     their grids; other values are allowed (e.g. for debugging with the CYCLE
     model, which ignores the density knob).
 
-    ``ordering=None`` (the default) selects the per-estimator pairing that
-    reproduces the reference error bands: Correlated for the Laplacian-basis
-    estimate and a per-run seeded Uncorrelated shuffle for the
-    normalized-basis estimate, whose value multiset is systematically biased
-    by any rank-correlated degree pairing (see resolve_ordering). An
-    explicit Ordering applies to both estimators.
+    ``ordering=None`` (the default) gives each estimator the default pairing of
+    its ``estimators._RULES`` row, which reproduces the reference error bands. An
+    explicit Ordering applies to every estimator, with its one seed in every run.
     """
 
     model: str
@@ -151,12 +148,12 @@ class ExperimentConfig:
         if len(set(self.estimators)) != len(self.estimators):
             names = [e.value for e in self.estimators]
             raise ValueError(f"estimators must not repeat, got {names}")
-        # GeneratorSpec checks model and orders, density_to_params the density
-        for n in self.orders:
-            density_to_params(self.factor_spec(n, seed=0))
-        if self.model == "CYCLE" and all(n % 2 == 0 for n in self.orders):
-            # even cycles are bipartite, and a product of bipartite graphs is disconnected
-            raise ValueError(f"orders must not both be even for CYCLE, got {self.orders}")
+        # GeneratorSpec checks model and orders, the predicate (by density_to_params) each
+        # density, as the list is built in full; a product of bipartite graphs is disconnected
+        if all([bipartite_for_every_seed(self.factor_spec(n, seed=0)) for n in self.orders]):
+            raise ValueError(
+                f"orders must not give two factors bipartite for every seed, got {self.orders}"
+            )
 
     def factor_spec(self, n: int, seed: int) -> GeneratorSpec:
         return GeneratorSpec(
@@ -200,42 +197,12 @@ class RunRecord:
     correlations: dict[str, np.ndarray] | None  # per basis, in correlation_profile order
 
 
-def resolve_ordering(ordering: Ordering | None, estimator: Estimator, seed: int) -> Ordering:
-    """The eigenvalue ordering an estimator uses: ``ordering`` when given, else its default.
-
-    An explicit ordering applies to every estimator. By default the
-    Laplacian-basis estimate pairs eigenvalues ascending against ascending
-    degrees (Correlated), which its additive mu*d cells need; the
-    normalized-basis estimate pairs them by a shuffle seeded by ``seed``
-    (Uncorrelated), because its multiplicative cells acquire a systematic
-    trace deficit under any rank-correlated pairing (sum of lam_(i) d_(i)
-    exceeds the mean-field value for similarly-sorted sequences) that
-    inflates the error medians on sparse irregular factors.
-    """
-    if ordering is not None:
-        return ordering
-    if estimator == Estimator.SAYAMA_LAPLACIAN:
-        return Ordering(kind=OrderingKind.CORRELATED)
-    return Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=seed)
-
-
 def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
     """The ``ordering`` column of one estimator's error table."""
-    kind = resolve_ordering(config.ordering, estimator, 0).kind
-    if config.ordering is None and kind == OrderingKind.UNCORRELATED:
-        return f"{kind.value}[per-run seed]"
-    return kind.value
-
-
-def estimate_spectrum(
-    estimator: Estimator, f1: FactorSpectra, f2: FactorSpectra, ordering: Ordering
-) -> np.ndarray:
-    """The n1*n2 estimated product eigenvalues of one estimator, unsorted."""
-    if estimator == Estimator.SAYAMA_LAPLACIAN:
-        basis1, basis2, combine = f1.laplacian, f2.laplacian, sayama_spectrum
-    else:
-        basis1, basis2, combine = f1.normalized, f2.normalized, normalized_estimate
-    return combine(basis1.eigenvalues, f1.degrees, basis2.eigenvalues, f2.degrees, ordering)
+    if config.ordering is not None:
+        return config.ordering.kind.value
+    _, _, kind = _RULES[estimator]
+    return f"{kind.value}[per-run seed]" if kind in _SEEDED else kind.value
 
 
 def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
@@ -305,7 +272,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
             try:
                 density_curves[basis] = kde(matrix.ravel())
             except ValueError:
-                # degenerate samples (e.g. exact estimates): no curve
+                # bit-identical samples (e.g. C3 x C3) have no bandwidth: no curve. Regular
+                # factors of other orders differ by rounding, so get a ~1e-16 bandwidth curve
                 density_curves[basis] = None
 
     bundle = ExperimentBundle(

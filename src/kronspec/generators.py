@@ -167,13 +167,23 @@ def density_to_params(spec: GeneratorSpec) -> dict:
         return {"k": k, "beta": spec.ws_beta}
     if spec.model == "BA":
         pairs = n * (n - 1) / 2.0
-        best_m, best_gap = 1, float("inf")
-        for m in range(1, n):
-            gap = abs(_ba_edge_count(n, m) / pairs - target)
-            if gap < best_gap:
-                best_m, best_gap = m, gap
-        return {"m_attach": best_m}
+        # min keeps the first of equally close counts
+        best = min(range(1, n), key=lambda m: abs(_ba_edge_count(n, m) / pairs - target))
+        return {"m_attach": best}
     return {}  # CYCLE has no density knob
+
+
+def bipartite_for_every_seed(spec: GeneratorSpec) -> bool:
+    """True when every connected graph ``spec`` can draw is bipartite, whatever its seed.
+
+    That is K2 (order 2), an even cycle (CYCLE, or WS with ring degree 2 and
+    no rewiring) and a tree (BA attaching one edge per new vertex).
+    """
+    params = density_to_params(spec)
+    if spec.model == "BA":
+        return params["m_attach"] == 1
+    ring = spec.model == "CYCLE" or (spec.model == "WS" and params["k"] == 2 and spec.ws_beta == 0)
+    return spec.n == 2 or (ring and spec.n % 2 == 0)
 
 
 def _draw(spec: GeneratorSpec, seed: int) -> Graph:
@@ -203,15 +213,15 @@ def generate_connected_pair(spec1: GeneratorSpec, spec2: GeneratorSpec) -> tuple
     The product of two connected graphs is connected iff at least one factor
     is non-bipartite, so bipartiteness of the factors is what gets checked;
     the product is never built here. The second factor is redrawn (with
-    derived sub-seeds) until the condition holds, unless it is a CYCLE,
-    which ignores its seed.
+    derived sub-seeds) until the condition holds, unless no seed can make it
+    non-bipartite (:func:`bipartite_for_every_seed`).
     """
     g1 = generate_connected(spec1)
     g2 = generate_connected(spec2)
     attempt = 0
     while is_bipartite(g1) and is_bipartite(g2):
-        if spec2.model == "CYCLE":
-            raise GenerationError(f"both factors are bipartite and CYCLE ignores the seed: {spec2}")
+        if bipartite_for_every_seed(spec2):
+            raise GenerationError(f"both factors are bipartite, the second for every seed: {spec2}")
         attempt += 1
         if attempt >= MAX_ATTEMPTS:
             raise GenerationError(

@@ -16,7 +16,8 @@ import operator
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -227,33 +228,25 @@ def edge_density(g: Graph) -> float:
     return 2.0 * g.edge_count / (g.n * (g.n - 1))
 
 
-def write_edge_list(g: Graph, dest: str | IO[str]) -> None:
-    """Write the plain-text edge-list format: "n m" then one "u v" per edge.
+def write_edge_list(g: Graph, path: str | Path) -> None:
+    """Write the plain-text edge-list format to ``path``: "n m" then one "u v" per edge.
 
     Edges come out sorted (u < v, lexicographic) so the output is a
     deterministic function of the graph.
     """
-    lines = [f"{g.n} {g.edge_count}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in g.edges())
-    if hasattr(dest, "write"):
-        dest.writelines(lines)
-    else:
-        with open(dest, "w") as fh:
-            fh.writelines(lines)
+    with open(path, "w") as fh:
+        fh.write(f"{g.n} {g.edge_count}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in g.edges())
 
 
-def read_edge_list(src: str | IO[str]) -> Graph:
-    """Read the edge-list format written by :func:`write_edge_list`.
+def read_edge_list(path: str | Path) -> Graph:
+    """Read the edge-list format written by :func:`write_edge_list` from ``path``.
 
     Every token is a nonnegative integer by :func:`_as_int`, and the header's
     ``m`` must count the distinct edges, so the graph writes back unchanged.
     """
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src) as fh:
-            text = fh.read()
-    tokens = text.split()
+    with open(path) as fh:
+        tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError("edge-list header 'n m' missing")
     n, m, *ends = (_as_int(f"edge-list token {t!r}", float(t), 0) for t in tokens)

@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from kronspec import generators
+from kronspec import cli, generators
 from kronspec.cli import main
-from kronspec.estimators import Estimator, Ordering, OrderingKind
-from kronspec.experiments import estimate_spectrum
+from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
 from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.spectral import factor_spectra
 from kronspec.graphs import read_edge_list, write_edge_list
@@ -124,6 +123,25 @@ def test_theory_subcommand(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
     assert (out / "theory_report.json").exists()
+
+
+def test_theory_and_figure_leave_unset_flags_to_the_library(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "theory_suite", lambda **kw: calls.append(kw) or {"all_pass": True})
+    monkeypatch.setattr(
+        cli, "reproduce_figure", lambda *args, **kw: calls.append((args, kw)) or {"panels": {}}
+    )
+    out = str(tmp_path)
+    assert main(["theory"]) == 0
+    assert main(["theory", "--seed", "7", "--draws", "3", "--graphs", "20"]) == 0
+    assert main(["figure", "fig2", "-o", out]) == 0
+    assert main(["figure", "fig2", "-o", out, "--master-seed", "5", "--runs", "1"]) == 0
+    assert calls == [
+        {"output_dir": None},
+        {"output_dir": None, "seed": 7, "er_draws": 3, "graph_count": 20},
+        (("fig2", out), {"runs_override": None}),
+        (("fig2", out), {"runs_override": 1, "master_seed": 5}),
+    ]
 
 
 def test_unknown_figure_rejected(tmp_path):

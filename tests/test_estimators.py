@@ -6,11 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronspec.checks import complete_graph, cycle_graph
+from kronspec import estimators
 from kronspec.estimators import (
+    Estimator,
     Ordering,
     OrderingKind,
     apply_ordering,
+    estimate_spectrum,
     normalized_estimate,
+    resolve_ordering,
     sayama_spectrum,
 )
 from kronspec.generators import GeneratorSpec, generate_connected
@@ -20,6 +24,7 @@ from kronspec.graphs import (
     laplacian,
     normalized_laplacian,
 )
+from kronspec.spectral import factor_spectra
 from kronspec.theory import sayama_bound_holds
 
 
@@ -169,8 +174,31 @@ def test_orderings_differ_on_irregular_factors():
 
 
 def test_length_mismatch_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor 1: 2 eigenvalues vs 3 degrees"):
         sayama_spectrum([0.0, 1.0], [1, 1, 1], [0.0], [1])
+    with pytest.raises(ValueError, match="factor 2: 1 eigenvalues vs 2 degrees"):
+        sayama_spectrum([0.0, 1.0], [1, 1], [0.0], [1, 1])
+
+
+def test_estimate_spectrum_reads_each_estimators_basis_and_formula(monkeypatch):
+    f1 = factor_spectra(generate_connected(GeneratorSpec("ER", 10, 0.5, seed=8)))
+    f2 = factor_spectra(generate_connected(GeneratorSpec("ER", 8, 0.5, seed=9)))
+    ordering = Ordering(OrderingKind.UNCORRELATED, 3)
+    for estimator, basis, formula in [
+        (Estimator.SAYAMA_LAPLACIAN, "laplacian", sayama_spectrum),
+        (Estimator.NORMALIZED_LAPLACIAN, "normalized", normalized_estimate),
+    ]:
+        expected = formula(
+            getattr(f1, basis).eigenvalues, f1.degrees,
+            getattr(f2, basis).eigenvalues, f2.degrees, ordering,
+        )
+        assert np.array_equal(estimate_spectrum(estimator, f1, f2, ordering), expected)
+    # a member without a row fails where it is first used, under no other member's formula
+    monkeypatch.delitem(estimators._RULES, Estimator.NORMALIZED_LAPLACIAN)
+    with pytest.raises(KeyError):
+        resolve_ordering(ordering, Estimator.NORMALIZED_LAPLACIAN, seed=0)
+    with pytest.raises(KeyError):
+        estimate_spectrum(Estimator.NORMALIZED_LAPLACIAN, f1, f2, ordering)
 
 
 def test_first_pair_is_ones_direction_for_laplacian_basis():

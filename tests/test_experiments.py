@@ -281,6 +281,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # infeasible WS density at this order
         ExperimentConfig(model="WS", orders=(30, 50), density=0.02)
+    with pytest.raises(ValueError, match="infeasible for WS at order 12"):
+        # ... and at the second order only
+        ExperimentConfig(model="WS", orders=(50, 12), density=0.05)
     with pytest.raises(ValueError, match="order"):
         ExperimentConfig(model="ER", orders=(10.5, 12), density=0.4)
     er = {"model": "ER", "density": 0.4}
@@ -377,6 +380,12 @@ def test_config_rejects_unknown_keys():
         ({"estimators": ["SayamaLaplacian", "SayamaLaplacian"]}, "estimators"),
         # two even cycles are bipartite, so their product is disconnected
         ({"model": "CYCLE", "orders": [4, 6], "density": 0.5}, "orders"),
+        ({"orders": [10, 12, 14]}, "orders"),
+        # two factors bipartite for every seed: BA trees (m_attach = 1), WS even rings
+        # (ring degree 2, no rewiring) and K2
+        ({"model": "BA", "orders": [30, 50], "density": 0.05}, "orders"),
+        ({"model": "WS", "orders": [30, 50], "density": 0.05, "ws_beta": 0.0}, "orders"),
+        ({"model": "ER", "orders": [2, 2], "density": 0.5}, "orders"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):
@@ -403,6 +412,28 @@ def test_config_rejects_non_finite_numbers(literal, key):
         ExperimentConfig.from_dict(data)
     with pytest.raises(ValueError, match=f"{key} must be finite"):
         ExperimentConfig(**data)
+
+
+def test_config_accepts_an_odd_ring():
+    # C31 is not bipartite, so its product with the even ring C50 is connected
+    config = ExperimentConfig(
+        model="WS", orders=(31, 50), density=0.05, ws_beta=0.0, runs=1,
+        compute_correlations=False,
+    )
+    assert run_single(config, 0).achieved_densities == (2 / 30, 2 / 49)
+
+
+def test_degenerate_correlation_samples_get_no_density_curve(tmp_path):
+    # every cosine of C3 x C3 is exactly equal, so no bandwidth exists; CYCLE samples
+    # of other orders are equal only up to rounding and do get a curve
+    config = ExperimentConfig(
+        model="CYCLE", orders=(3, 3), density=0.5, runs=1, output_dir=str(tmp_path)
+    )
+    bundle = run_experiment(config)
+    assert bundle.density_curves == {"laplacian": None, "normalized": None}
+    assert not list(tmp_path.glob("correlation_density_*.csv"))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert not [key for key in manifest["files"] if key.startswith("density_curve/")]
 
 
 def test_generation_failure_names_run(monkeypatch):

@@ -1,6 +1,6 @@
 """Random graph generators: determinism, moments, density targeting."""
 
-import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from kronspec.generators import (
     GeneratorSpec,
     barabasi_albert,
     density_to_params,
+    derive_seed,
     erdos_renyi,
     generate_connected,
     generate_connected_pair,
@@ -19,18 +20,21 @@ from kronspec.generators import (
 from kronspec.graphs import is_bipartite, is_connected, write_edge_list
 
 
-def edge_list_bytes(g) -> str:
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    return buf.getvalue()
+@pytest.fixture
+def edge_list_text(tmp_path):
+    def text(g) -> str:
+        write_edge_list(g, tmp_path / "g.edges")
+        return (tmp_path / "g.edges").read_text()
+
+    return text
 
 
-def test_er_determinism():
+def test_er_determinism(edge_list_text):
     a = erdos_renyi(40, 0.3, seed=123)
     b = erdos_renyi(40, 0.3, seed=123)
-    assert edge_list_bytes(a) == edge_list_bytes(b)
+    assert edge_list_text(a) == edge_list_text(b)
     c = erdos_renyi(40, 0.3, seed=124)
-    assert edge_list_bytes(a) != edge_list_bytes(c)
+    assert edge_list_text(a) != edge_list_text(c)
 
 
 def test_er_tiny_graph():
@@ -73,6 +77,8 @@ def test_ws_parameter_validation():
         watts_strogatz(10, 3, 0.2, 0)
     with pytest.raises(ValueError):
         watts_strogatz(10, 10, 0.2, 0)
+    with pytest.raises(ValueError, match="rewiring probability"):
+        watts_strogatz(10, 4, 1.5, 0)
 
 
 def test_ba_tree_and_edge_count():
@@ -86,10 +92,10 @@ def test_ba_tree_and_edge_count():
         assert is_connected(g)
 
 
-def test_ba_determinism():
+def test_ba_determinism(edge_list_text):
     a = barabasi_albert(30, 2, seed=9)
     b = barabasi_albert(30, 2, seed=9)
-    assert edge_list_bytes(a) == edge_list_bytes(b)
+    assert edge_list_text(a) == edge_list_text(b)
 
 
 def test_density_to_params_er():
@@ -115,12 +121,12 @@ def test_density_to_params_ba():
         assert abs(144 / pairs - 0.10) <= abs(edges / pairs - 0.10)
 
 
-def test_generate_connected():
+def test_generate_connected(edge_list_text):
     g = generate_connected(GeneratorSpec("ER", 50, 0.3, seed=77))
     assert is_connected(g)
     # BA is always connected: first draw is returned unchanged
     spec = GeneratorSpec("BA", 40, 0.2, seed=3)
-    assert edge_list_bytes(generate_connected(spec)) == edge_list_bytes(
+    assert edge_list_text(generate_connected(spec)) == edge_list_text(
         barabasi_albert(40, density_to_params(spec)["m_attach"], seed=3)
     )
 
@@ -150,12 +156,42 @@ def test_generate_connected_pair_fails_for_even_cycles(monkeypatch):
     monkeypatch.setattr(
         generators, "_draw", lambda spec, seed: draws.append(seed) or draw(spec, seed)
     )
-    s1 = GeneratorSpec("CYCLE", 6, 0.5, seed=0)
-    s2 = GeneratorSpec("CYCLE", 8, 0.5, seed=0)
-    with pytest.raises(GenerationError, match="bipartite"):
+    pairs = [
+        (GeneratorSpec("CYCLE", 6, 0.5, seed=0), GeneratorSpec("CYCLE", 8, 0.5, seed=0)),
+        # m_attach = 1: BA draws trees
+        (GeneratorSpec("BA", 30, 0.05, seed=0), GeneratorSpec("BA", 50, 0.05, seed=0)),
+        # ring degree 2 and no rewiring: WS draws the even cycles C30 and C50
+        (GeneratorSpec("WS", 30, 0.05, 0, 0.0), GeneratorSpec("WS", 50, 0.05, 0, 0.0)),
+    ]
+    for s1, s2 in pairs:
+        draws.clear()
+        with pytest.raises(GenerationError, match="bipartite"):
+            generate_connected_pair(s1, s2)
+        # no seed makes the second factor non-bipartite, so the pair fails without redrawing
+        assert len(draws) == 2
+
+
+def test_generate_connected_pair_redraws_a_bipartite_second_factor():
+    tree = GeneratorSpec("BA", 10, 0.2, seed=4)
+    assert density_to_params(tree) == {"m_attach": 1}
+    spec2 = GeneratorSpec("ER", 8, 0.3, seed=1)
+    assert is_bipartite(generate_connected(spec2))
+    g1, g2 = generate_connected_pair(tree, spec2)
+    assert is_bipartite(g1) and not is_bipartite(g2)
+    redraws = (
+        generate_connected(replace(spec2, seed=derive_seed(1, "nonbipartite", k)))
+        for k in range(1, generators.MAX_ATTEMPTS)
+    )
+    first = next(g for g in redraws if not is_bipartite(g))
+    assert np.array_equal(g2.adjacency, first.adjacency)
+
+
+def test_generate_connected_pair_gives_up_after_max_attempts(monkeypatch):
+    monkeypatch.setattr(generators, "is_bipartite", lambda g: True)
+    s1 = GeneratorSpec("ER", 12, 0.3, seed=0)
+    s2 = GeneratorSpec("ER", 15, 0.3, seed=1)
+    with pytest.raises(GenerationError, match="no non-bipartite factor"):
         generate_connected_pair(s1, s2)
-    # CYCLE ignores the seed, so the pair fails without redrawing
-    assert len(draws) == 2
 
 
 def test_spec_validation():
@@ -167,6 +203,12 @@ def test_spec_validation():
         GeneratorSpec("ER", 1, 0.5, seed=0)
     with pytest.raises(ValueError, match="order"):
         GeneratorSpec("ER", 10.5, 0.5, seed=0)
+    with pytest.raises(ValueError, match="ws_beta"):
+        GeneratorSpec("WS", 10, 0.5, seed=0, ws_beta=1.5)
+    with pytest.raises(ValueError, match="edge probability"):
+        erdos_renyi(10, 1.0, seed=0)
+    with pytest.raises(ValueError, match="attachment count"):
+        barabasi_albert(10, 10, seed=0)
 
 
 def test_generated_graphs_are_simple():

@@ -1,7 +1,5 @@
 """Graph construction, matrix builders, Kronecker products, and edge-list IO."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,18 +269,17 @@ def test_normalize_owned_matches_whole_matrix_formula(n, seed):
     assert np.shares_memory(lap, buffer)
 
 
-def test_edge_list_round_trip():
+def test_edge_list_round_trip(tmp_path):
     g = star4()
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    text = buf.getvalue()
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    text = path.read_text()
     assert text.splitlines()[0] == "4 3"
-    back = read_edge_list(io.StringIO(text))
+    back = read_edge_list(path)
     assert np.array_equal(back.adjacency, g.adjacency)
     # and the writer output is canonical
-    buf2 = io.StringIO()
-    write_edge_list(back, buf2)
-    assert buf2.getvalue() == text
+    write_edge_list(back, tmp_path / "back.edges")
+    assert (tmp_path / "back.edges").read_text() == text
 
 
 def test_edge_list_file_round_trip(tmp_path):
@@ -293,20 +290,28 @@ def test_edge_list_file_round_trip(tmp_path):
     assert back.edges() == g.edges()
 
 
-def test_read_edge_list_rejects_malformed():
-    with pytest.raises(ValueError):
-        read_edge_list(io.StringIO("3 2\n0 1\n"))
+def edge_list_file(tmp_path, text: str):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    return path
 
 
-def test_read_edge_list_holds_the_edges_its_header_counts():
+def test_read_edge_list_rejects_malformed(tmp_path):
+    with pytest.raises(ValueError, match="expected 2 edges, found 1"):
+        read_edge_list(edge_list_file(tmp_path, "3 2\n0 1\n"))
+    with pytest.raises(ValueError, match="header 'n m' missing"):
+        read_edge_list(edge_list_file(tmp_path, ""))
+
+
+def test_read_edge_list_holds_the_edges_its_header_counts(tmp_path):
     # "1 0" repeats "0 1", so the three edges of the header are two distinct ones
     with pytest.raises(ValueError, match="3 edges, but 2 are distinct"):
-        read_edge_list(io.StringIO("3 3\n0 1\n1 0\n1 2\n"))
+        read_edge_list(edge_list_file(tmp_path, "3 3\n0 1\n1 0\n1 2\n"))
 
 
-def test_read_edge_list_names_a_token_that_is_no_integer():
+def test_read_edge_list_names_a_token_that_is_no_integer(tmp_path):
     with pytest.raises(ValueError, match="edge-list token '1.5' must be an integer"):
-        read_edge_list(io.StringIO("3 1\n0 1.5\n"))
+        read_edge_list(edge_list_file(tmp_path, "3 1\n0 1.5\n"))
 
 
 @st.composite
@@ -318,9 +323,9 @@ def graphs(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(graphs())
-def test_property_edge_list_round_trip(g):
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    back = read_edge_list(io.StringIO(buf.getvalue()))
+def test_property_edge_list_round_trip(tmp_path_factory, g):
+    path = tmp_path_factory.mktemp("edges") / "g.edges"
+    write_edge_list(g, path)
+    back = read_edge_list(path)
     assert back.n == g.n
     assert np.array_equal(back.adjacency, g.adjacency)

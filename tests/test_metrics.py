@@ -114,6 +114,10 @@ def test_percentage_errors_rejects_disconnected():
     actual = np.linalg.eigvalsh(laplacian(product))
     with pytest.raises(ValueError):
         percentage_errors(np.array([0.0, 0.0, 2.0, 2.0]), actual)
+    with pytest.raises(ValueError, match="length mismatch"):
+        percentage_errors(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="sorted ascending"):
+        percentage_errors(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 1.0]))
 
 
 def test_percentage_errors_exact_for_regular_factors():

@@ -119,6 +119,9 @@ def test_rprime_lower_bound_never_exceeds_input():
         degrees = rng.integers(1, 20, size=int(rng.integers(2, 30)))
         r = float(rng.uniform(0, 1))
         assert rprime_lower_bound(degrees, r) <= r + 1e-12
+    for r in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="out of"):
+            rprime_lower_bound(complete_graph(4).degrees, r)
 
 
 def test_asymptotic_inequality_examples():
