@@ -15,7 +15,7 @@ row-major order over the (reordered) factor indices; the corresponding
 estimated eigenvectors are Kronecker products of factor eigenvector columns.
 ``Ordering()`` (Correlated: eigenvalues ascending, like the degrees) is only
 the functions' argument default. Each :class:`Estimator` is one row of
-``_RULES``, which :func:`resolve_ordering` and :func:`estimate_spectrum` read.
+``_RULES``, which the functions defined below it read.
 """
 
 from __future__ import annotations
@@ -171,6 +171,14 @@ def resolve_ordering(ordering: Ordering | None, estimator: Estimator, seed: int)
     if ordering is not None:
         return ordering
     return Ordering(kind, seed if kind in _SEEDED else 0)
+
+
+def ordering_label(ordering: Ordering | None, estimator: Estimator) -> str:
+    """How an estimator pairs eigenvalues, as the ``ordering`` column of its error table."""
+    if ordering is not None:
+        return ordering.kind.value
+    _, _, kind = _RULES[estimator]
+    return f"{kind.value}[per-run seed]" if kind in _SEEDED else kind.value
 
 
 def estimate_spectrum(

@@ -29,7 +29,7 @@ from typing import IO
 
 import numpy as np
 
-from .estimators import _RULES, _SEEDED, Estimator, Ordering, estimate_spectrum, resolve_ordering
+from .estimators import Estimator, Ordering, estimate_spectrum, ordering_label, resolve_ordering
 from .generators import (
     DEFAULT_WS_BETA,
     GeneratorSpec,
@@ -197,14 +197,6 @@ class RunRecord:
     correlations: dict[str, np.ndarray] | None  # per basis, in correlation_profile order
 
 
-def ordering_label(config: ExperimentConfig, estimator: Estimator) -> str:
-    """The ``ordering`` column of one estimator's error table."""
-    if config.ordering is not None:
-        return config.ordering.kind.value
-    _, _, kind = _RULES[estimator]
-    return f"{kind.value}[per-run seed]" if kind in _SEEDED else kind.value
-
-
 def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     """Generate one factor pair and measure both estimators against the truth."""
     spec1, spec2 = config.run_specs(run_index)
@@ -345,7 +337,7 @@ def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
             f"error_profile/{e.value}",
             f"errors_{e.value}.csv",
             {"rank": range(1, len(p.median) + 1), "median": p.median, "p5": p.p5, "p95": p.p95}
-            | {"estimator": e.value, "ordering": ordering_label(config, e)}
+            | {"estimator": e.value, "ordering": ordering_label(config.ordering, e)}
             | _config_columns(config, "density"),
         )
         for e, p in bundle.error_profiles.items()

@@ -24,7 +24,7 @@ MODELS = ("ER", "WS", "BA", "CYCLE")
 
 DEFAULT_WS_BETA = 0.25
 
-# draws per connected factor, and redraws of a second factor for a connected product
+# draws per connected factor, and draws of a factor redrawn for a connected product
 MAX_ATTEMPTS = 50
 
 
@@ -212,22 +212,24 @@ def generate_connected_pair(spec1: GeneratorSpec, spec2: GeneratorSpec) -> tuple
 
     The product of two connected graphs is connected iff at least one factor
     is non-bipartite, so bipartiteness of the factors is what gets checked;
-    the product is never built here. The second factor is redrawn (with
-    derived sub-seeds) until the condition holds, unless no seed can make it
-    non-bipartite (:func:`bipartite_for_every_seed`).
+    the product is never built here. When both draws are bipartite, the
+    second factor is redrawn (with derived sub-seeds) until it is not, or the
+    first when no seed can make the second non-bipartite
+    (:func:`bipartite_for_every_seed`). A pair whose specs are both
+    bipartite for every seed fails at once.
     """
     g1 = generate_connected(spec1)
     g2 = generate_connected(spec2)
-    attempt = 0
-    while is_bipartite(g1) and is_bipartite(g2):
-        if bipartite_for_every_seed(spec2):
-            raise GenerationError(f"both factors are bipartite, the second for every seed: {spec2}")
-        attempt += 1
-        if attempt >= MAX_ATTEMPTS:
-            raise GenerationError(
-                f"no non-bipartite factor after {MAX_ATTEMPTS} attempts "
-                f"for pair ({spec1}, {spec2})"
-            )
-        redrawn = replace(spec2, seed=derive_seed(spec2.seed, "nonbipartite", attempt))
-        g2 = generate_connected(redrawn)
-    return g1, g2
+    if not (is_bipartite(g1) and is_bipartite(g2)):
+        return g1, g2
+    redraw_first = bipartite_for_every_seed(spec2)
+    if redraw_first and bipartite_for_every_seed(spec1):
+        raise GenerationError(f"both factors are bipartite for every seed: {spec1}, {spec2}")
+    spec = spec1 if redraw_first else spec2
+    for attempt in range(1, MAX_ATTEMPTS):
+        g = generate_connected(replace(spec, seed=derive_seed(spec.seed, "nonbipartite", attempt)))
+        if not is_bipartite(g):
+            return (g, g2) if redraw_first else (g1, g)
+    raise GenerationError(
+        f"no non-bipartite factor after {MAX_ATTEMPTS} attempts for pair ({spec1}, {spec2})"
+    )

@@ -86,9 +86,9 @@ def correlation_profile(
     """Cosine between x = u_i kron v_j and L x for every column pair (i, j).
 
     Returns a flat array of n1*n2 - 1 values in row-major (i, j) order with
-    (0, 0) dropped (its image under a product Laplacian is the zero vector),
-    so pair (i, j) sits at index ``i * n2 + j - 1``; row i = 0 is
-    ``profile[:n2 - 1]``. Every cosine comes from factor-level quantities in
+    (0, 0) left out in both bases (only in the Laplacian basis is its image
+    the zero vector), so pair (i, j) sits at index ``i * n2 + j - 1``; row
+    i = 0 is ``profile[:n2 - 1]``. Every cosine comes from factor-level quantities in
     O(n^3 + n1 n2), no N x N matrix: with a = D1 u, c = A1 u, b = D2 v and
     e = A2 v,
 

@@ -20,6 +20,7 @@ from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import ExperimentConfig, run_experiment
 from kronspec.graphs import laplacian, normalized_laplacian
 from normality import fisher_z, normality_pass_count
+from toolkit import brute_force_product_spectrum
 
 ACCEPT_SEED = 20240808
 DENSITIES = (0.10, 0.30, 0.65)
@@ -133,17 +134,6 @@ def test_criterion_01_regular_factors_exact():
     passed = worst <= 1e-9
     report("1", passed, f"regular-factor exactness, worst sorted-multiset gap {worst:.2e} (tol 1e-9)")
     assert passed
-
-
-def brute_force_product_spectrum(g, h):
-    n = g.n * h.n
-    adjacency = np.zeros((n, n))
-    for i in range(g.n):
-        for k in range(h.n):
-            for j in range(g.n):
-                for l in range(h.n):
-                    adjacency[i * h.n + k, j * h.n + l] = g.adjacency[i, j] * h.adjacency[k, l]
-    return np.linalg.eigvalsh(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 
 def test_criterion_02_normalized_decomposition():

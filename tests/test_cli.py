@@ -8,10 +8,10 @@ import pytest
 from kronspec import cli, generators
 from kronspec.cli import main
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
-from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.spectral import factor_spectra
 from kronspec.graphs import read_edge_list, write_edge_list
 from kronspec.checks import cycle_graph
+from toolkit import er_pair
 
 
 def test_generate_round_trips(tmp_path, capsys):
@@ -62,8 +62,7 @@ def test_estimate_outputs_exact_and_estimates(tmp_path):
 def test_estimate_pairs_orderings_as_experiment_runs(tmp_path, ordering):
     # no --ordering: Correlated for Sayama, Uncorrelated seeded by --seed for
     # the normalized estimate; an explicit --ordering applies to both
-    g1 = generate_connected(GeneratorSpec("ER", 12, 0.3, 1))
-    g2 = generate_connected(GeneratorSpec("ER", 15, 0.3, 2))
+    g1, g2 = er_pair(12, 15, 1, 2, density=0.3)
     f1, f2 = tmp_path / "g1.edges", tmp_path / "g2.edges"
     write_edge_list(g1, str(f1))
     write_edge_list(g2, str(f2))

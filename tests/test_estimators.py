@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronspec.checks import complete_graph, cycle_graph
@@ -18,27 +18,19 @@ from kronspec.estimators import (
     sayama_spectrum,
 )
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import (
-    is_bipartite,
-    kronecker_graph,
-    laplacian,
-    normalized_laplacian,
-)
+from kronspec.graphs import laplacian, normalized_laplacian
 from kronspec.spectral import factor_spectra
 from kronspec.theory import sayama_bound_holds
-
-
-def brute_force_product_spectrum(g, h):
-    """Eigenvalues of the product Laplacian built by enumerating the definition."""
-    n = g.n * h.n
-    adjacency = np.zeros((n, n))
-    for i in range(g.n):
-        for k in range(h.n):
-            for j in range(g.n):
-                for l in range(h.n):
-                    adjacency[i * h.n + k, j * h.n + l] = g.adjacency[i, j] * h.adjacency[k, l]
-    lap = np.diag(adjacency.sum(axis=1)) - adjacency
-    return np.linalg.eigvalsh(lap)
+from toolkit import (
+    SEEDS,
+    brute_force_product_spectrum,
+    dense_laplacian,
+    er_pair,
+    estimates,
+    factor_graphs,
+    factor_pairs,
+    property_settings,
+)
 
 
 def test_apply_ordering_sorts():
@@ -99,16 +91,10 @@ def test_ordering_rejects_a_bool_seed():
 
 def test_k2_factors_match_exact_product():
     # both estimators reproduce the spectrum of K2 (x) K2: {0, 0, 2, 2}
-    mu = np.array([0.0, 2.0])
-    d = np.array([1, 1])
-    sayama = np.sort(sayama_spectrum(mu, d, mu, d))
-    normalized = np.sort(normalized_estimate(mu, d, mu, d))
-    from kronspec.graphs import build_graph
-
-    k2 = build_graph(2, [(0, 1)])
+    k2 = complete_graph(2)
     exact = brute_force_product_spectrum(k2, k2)
-    assert np.allclose(sayama, exact, atol=1e-12)
-    assert np.allclose(normalized, exact, atol=1e-12)
+    for estimate in estimates(k2, k2):
+        assert np.allclose(np.sort(estimate), exact, atol=1e-12)
 
 
 def test_regular_factors_are_exact():
@@ -116,22 +102,13 @@ def test_regular_factors_are_exact():
     # estimates equal the exact spectrum as multisets
     c4, k3 = cycle_graph(4), complete_graph(3)
     exact = brute_force_product_spectrum(c4, k3)
-    mu1, d1 = np.linalg.eigvalsh(laplacian(c4)), np.sort(c4.degrees)
-    mu2, d2 = np.linalg.eigvalsh(laplacian(k3)), np.sort(k3.degrees)
-    lam1 = np.linalg.eigvalsh(normalized_laplacian(c4))
-    lam2 = np.linalg.eigvalsh(normalized_laplacian(k3))
-    assert np.abs(np.sort(sayama_spectrum(mu1, d1, mu2, d2)) - exact).max() <= 1e-9
-    assert np.abs(np.sort(normalized_estimate(lam1, d1, lam2, d2)) - exact).max() <= 1e-9
+    for estimate in estimates(c4, k3):
+        assert np.abs(np.sort(estimate) - exact).max() <= 1e-9
 
 
 def test_estimates_contain_exact_zero():
-    g = generate_connected(GeneratorSpec("ER", 12, 0.4, seed=3))
-    h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=4))
-    mu1, d1 = np.linalg.eigvalsh(laplacian(g)), np.sort(g.degrees)
-    mu2, d2 = np.linalg.eigvalsh(laplacian(h)), np.sort(h.degrees)
-    lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
-    lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
-    for est in (sayama_spectrum(mu1, d1, mu2, d2), normalized_estimate(lam1, d1, lam2, d2)):
+    g, h = er_pair(12, 9, 3, 4)
+    for est in estimates(g, h):
         assert est.shape == (g.n * h.n,)
         # one zero, at the pair of the two (first, under Correlated) zero eigenvalues
         assert np.count_nonzero(est == 0.0) == 1
@@ -140,37 +117,23 @@ def test_estimates_contain_exact_zero():
 
 def test_nonnegativity_under_correlated_ordering():
     for seed in range(10):
-        g = generate_connected(GeneratorSpec("ER", 15, 0.35, seed=seed))
-        h = generate_connected(GeneratorSpec("ER", 11, 0.35, seed=seed + 50))
-        mu1, d1 = np.linalg.eigvalsh(laplacian(g)), np.sort(g.degrees)
-        mu2, d2 = np.linalg.eigvalsh(laplacian(h)), np.sort(h.degrees)
-        lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
-        lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
-        assert sayama_spectrum(mu1, d1, mu2, d2).min() >= -1e-12
-        assert normalized_estimate(lam1, d1, lam2, d2).min() >= -1e-12
+        for estimate in estimates(*er_pair(15, 11, seed, seed + 50, density=0.35)):
+            assert estimate.min() >= -1e-12
 
 
 def test_normalized_nonnegative_under_any_ordering():
-    g = generate_connected(GeneratorSpec("ER", 14, 0.4, seed=21))
-    h = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=22))
-    lam1, d1 = np.linalg.eigvalsh(normalized_laplacian(g)), np.sort(g.degrees)
-    lam2, d2 = np.linalg.eigvalsh(normalized_laplacian(h)), np.sort(h.degrees)
+    g, h = er_pair(14, 10, 21, 22)
     for kind in OrderingKind:
-        est = normalized_estimate(lam1, d1, lam2, d2, Ordering(kind=kind, randomization_seed=1))
-        assert est.min() >= -1e-12
+        _, normalized = estimates(g, h, Ordering(kind=kind, randomization_seed=1))
+        assert normalized.min() >= -1e-12
 
 
 def test_orderings_differ_on_irregular_factors():
-    g = generate_connected(GeneratorSpec("ER", 16, 0.3, seed=33))
-    h = generate_connected(GeneratorSpec("ER", 12, 0.3, seed=34))
+    g, h = er_pair(16, 12, 33, 34, density=0.3)
     assert len(set(g.degrees.tolist())) > 1  # irregular by construction
-    mu1, d1 = np.linalg.eigvalsh(laplacian(g)), np.sort(g.degrees)
-    mu2, d2 = np.linalg.eigvalsh(laplacian(h)), np.sort(h.degrees)
-    correlated = np.sort(sayama_spectrum(mu1, d1, mu2, d2, Ordering()))
-    anti = np.sort(
-        sayama_spectrum(mu1, d1, mu2, d2, Ordering(kind=OrderingKind.ANTI_CORRELATED))
-    )
-    assert not np.allclose(correlated, anti)
+    correlated, _ = estimates(g, h, Ordering())
+    anti, _ = estimates(g, h, Ordering(kind=OrderingKind.ANTI_CORRELATED))
+    assert not np.allclose(np.sort(correlated), np.sort(anti))
 
 
 def test_length_mismatch_raises():
@@ -181,8 +144,7 @@ def test_length_mismatch_raises():
 
 
 def test_estimate_spectrum_reads_each_estimators_basis_and_formula(monkeypatch):
-    f1 = factor_spectra(generate_connected(GeneratorSpec("ER", 10, 0.5, seed=8)))
-    f2 = factor_spectra(generate_connected(GeneratorSpec("ER", 8, 0.5, seed=9)))
+    f1, f2 = map(factor_spectra, er_pair(10, 8, 8, 9, density=0.5))
     ordering = Ordering(OrderingKind.UNCORRELATED, 3)
     for estimator, basis, formula in [
         (Estimator.SAYAMA_LAPLACIAN, "laplacian", sayama_spectrum),
@@ -202,29 +164,25 @@ def test_estimate_spectrum_reads_each_estimators_basis_and_formula(monkeypatch):
 
 
 def test_first_pair_is_ones_direction_for_laplacian_basis():
-    g = generate_connected(GeneratorSpec("ER", 10, 0.5, seed=8))
-    h = generate_connected(GeneratorSpec("ER", 8, 0.5, seed=9))
+    g, h = er_pair(10, 8, 8, 9, density=0.5)
     w1 = np.linalg.eigh(laplacian(g)).eigenvectors
     w2 = np.linalg.eigh(laplacian(h)).eigenvectors
     vec = np.kron(w1[:, 0], w2[:, 0])
     ones = np.ones(g.n * h.n) / np.sqrt(g.n * h.n)
     assert abs(abs(vec @ ones) - 1) <= 1e-9  # the ones direction, either sign
     # exact eigenvector for eigenvalue 0 of the product Laplacian
-    lap_product = laplacian(kronecker_graph(g, h))
-    assert np.linalg.norm(lap_product @ vec) <= 1e-9
+    assert np.linalg.norm(dense_laplacian(g, h) @ vec) <= 1e-9
 
 
 def test_first_normalized_pair_is_not_product_eigenvector():
     # for irregular factors, v1 kron v1 is not an eigenvector of the product
     # Laplacian (unlike the Laplacian-basis pair)
-    g = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=18))
-    h = generate_connected(GeneratorSpec("ER", 8, 0.4, seed=19))
+    g, h = er_pair(10, 8, 18, 19)
     assert len(set(g.degrees.tolist())) > 1
     v1 = np.linalg.eigh(normalized_laplacian(g)).eigenvectors
     v2 = np.linalg.eigh(normalized_laplacian(h)).eigenvectors
     vec = np.kron(v1[:, 0], v2[:, 0])
-    lap_product = laplacian(kronecker_graph(g, h))
-    image = lap_product @ vec
+    image = dense_laplacian(g, h) @ vec
     # residual of the best eigenvalue fit stays far from zero
     best = image @ vec
     assert np.linalg.norm(image - best * vec) > 1e-3
@@ -234,84 +192,58 @@ def test_first_normalized_pair_is_not_product_eigenvector():
 # property tests: invariants over random connected factor pairs
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-ORDERINGS = st.builds(
-    Ordering, kind=st.sampled_from(OrderingKind), randomization_seed=st.integers(0, 2**32 - 1)
-)
-
-
-@st.composite
-def factor_graphs(draw, regular=False):
-    """A small connected graph: ER, WS or BA, or (regular=True) a ring lattice or odd cycle."""
-    n = draw(st.integers(5, 11))
-    if regular:
-        if draw(st.booleans()):
-            return cycle_graph(n | 1)
-        # WS without rewiring is the k-regular ring lattice
-        return generate_connected(GeneratorSpec("WS", n, 0.5, seed=0, ws_beta=0.0))
-    model = draw(st.sampled_from(("ER", "WS", "BA")))
-    density = draw(st.sampled_from((0.3, 0.5, 0.7)))
-    return generate_connected(GeneratorSpec(model, n, density, draw(st.integers(0, 2**32 - 1))))
-
-
-@st.composite
-def factor_pairs(draw, regular=False):
-    g, h = draw(factor_graphs(regular)), draw(factor_graphs(regular))
-    # Weichsel: connected factors give a connected product unless both are bipartite
-    assume(not (is_bipartite(g) and is_bipartite(h)))
-    return g, h
-
-
-def both_estimates(g, h, ordering):
-    d1, d2 = np.sort(g.degrees), np.sort(h.degrees)
-    mu1, mu2 = np.linalg.eigvalsh(laplacian(g)), np.linalg.eigvalsh(laplacian(h))
-    lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
-    lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
-    return (
-        sayama_spectrum(mu1, d1, mu2, d2, ordering),
-        normalized_estimate(lam1, d1, lam2, d2, ordering),
-    )
+PROPERTY = property_settings(40)
+ORDERINGS = st.builds(Ordering, kind=st.sampled_from(OrderingKind), randomization_seed=SEEDS)
+REGULAR = factor_graphs(("CYCLE", "RING"), ring_degrees=(2, 4, 6))
 
 
 @PROPERTY
 @given(factor_pairs(), ORDERINGS)
+@example(
+    (generate_connected(GeneratorSpec("ER", 5, 0.3, seed=3)),) * 2,
+    Ordering(OrderingKind.ANTI_CORRELATED_RANDOMIZED, randomization_seed=5),
+)
 def test_property_exactly_one_zero(pair, ordering):
+    # a zero at the pair of the two (first, under Correlated) zero eigenvalues; the
+    # normalized cell (1 - (1 - lam)(1 - lam')) d d' has no other, as lam = lam' = 2
+    # needs both factors bipartite, but a Sayama cell mu d' + d mu' - mu mu' also
+    # vanishes where mu = mu' = d + d' (3 = 1 + 2 in the example)
     g, h = pair
-    for est in both_estimates(g, h, ordering):
+    sayama, normalized = estimates(g, h, ordering)
+    for est in (sayama, normalized):
         assert est.shape == (g.n * h.n,)
-        assert np.count_nonzero(est == 0.0) == 1
         if ordering.kind == OrderingKind.CORRELATED:
             assert est[0] == 0.0
+    assert np.count_nonzero(sayama == 0.0) >= 1
+    assert np.count_nonzero(normalized == 0.0) == 1
 
 
 @PROPERTY
 @given(factor_pairs(), ORDERINGS)
 def test_property_normalized_estimate_nonnegative(pair, ordering):
-    _, normalized = both_estimates(*pair, ordering)
+    _, normalized = estimates(*pair, ordering)
     assert normalized.min() >= 0.0
 
 
 @PROPERTY
-@given(factor_pairs(regular=True), ORDERINGS)
+@given(factor_pairs(REGULAR), ORDERINGS)
 def test_property_regular_factors_exact(pair, ordering):
     g, h = pair
-    exact = np.linalg.eigvalsh(laplacian(kronecker_graph(g, h)))
-    for est in both_estimates(g, h, ordering):
+    exact = np.linalg.eigvalsh(dense_laplacian(g, h))
+    for est in estimates(g, h, ordering):
         assert np.abs(np.sort(est) - exact).max() <= 1e-9
 
 
 @PROPERTY
-@given(factor_pairs(), ORDERINGS, st.integers(0, 2**32 - 1))
+@given(factor_pairs(), ORDERINGS, SEEDS)
 def test_property_degrees_in_any_order(pair, ordering, seed):
     # the estimators and the degree bound pair each factor's degrees ascending themselves
     g, h = pair
     rng = np.random.default_rng(seed)
     d1, d2 = rng.permutation(g.degrees), rng.permutation(h.degrees)
-    mu1, mu2 = np.linalg.eigvalsh(laplacian(g)), np.linalg.eigvalsh(laplacian(h))
-    lam1 = np.linalg.eigvalsh(normalized_laplacian(g))
-    lam2 = np.linalg.eigvalsh(normalized_laplacian(h))
-    sayama, normalized = both_estimates(g, h, ordering)
-    assert np.array_equal(sayama_spectrum(mu1, d1, mu2, d2, ordering), sayama)
-    assert np.array_equal(normalized_estimate(lam1, d1, lam2, d2, ordering), normalized)
-    for mu, d in ((mu1, d1), (mu2, d2)):
+    shuffled = estimates(g, h, ordering, degrees=(d1, d2))
+    for estimate, reference in zip(shuffled, estimates(g, h, ordering)):
+        assert np.array_equal(estimate, reference)
+    for f, d in ((g, d1), (h, d2)):
+        mu = np.linalg.eigvalsh(laplacian(f))
         assert sayama_bound_holds(rng.permutation(mu), d) == sayama_bound_holds(mu, np.sort(d))

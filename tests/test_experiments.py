@@ -3,15 +3,12 @@
 import csv
 import io
 import json
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kronspec
 from kronspec import checks, experiments, spectral
 from kronspec.checks import theory_suite
 from kronspec.estimators import Estimator, Ordering, OrderingKind
@@ -25,8 +22,9 @@ from kronspec.experiments import (
     run_single,
 )
 from kronspec.generators import GenerationError, generate_connected_pair
-from kronspec.graphs import KroneckerLaplacian, cycle_graph, kronecker_graph, laplacian
+from kronspec.graphs import KroneckerLaplacian, cycle_graph
 from kronspec.spectral import product_spectrum
+from toolkit import dense_laplacian, run_fresh
 
 
 ER_SMALL = {"model": "ER", "orders": (10, 12), "density": 0.4}
@@ -322,14 +320,11 @@ def test_config_accepts_numpy_integers(extra):
 
 
 def test_ordering_labels():
-    default = ExperimentConfig(model="ER", orders=(10, 12), density=0.4)
-    assert ordering_label(default, Estimator.SAYAMA_LAPLACIAN) == "Correlated"
-    assert ordering_label(default, Estimator.NORMALIZED_LAPLACIAN) == "Uncorrelated[per-run seed]"
-    anti = ExperimentConfig(
-        model="ER", orders=(10, 12), density=0.4, ordering=Ordering(OrderingKind.ANTI_CORRELATED)
-    )
+    # no ordering: each estimator's default pairing, marked when it draws on the run's seed
+    assert ordering_label(None, Estimator.SAYAMA_LAPLACIAN) == "Correlated"
+    assert ordering_label(None, Estimator.NORMALIZED_LAPLACIAN) == "Uncorrelated[per-run seed]"
     for estimator in Estimator:
-        assert ordering_label(anti, estimator) == "AntiCorrelated"
+        assert ordering_label(Ordering(OrderingKind.ANTI_CORRELATED), estimator) == "AntiCorrelated"
 
 
 def test_enum_names_become_members(tmp_path):
@@ -445,6 +440,14 @@ def test_generation_failure_names_run(monkeypatch):
         run_single(cycle_config(), 1)
 
 
+def test_run_single_redraws_a_bipartite_first_factor():
+    # K2 is bipartite for every seed, so when this run's ER(8) factor is drawn
+    # bipartite, it is the factor redrawn
+    config = ExperimentConfig(model="ER", orders=(8, 2), density=0.3, master_seed=2)
+    record = run_single(config, 0)
+    assert [errors.shape for errors in record.errors.values()] == [(15,), (15,)]
+
+
 def test_reproduce_figure_smoke(tmp_path):
     manifest = reproduce_figure("fig2", str(tmp_path), runs_override=1)
     assert len(manifest["panels"]) == 6  # 3 densities x 2 bases
@@ -552,7 +555,7 @@ def test_orderings_of_one_master_seed_solve_each_product_once(product_solves):
 def test_product_spectrum_is_read_only_and_bitwise_fresh(product_solves):
     op = er_op(seed=1)
     spectrum = product_spectrum(op)
-    reference = laplacian(kronecker_graph(op.first, op.second))
+    reference = dense_laplacian(op.first, op.second)
     assert spectrum.tobytes() == np.linalg.eigvalsh(reference).tobytes()
     assert not spectrum.flags.writeable
     with pytest.raises(ValueError):
@@ -589,7 +592,7 @@ def test_regular_factor_takes_the_block_path(product_solves, monkeypatch):
     er = er_op(seed=1).first
     assert not np.all(er.degrees == er.degrees[0])
     op = KroneckerLaplacian(cycle_graph(9), er)
-    reference = np.linalg.eigvalsh(laplacian(kronecker_graph(op.first, op.second)))
+    reference = np.linalg.eigvalsh(dense_laplacian(op.first, op.second))
 
     def no_dense(op):
         raise AssertionError("the block path builds no N x N matrix")
@@ -615,16 +618,7 @@ def test_product_spectrum_below_the_in_place_order_loads_no_scipy():
         "assert product_spectrum(op).shape == (1500,)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(kronspec.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
 
 
 def test_block_spectrum_ignores_blas_thread_count():
@@ -639,18 +633,7 @@ def test_block_spectrum_ignores_blas_thread_count():
         "spectrum = product_spectrum(KroneckerLaplacian(g, cycle_graph(201)))\n"
         "print(hashlib.sha256(spectrum.tobytes()).hexdigest())\n"
     )
-    src = str(Path(kronspec.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    digests = [
-        subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-        ).stdout.strip()
-        for threads in ("1", "2")
-    ]
+    digests = [run_fresh(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 
@@ -659,26 +642,13 @@ def test_desk_expected_spectrum_check_holds_one_product_matrix():
     # the order-1500 normalized Laplacian is built in the np.kron buffer, so
     # the check's peak is that 18 MB matrix and eigvalsh's working copy; a
     # separate Laplacian beside the kron argument made it three (52 MB).
-    # The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts at the
-    # RSS of the process that started it (here, pytest).
     code = (
         "from kronspec import checks\n"
-        "def peak_mb():\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:')) / 1024\n"
+        "from toolkit import peak_rss_kib\n"
         "checks.expected_spectrum_gap(5, 7)\n"
-        "before = peak_mb()\n"
+        "before = peak_rss_kib()\n"
         "assert checks.expected_spectrum_gap(30, 50)['pass']\n"
-        "print(peak_mb() - before)\n"
-    )
-    src = str(Path(kronspec.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        "print((peak_rss_kib() - before) / 1024)\n"
     )
     order_1500_mb = 1500 * 1500 * 8 / 2**20
-    assert float(out.stdout) < 2.5 * order_1500_mb
+    assert float(run_fresh(code)) < 2.5 * order_1500_mb

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from kronspec import generators
+from kronspec.experiments import ExperimentConfig
 from kronspec.generators import (
     GenerationError,
     GeneratorSpec,
@@ -17,7 +19,8 @@ from kronspec.generators import (
     generate_connected_pair,
     watts_strogatz,
 )
-from kronspec.graphs import is_bipartite, is_connected, write_edge_list
+from kronspec.graphs import is_bipartite, is_connected, kronecker_graph, write_edge_list
+from toolkit import config_spec_pairs, property_settings
 
 
 @pytest.fixture
@@ -139,8 +142,6 @@ def test_generate_connected_exhausts_retries():
 
 
 def test_generate_connected_pair_product_connected():
-    from kronspec.graphs import kronecker_graph
-
     for seed in range(5):
         s1 = GeneratorSpec("ER", 12, 0.3, seed=seed)
         s2 = GeneratorSpec("ER", 15, 0.3, seed=seed + 100)
@@ -167,8 +168,17 @@ def test_generate_connected_pair_fails_for_even_cycles(monkeypatch):
         draws.clear()
         with pytest.raises(GenerationError, match="bipartite"):
             generate_connected_pair(s1, s2)
-        # no seed makes the second factor non-bipartite, so the pair fails without redrawing
+        # no seed makes either factor non-bipartite, so the pair fails without redrawing
         assert len(draws) == 2
+
+
+def first_non_bipartite_redraw(spec):
+    """The first non-bipartite graph among the pair rule's redraws of ``spec``."""
+    redraws = (
+        generate_connected(replace(spec, seed=derive_seed(spec.seed, "nonbipartite", k)))
+        for k in range(1, generators.MAX_ATTEMPTS)
+    )
+    return next(g for g in redraws if not is_bipartite(g))
 
 
 def test_generate_connected_pair_redraws_a_bipartite_second_factor():
@@ -178,12 +188,27 @@ def test_generate_connected_pair_redraws_a_bipartite_second_factor():
     assert is_bipartite(generate_connected(spec2))
     g1, g2 = generate_connected_pair(tree, spec2)
     assert is_bipartite(g1) and not is_bipartite(g2)
-    redraws = (
-        generate_connected(replace(spec2, seed=derive_seed(1, "nonbipartite", k)))
-        for k in range(1, generators.MAX_ATTEMPTS)
-    )
-    first = next(g for g in redraws if not is_bipartite(g))
-    assert np.array_equal(g2.adjacency, first.adjacency)
+    assert np.array_equal(g2.adjacency, first_non_bipartite_redraw(spec2).adjacency)
+
+
+def test_generate_connected_pair_redraws_the_first_factor_if_the_second_cannot_change():
+    spec1 = GeneratorSpec("ER", 8, 0.3, seed=1)
+    assert is_bipartite(generate_connected(spec1))
+    k2 = GeneratorSpec("ER", 2, 0.3, seed=0)
+    g1, g2 = generate_connected_pair(spec1, k2)
+    assert not is_bipartite(g1) and g2.n == 2
+    assert np.array_equal(g1.adjacency, first_non_bipartite_redraw(spec1).adjacency)
+
+
+@property_settings(100)
+@given(config_spec_pairs())
+@example(ExperimentConfig(model="ER", orders=(8, 2), density=0.3, master_seed=2).run_specs(0))
+@example(ExperimentConfig(model="BA", orders=(5, 12), density=0.3).run_specs(0))  # a tree first
+@example(ExperimentConfig(model="CYCLE", orders=(4, 5), density=0.5).run_specs(0))
+def test_generate_connected_pair_connects_every_pair_a_config_accepts(specs):
+    g1, g2 = generate_connected_pair(*specs)
+    assert is_connected(g1) and is_connected(g2)
+    assert is_connected(kronecker_graph(g1, g2))
 
 
 def test_generate_connected_pair_gives_up_after_max_attempts(monkeypatch):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kronspec.generators import barabasi_albert, erdos_renyi, watts_strogatz
@@ -21,6 +21,7 @@ from kronspec.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from toolkit import SEEDS, property_settings
 
 
 def k2():
@@ -246,8 +247,8 @@ def test_normalize_owned_weighted_matrix():
     assert np.allclose(_normalize_owned(base.copy()), _normalize_owned(3.7 * base))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 257), st.integers(0, 2**32 - 1))
+@property_settings(40)
+@given(st.integers(1, 257), SEEDS)
 def test_normalize_owned_matches_whole_matrix_formula(n, seed):
     # a random symmetric nonnegative weighted matrix, zeros included; every
     # row keeps a positive entry on a cycle (n = 1: the diagonal)
@@ -321,7 +322,7 @@ def graphs(draw):
     return build_graph(n, draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else [])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@property_settings(60)
 @given(graphs())
 def test_property_edge_list_round_trip(tmp_path_factory, g):
     path = tmp_path_factory.mktemp("edges") / "g.edges"

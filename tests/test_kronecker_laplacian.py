@@ -2,62 +2,40 @@
 
 Property tests draw small factor pairs from every model, plus nearly
 regular factors (a cycle with one chord, where cosines crowd against 1) and
-odd cycles, and check the factor-form code against dense references built
-here from ``np.kron``. Products with a regular factor (odd cycles, ring
-lattices) check the engine's block path against a dense ``eigvalsh``.
+odd cycles, and check the factor-form code against the dense references of
+``toolkit``, built from ``np.kron``. Products with a regular factor (odd
+cycles, ring lattices) check the engine's block path against a dense
+``eigvalsh``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronspec import checks, spectral
 from kronspec.checks import complete_graph, cycle_graph
-from kronspec.generators import GeneratorSpec, generate_connected, watts_strogatz
-from kronspec.graphs import (
-    KroneckerLaplacian,
-    build_graph,
-    is_bipartite,
-    kronecker_graph,
-    laplacian,
-    normalized_laplacian,
-)
+from kronspec.generators import GeneratorSpec, generate_connected
+from kronspec.graphs import KroneckerLaplacian, laplacian
 from kronspec.metrics import correlation_profile
 from kronspec.theory import mean_rms_ratio
+from toolkit import (
+    BASES,
+    SEEDS,
+    dense_laplacian,
+    er_pair,
+    factor_graphs,
+    factor_pairs,
+    property_settings,
+)
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-BASES = {"laplacian": laplacian, "normalized": normalized_laplacian}
-
-
-@st.composite
-def factor_graphs(draw):
-    model = draw(st.sampled_from(("ER", "WS", "BA", "NEARLY_REGULAR", "CYCLE")))
-    n = draw(st.integers(5, 11))
-    if model == "CYCLE":
-        return cycle_graph(n | 1)  # odd: even cycles are bipartite and regular
-    if model == "NEARLY_REGULAR":
-        chord = draw(st.integers(2, n - 2))
-        return build_graph(n, [(v, (v + 1) % n) for v in range(n)] + [(0, chord)])
-    density = draw(st.sampled_from((0.3, 0.5, 0.7)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return generate_connected(GeneratorSpec(model, n, density, seed))
-
-
-@st.composite
-def factor_pairs(draw):
-    g, h = draw(factor_graphs()), draw(factor_graphs())
-    # Weichsel: connected factors give a connected product unless both are bipartite
-    assume(not (is_bipartite(g) and is_bipartite(h)))
-    return g, h
-
-
-def dense_laplacian(g, h) -> np.ndarray:
-    """The product graph's Laplacian: ``-kron(A1, A2)``, degree products on the diagonal.
-
-    Every zero off the diagonal is -0.0, as in the matrix kronspec solves.
-    """
-    return laplacian(kronecker_graph(g, h))
+PROPERTY = property_settings(60)
+SMALL_PAIRS = factor_pairs(factor_graphs(("ER", "WS", "BA", "NEARLY_REGULAR", "CYCLE")))
+# connected, non-bipartite and regular: an odd cycle or a ring lattice with k >= 4, so
+# its product with any connected factor is connected (Weichsel), with one zero eigenvalue
+REGULAR = factor_graphs(("CYCLE", "RING"), orders=(5, 40))
+# rewired WS (its default beta > 0), ER or BA: almost never regular
+RANDOM = factor_graphs(orders=(5, 40))
 
 
 def assert_upper_triangle_of(m: np.ndarray, reference: np.ndarray) -> None:
@@ -77,34 +55,10 @@ def dense_profile(g, h, basis1, basis2) -> np.ndarray:
     return cosines[1:]
 
 
-@st.composite
-def regular_graphs(draw):
-    """Connected, non-bipartite and regular: an odd cycle or a ring lattice with k >= 4.
-
-    Its product with any connected factor is connected (Weichsel), so the
-    product Laplacian has exactly one zero eigenvalue.
-    """
-    n = draw(st.integers(5, 40))
-    if draw(st.booleans()):
-        return cycle_graph(n | 1)
-    k = draw(st.sampled_from((4, 6)))
-    assume(n > k)
-    return watts_strogatz(n, k, 0.0, seed=0)
-
-
-@st.composite
-def random_graphs(draw):
-    """ER, BA or rewired WS (its default beta > 0): almost never regular."""
-    model = draw(st.sampled_from(("ER", "BA", "WS")))
-    n = draw(st.integers(5, 40))
-    density = draw(st.sampled_from((0.3, 0.5, 0.7)))  # feasible for every model at n >= 5
-    return generate_connected(GeneratorSpec(model, n, density, draw(st.integers(0, 2**32 - 1))))
-
-
 @PROPERTY
-@given(regular_graphs(), st.one_of(regular_graphs(), random_graphs()), st.booleans())
-def test_block_spectrum_matches_dense(r, other, swap):
-    g, h = (other, r) if swap else (r, other)
+@given(factor_pairs(REGULAR, st.one_of(REGULAR, RANDOM)), st.booleans())
+def test_block_spectrum_matches_dense(pair, swap):
+    g, h = pair[::-1] if swap else pair
     op = KroneckerLaplacian(g, h)
     spectral._spectra.clear()
     spectrum = spectral.product_spectrum(op)
@@ -119,7 +73,7 @@ def test_block_spectrum_matches_dense(r, other, swap):
 
 @PROPERTY
 @given(
-    st.one_of(factor_pairs(), st.tuples(regular_graphs(), random_graphs())),
+    st.one_of(SMALL_PAIRS, factor_pairs(REGULAR, RANDOM)),
     st.booleans(),
     st.integers(2, 8),
     st.integers(2, 8),
@@ -161,7 +115,10 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
 
 
 @PROPERTY
-@given(factor_pairs(), st.sampled_from(sorted(BASES)))
+@given(SMALL_PAIRS, st.sampled_from(sorted(BASES)))
+# the cosine of pair (i, j) is read off the flat profile at its row-major index
+@example(er_pair(7, 6, 71, 72, density=0.5), "normalized")
+@example(er_pair(10, 8, 61, 62), "normalized")
 def test_profile_matches_dense_reference(pair, basis):
     g, h = pair
     b1 = np.linalg.eigh(BASES[basis](g)).eigenvectors
@@ -174,7 +131,7 @@ def test_profile_matches_dense_reference(pair, basis):
 
 
 @PROPERTY
-@given(factor_pairs(), st.sampled_from(sorted(BASES)), st.integers(0, 2**32 - 1))
+@given(SMALL_PAIRS, st.sampled_from(sorted(BASES)), SEEDS)
 def test_profile_ignores_eigenvector_signs(pair, basis, seed):
     # eigh promises no eigenvector sign, so flipping columns must change nothing
     g, h = pair
@@ -191,7 +148,8 @@ def test_profile_ignores_eigenvector_signs(pair, basis, seed):
 
 
 @PROPERTY
-@given(factor_pairs())
+@given(SMALL_PAIRS)
+@example(er_pair(12, 9, 51, 52))
 def test_first_row_is_mean_over_rms(pair):
     g, h = pair
     w1 = np.linalg.eigh(laplacian(g)).eigenvectors
@@ -201,7 +159,7 @@ def test_first_row_is_mean_over_rms(pair):
 
 
 @PROPERTY
-@given(factor_pairs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(SMALL_PAIRS, st.integers(1, 3), SEEDS)
 def test_matvec_matches_dense(pair, columns, seed):
     g, h = pair
     op = KroneckerLaplacian(g, h)
@@ -216,12 +174,14 @@ def test_matvec_matches_dense(pair, columns, seed):
     (cycle_graph(5), complete_graph(4)),
     (cycle_graph(7), cycle_graph(5)),
     (complete_graph(3), complete_graph(6)),
+    (cycle_graph(4), complete_graph(3)),
 ])
 @pytest.mark.parametrize("basis", sorted(BASES))
 def test_regular_factors_give_all_ones(g, h, basis):
     b1 = np.linalg.eigh(BASES[basis](g)).eigenvectors
     b2 = np.linalg.eigh(BASES[basis](h)).eigenvectors
     profile = correlation_profile(KroneckerLaplacian(g, h), b1, b2)
+    assert profile.shape == (g.n * h.n - 1,)
     assert np.abs(profile - 1.0).max() <= 1e-12
 
 
@@ -231,7 +191,7 @@ def test_dense_is_bitwise_the_product_graph_laplacian():
     upper = spectral._product_upper(KroneckerLaplacian(g, h))
     # same bytes in the triangle LAPACK reads, signed zeros included, so the
     # eigensolver sees the same input as from the full product graph Laplacian
-    assert_upper_triangle_of(upper, laplacian(kronecker_graph(g, h)))
+    assert_upper_triangle_of(upper, dense_laplacian(g, h))
     assert np.signbit(upper[0, 1:]).all()
 
 

@@ -1,8 +1,5 @@
 """Correlation profiles, percentage errors, aggregation, and KDE."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +7,8 @@ import pytest
 
 import kronspec
 from kronspec.checks import complete_graph, cycle_graph
-from kronspec.estimators import normalized_estimate
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import (
-    KroneckerLaplacian,
-    build_graph,
-    kronecker_graph,
-    laplacian,
-    normalized_laplacian,
-)
+from kronspec.graphs import KroneckerLaplacian, laplacian
 from kronspec import metrics
 from kronspec.metrics import (
     KDE_BLOCK,
@@ -27,27 +17,7 @@ from kronspec.metrics import (
     kde,
     percentage_errors,
 )
-from kronspec.theory import mean_rms_ratio
-
-
-def test_correlation_profile_regular_factors_all_one():
-    c4, k3 = cycle_graph(4), complete_graph(3)
-    w1 = np.linalg.eigh(laplacian(c4)).eigenvectors
-    w2 = np.linalg.eigh(laplacian(k3)).eigenvectors
-    profile = correlation_profile(KroneckerLaplacian(c4, k3), w1, w2)
-    assert profile.shape == (11,)
-    assert np.abs(profile - 1.0).max() <= 1e-9
-
-
-def test_correlation_profile_first_row_is_mean_over_rms():
-    g = generate_connected(GeneratorSpec("ER", 12, 0.4, seed=51))
-    h = generate_connected(GeneratorSpec("ER", 9, 0.4, seed=52))
-    w1 = np.linalg.eigh(laplacian(g)).eigenvectors
-    w2 = np.linalg.eigh(laplacian(h)).eigenvectors
-    profile = correlation_profile(KroneckerLaplacian(g, h), w1, w2)
-    row = profile[: h.n - 1]
-    assert np.abs(row - mean_rms_ratio(g.degrees)).max() <= 1e-10
-    assert row.max() - row.min() <= 1e-10
+from toolkit import dense_laplacian, estimates, run_fresh
 
 
 def test_correlation_profile_exact_eigenvector_gives_one():
@@ -61,31 +31,6 @@ def test_correlation_profile_exact_eigenvector_gives_one():
     profile = correlation_profile(KroneckerLaplacian(g, h), w1, w2)
     assert np.abs(profile[: h.n - 1] - 1.0).max() <= 1e-12
     assert np.abs(profile[h.n - 1:] - 1.0).max() > 1e-3  # later rows are not eigenvectors
-
-
-def test_correlation_profile_values_in_range():
-    g = generate_connected(GeneratorSpec("ER", 10, 0.4, seed=61))
-    h = generate_connected(GeneratorSpec("ER", 8, 0.4, seed=62))
-    v1 = np.linalg.eigh(normalized_laplacian(g)).eigenvectors
-    v2 = np.linalg.eigh(normalized_laplacian(h)).eigenvectors
-    profile = correlation_profile(KroneckerLaplacian(g, h), v1, v2)
-    assert profile.min() >= -1e-12  # PSD quadratic form
-    assert profile.max() <= 1.0 + 1e-12
-
-
-def test_correlation_profile_restricted_pairs():
-    # a subset of pairs is read off the flat profile at its row-major index
-    g = generate_connected(GeneratorSpec("ER", 7, 0.5, seed=71))
-    h = generate_connected(GeneratorSpec("ER", 6, 0.5, seed=72))
-    v1 = np.linalg.eigh(normalized_laplacian(g)).eigenvectors
-    v2 = np.linalg.eigh(normalized_laplacian(h)).eigenvectors
-    profile = correlation_profile(KroneckerLaplacian(g, h), v1, v2)
-    lap_product = laplacian(kronecker_graph(g, h))
-    for i, j in [(0, 1), (1, 0), (3, 2), (g.n - 1, h.n - 1)]:
-        x = np.kron(v1[:, i], v2[:, j])
-        lx = lap_product @ x
-        reference = x @ lx / (np.linalg.norm(x) * np.linalg.norm(lx))
-        assert abs(profile[i * h.n + j - 1] - reference) <= 1e-12
 
 
 def test_correlation_profile_rejects_mismatched_bases():
@@ -109,9 +54,8 @@ def test_percentage_errors_sorts_estimates():
 
 
 def test_percentage_errors_rejects_disconnected():
-    k2 = build_graph(2, [(0, 1)])
-    product = kronecker_graph(k2, k2)
-    actual = np.linalg.eigvalsh(laplacian(product))
+    k2 = complete_graph(2)
+    actual = np.linalg.eigvalsh(dense_laplacian(k2, k2))
     with pytest.raises(ValueError):
         percentage_errors(np.array([0.0, 0.0, 2.0, 2.0]), actual)
     with pytest.raises(ValueError, match="length mismatch"):
@@ -122,10 +66,8 @@ def test_percentage_errors_rejects_disconnected():
 
 def test_percentage_errors_exact_for_regular_factors():
     c4, k3 = cycle_graph(4), complete_graph(3)
-    lam1, d1 = np.linalg.eigvalsh(normalized_laplacian(c4)), np.sort(c4.degrees)
-    lam2, d2 = np.linalg.eigvalsh(normalized_laplacian(k3)), np.sort(k3.degrees)
-    actual = np.linalg.eigvalsh(laplacian(kronecker_graph(c4, k3)))
-    errors = percentage_errors(normalized_estimate(lam1, d1, lam2, d2), actual)
+    _, normalized = estimates(c4, k3)
+    errors = percentage_errors(normalized, np.linalg.eigvalsh(dense_laplacian(c4, k3)))
     assert np.abs(errors).max() <= 1e-7
 
 
@@ -213,13 +155,4 @@ def test_import_loads_no_scipy():
         "import sys, kronspec, kronspec.cli, kronspec.checks; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(kronspec.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"

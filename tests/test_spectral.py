@@ -1,17 +1,12 @@
 """The eigensolves of spectral.py: factor decompositions and in-place product solves."""
 
-import os
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-import kronspec
 from kronspec import spectral
 from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
@@ -20,12 +15,10 @@ from kronspec.graphs import (
     KroneckerLaplacian,
     build_graph,
     kronecker_graph,
-    laplacian,
     normalized_laplacian,
 )
 from kronspec.spectral import factor_spectra, owned_eigenvalues
-
-BASES = {"laplacian": laplacian, "normalized": normalized_laplacian}
+from toolkit import BASES, dense_laplacian, er_pair, factor_graphs, property_settings, run_fresh
 
 
 def generated_graphs():
@@ -114,7 +107,7 @@ def test_colinearity_of_ones_kron_eigenvector():
     g = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
     h = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
     eig_h = factor_spectra(h).laplacian
-    lap_product = laplacian(kronecker_graph(g, h))
+    lap_product = dense_laplacian(g, h)
     ones = np.ones(g.n)
     dvec = g.degrees.astype(float)
     for j in range(h.n):
@@ -124,25 +117,14 @@ def test_colinearity_of_ones_kron_eigenvector():
         assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 
-@st.composite
-def er_ws_ba_products(draw):
-    """ER, WS or BA factors of order 5-17, so the product has N <= 289."""
-    def factor():
-        model = draw(st.sampled_from(("ER", "WS", "BA")))
-        n = draw(st.integers(5, 17))
-        density = draw(st.sampled_from((0.3, 0.5, 0.7)))
-        return generate_connected(GeneratorSpec(model, n, density, draw(st.integers(0, 2**32 - 1))))
-
-    return KroneckerLaplacian(factor(), factor())
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(er_ws_ba_products())
+@property_settings(40)
+# ER, WS or BA factors of order 5-17, so the product has N <= 289
+@given(st.builds(KroneckerLaplacian, *[factor_graphs(orders=(5, 17))] * 2))
 def test_in_place_solve_is_bit_exact(op):
     # the order constant is patched down so the in-place scipy path runs on
     # small products; from the upper triangle alone it must give the bits
     # eigvalsh gives for the whole product Laplacian, and work in m's buffer
-    reference = laplacian(kronecker_graph(op.first, op.second))
+    reference = dense_laplacian(op.first, op.second)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "IN_PLACE_MIN_ORDER", 1)
         m = spectral._product_upper(op)
@@ -153,17 +135,14 @@ def test_in_place_solve_is_bit_exact(op):
 
 def test_in_place_solve_is_bit_exact_at_the_real_order():
     # unpatched: the smallest ER x ER product at the threshold takes the scipy path
-    op = KroneckerLaplacian(
-        generate_connected(GeneratorSpec("ER", 50, 0.3, 5)),
-        generate_connected(GeneratorSpec("ER", 70, 0.3, 6)),
-    )
+    op = KroneckerLaplacian(*er_pair(50, 70, 5, 6, density=0.3))
     assert op.first.n * op.second.n == spectral.IN_PLACE_MIN_ORDER
     m = spectral._product_upper(op)
     values = owned_eigenvalues(m)
     # LAPACK's tridiagonal reduction replaced the degree products on m's diagonal
     assert not np.array_equal(np.diagonal(m), np.kron(op.first.degrees, op.second.degrees))
     del m
-    reference = laplacian(kronecker_graph(op.first, op.second))
+    reference = dense_laplacian(op.first, op.second)
     assert values.tobytes() == np.linalg.eigvalsh(reference).tobytes()
 
 
@@ -178,25 +157,14 @@ def test_in_place_product_solve_commits_about_half_the_matrix():
         "from kronspec.spectral import product_spectrum\n"
         "from kronspec.generators import GeneratorSpec, generate_connected\n"
         "from kronspec.graphs import KroneckerLaplacian\n"
-        "def peak():\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:')) * 1024\n"
+        "from toolkit import peak_rss_kib\n"
         "op = KroneckerLaplacian(\n"
         "    generate_connected(GeneratorSpec('ER', 50, 0.3, 5)),\n"
         "    generate_connected(GeneratorSpec('ER', 70, 0.3, 6)),\n"
         ")\n"
-        "before = peak()\n"
+        "before = peak_rss_kib()\n"
         "assert product_spectrum(op).shape == (3500,)\n"
-        "print(peak() - before)\n"
-    )
-    src = str(Path(kronspec.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        "print((peak_rss_kib() - before) * 1024)\n"
     )
     assert spectral.IN_PLACE_MIN_ORDER == 3500
-    assert int(out.stdout) < 0.75 * 8 * 3500**2
+    assert int(run_fresh(code)) < 0.75 * 8 * 3500**2
