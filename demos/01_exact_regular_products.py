@@ -10,24 +10,25 @@ machine precision.
 import numpy as np
 
 from kronspec import (
+    KroneckerLaplacian,
     build_graph,
     kronecker_graph,
-    laplacian,
-    normalized_laplacian,
     normalized_estimate,
+    product_spectrum,
     sayama_spectrum,
 )
+from kronspec.spectral import factor_spectra
 
 c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 product = kronecker_graph(c4, k3)
-exact = np.linalg.eigvalsh(laplacian(product))
+exact = product_spectrum(KroneckerLaplacian(c4, k3))
 
-mu1, d1 = np.linalg.eigvalsh(laplacian(c4)), c4.degrees
-mu2, d2 = np.linalg.eigvalsh(laplacian(k3)), k3.degrees
-lam1 = np.linalg.eigvalsh(normalized_laplacian(c4))
-lam2 = np.linalg.eigvalsh(normalized_laplacian(k3))
+f1, f2 = factor_spectra(c4), factor_spectra(k3)
+mu1, d1 = f1.laplacian.eigenvalues, f1.degrees
+mu2, d2 = f2.laplacian.eigenvalues, f2.degrees
+lam1, lam2 = f1.normalized.eigenvalues, f2.normalized.eigenvalues
 
 from_laplacian = np.sort(sayama_spectrum(mu1, d1, mu2, d2))
 from_normalized = np.sort(normalized_estimate(lam1, d1, lam2, d2))

@@ -29,6 +29,7 @@ from .graphs import (
     laplacian,
     normalized_laplacian,
 )
+from .spectral import factor_spectra, owned_eigenvalues
 from .theory import (
     asymptotic_cubic,
     expected_kron_normalized_spectrum,
@@ -40,14 +41,14 @@ from .theory import (
 
 
 def _er_pairs(seed, tag: str, count: int):
-    """Connected ER factor pairs: orders in [8, 20], density in [0.25, 0.7], from the seed."""
+    """Seeded connected ER pairs, orders 8-20, density 0.25-0.7: (product, factor_spectra x2)."""
     for t in range(count):
         rng = np.random.default_rng(derive_seed(seed, tag, t))
         n1, n2 = int(rng.integers(8, 21)), int(rng.integers(8, 21))
         p = float(rng.uniform(0.25, 0.7))
         g1 = generate_connected(GeneratorSpec("ER", n1, p, derive_seed(seed, tag, t, "a")))
         g2 = generate_connected(GeneratorSpec("ER", n2, p, derive_seed(seed, tag, t, "b")))
-        yield g1, g2
+        yield KroneckerLaplacian(g1, g2), factor_spectra(g1), factor_spectra(g2)
 
 
 def _first_row_cosines(op: KroneckerLaplacian, basis1, basis2) -> np.ndarray:
@@ -146,8 +147,8 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
     """Closed-form four-level spectrum vs a direct eigensolve, per p.
 
     The normalized Laplacian of each expected adjacency ``kron(bar1, bar2)``
-    is built in the buffer ``np.kron`` returns (:func:`graphs._normalize_owned`),
-    so a solve holds that one order-n1*n2 matrix plus ``eigvalsh``'s working copy.
+    is built in the buffer ``np.kron`` returns and given up to ``owned_eigenvalues``,
+    so a solve holds that one order-n1*n2 matrix plus the solver's working copy.
     """
     probs, tolerance = (0.3, 1.0), 1e-8
     levels = expected_kron_normalized_spectrum(n1, n2)
@@ -155,7 +156,7 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
     worst = 0.0
     for p in probs:
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
-        numeric = np.linalg.eigvalsh(_normalize_owned(np.kron(bar1, bar2)))
+        numeric = owned_eigenvalues(_normalize_owned(np.kron(bar1, bar2)))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return {
         "inputs": {"orders": [n1, n2], "probs": list(probs), "tolerance": tolerance},
@@ -180,8 +181,8 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         p = float(rng.uniform(*p_range))
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "sweep", t)))
-        mu = np.linalg.eigvalsh(laplacian(g))
-        spectra.append((mu, np.linalg.eigvalsh(normalized_laplacian(g)), g.degrees))
+        mu = owned_eigenvalues(laplacian(g))
+        spectra.append((mu, owned_eigenvalues(normalized_laplacian(g)), g.degrees))
     bound_failures = sum(not sayama_bound_holds(mu, d) for mu, _, d in spectra)
     min_sayama = min_normalized = math.inf
     for (mu1, lam1, d1), (mu2, lam2, d2) in zip(spectra[0::2], spectra[1::2]):
@@ -212,12 +213,12 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     draws = _as_int("draws", draws, 1)
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
-    eig_h = np.linalg.eigh(laplacian(h))
+    w_h = factor_spectra(h).laplacian.eigenvectors
     means = []
     for t in range(draws):
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "er_mc", t)))
         op = KroneckerLaplacian(g, h)
-        means.append(np.mean(_first_row_cosines(op, np.ones((n, 1)), eig_h.eigenvectors)))
+        means.append(np.mean(_first_row_cosines(op, np.ones((n, 1)), w_h)))
     observed_mean = float(np.mean(means))
     predicted = expected_r1j(n, p)
     return {
@@ -232,11 +233,9 @@ def r1j_closed_form_gap(seed: int) -> dict:
     """Observed r(1, j) vs the mean/RMS formula, and its j-independence."""
     pairs, tolerance = 20, 1e-10
     max_gap = max_spread = 0.0
-    for g1, g2 in _er_pairs(seed, "r1j", pairs):
-        w1 = np.linalg.eigh(laplacian(g1)).eigenvectors
-        w2 = np.linalg.eigh(laplacian(g2)).eigenvectors
-        observed = _first_row_cosines(KroneckerLaplacian(g1, g2), w1, w2)
-        max_gap = max(max_gap, float(np.abs(observed - mean_rms_ratio(g1.degrees)).max()))
+    for op, f1, f2 in _er_pairs(seed, "r1j", pairs):
+        observed = _first_row_cosines(op, f1.laplacian.eigenvectors, f2.laplacian.eigenvectors)
+        max_gap = max(max_gap, float(np.abs(observed - mean_rms_ratio(f1.degrees)).max()))
         max_spread = max(max_spread, float(observed.max() - observed.min()))
     return {
         "inputs": {"pairs": pairs, "seed": seed, "tolerance": tolerance},
@@ -250,11 +249,10 @@ def colinearity_residual(seed: int) -> dict:
     """Residual of L (1 kron w_j) = mu_j (d kron w_j) over random pairs."""
     pairs, tolerance = 20, 1e-8
     worst = 0.0
-    for g1, g2 in _er_pairs(seed, "colin", pairs):
-        eig2 = np.linalg.eigh(laplacian(g2))
-        op = KroneckerLaplacian(g1, g2)
-        lhs = op.matvec(np.kron(np.ones((g1.n, 1)), eig2.eigenvectors))
-        rhs = np.kron(g1.degrees[:, None], eig2.eigenvectors) * eig2.eigenvalues
+    for op, f1, f2 in _er_pairs(seed, "colin", pairs):
+        mu2, w2 = f2.laplacian
+        lhs = op.matvec(np.kron(np.ones((op.first.n, 1)), w2))
+        rhs = np.kron(f1.degrees[:, None], w2) * mu2
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return {
         "inputs": {"pairs": pairs, "seed": seed, "tolerance": tolerance},
@@ -268,15 +266,15 @@ def normalized_decomposition_gaps(seed: int) -> dict:
     """Exact product decomposition: eigenvalues 1 - (1-lam_i)(1-lam_j), vectors v_i kron v_j."""
     pairs, tolerance = 20, 1e-8
     max_value_gap = max_vector_residual = 0.0
-    for g1, g2 in _er_pairs(seed, "decomp", pairs):
-        eig1 = np.linalg.eigh(normalized_laplacian(g1))
-        eig2 = np.linalg.eigh(normalized_laplacian(g2))
-        norm_product = normalized_laplacian(kronecker_graph(g1, g2))
-        formula = (1.0 - np.outer(1.0 - eig1.eigenvalues, 1.0 - eig2.eigenvalues)).ravel()
-        numeric = np.linalg.eigvalsh(norm_product)
-        max_value_gap = max(max_value_gap, float(np.abs(np.sort(formula) - numeric).max()))
-        x = np.kron(eig1.eigenvectors, eig2.eigenvectors)
+    for op, f1, f2 in _er_pairs(seed, "decomp", pairs):
+        (lam1, v1), (lam2, v2) = f1.normalized, f2.normalized
+        norm_product = normalized_laplacian(kronecker_graph(op.first, op.second))
+        formula = (1.0 - np.outer(1.0 - lam1, 1.0 - lam2)).ravel()
+        x = np.kron(v1, v2)
         residual = norm_product @ x - x * formula
+        # the solve takes over norm_product, so it comes after the residual
+        numeric = owned_eigenvalues(norm_product)
+        max_value_gap = max(max_value_gap, float(np.abs(np.sort(formula) - numeric).max()))
         max_vector_residual = max(
             max_vector_residual, float(np.linalg.norm(residual, axis=0).max())
         )
@@ -303,10 +301,9 @@ def rprime_bound_slack(seed: int) -> dict:
     """
     pairs, slack_floor = 50, -1e-9
     stated, corrected = [], []
-    for g1, g2 in _er_pairs(seed, "rprime", pairs):
-        v1 = np.linalg.eigh(normalized_laplacian(g1)).eigenvectors
-        v2 = np.linalg.eigh(normalized_laplacian(g2)).eigenvectors
-        row = _first_row_cosines(KroneckerLaplacian(g1, g2), v1, v2)
+    for op, f1, f2 in _er_pairs(seed, "rprime", pairs):
+        v2, g2 = f2.normalized.eigenvectors, op.second
+        row = _first_row_cosines(op, f1.normalized.eigenvectors, v2)
         v = v2[:, 1:]
         lap2_v = laplacian(g2) @ v
         dots = np.einsum("dc,dc->c", v, lap2_v)
@@ -314,8 +311,8 @@ def rprime_bound_slack(seed: int) -> dict:
         deg2_v, adj2_v = g2.degrees[:, None] * v, g2.adjacency @ v
         r_j_corrected = dots / (np.linalg.norm(deg2_v, axis=0) + np.linalg.norm(adj2_v, axis=0))
         for observed, r, r_corrected in zip(row, r_j, r_j_corrected):
-            stated.append(observed - rprime_lower_bound(g1.degrees, float(r)))
-            corrected.append(observed - rprime_lower_bound(g1.degrees, float(r_corrected)))
+            stated.append(observed - rprime_lower_bound(f1.degrees, float(r)))
+            corrected.append(observed - rprime_lower_bound(f1.degrees, float(r_corrected)))
     min_slack_stated, min_slack_corrected = float(min(stated)), float(min(corrected))
     return {
         "inputs": {"pairs": pairs, "seed": seed, "slack_floor": slack_floor},

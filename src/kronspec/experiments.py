@@ -291,18 +291,14 @@ def _write_json(path: Path, data: dict) -> None:
         fh.write("\n")
 
 
-def _cell(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def write_csv(dest: str | Path | IO[str], note: str, columns: Mapping[str, object]) -> None:
     """Write one report table: ``# kronspec=<version> <note>``, the column names, then the rows.
 
     Each value of ``columns`` is a list, tuple, range or array with one cell per
-    row, or one value that every row shares. A float cell is written as
-    ``repr(float(x))`` and any other with ``str``, decided per cell on Python
-    values (arrays are read through ``tolist``), so an integer column stays
-    integral whatever its range. Columns of unequal length are a ValueError.
+    row, or one value that every row shares. Every cell is written as its
+    ``str``, taken of Python values (arrays are read through ``tolist``): a
+    float's ``str`` is its shortest round-trip ``repr``, and an integer column
+    stays integral whatever its range. Columns of unequal length are a ValueError.
     ``dest`` is a path or an open text stream.
     """
     values = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in columns.items()}
@@ -310,7 +306,7 @@ def write_csv(dest: str | Path | IO[str], note: str, columns: Mapping[str, objec
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
     n = max(lengths.values(), default=1)
-    cells = (map(_cell, v) if k in lengths else repeat(_cell(v), n) for k, v in values.items())
+    cells = (map(str, v) if k in lengths else repeat(str(v), n) for k, v in values.items())
     head = [f"# kronspec={version_string()} {note}", ",".join(columns)]
     lines = (f"{line}\n" for line in chain(head, map(",".join, zip(*cells))))
     if hasattr(dest, "write"):
@@ -331,7 +327,8 @@ def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     config = bundle.config
     config_hash = config.config_hash()
-    # (files key, file name, columns) of every table
+    # (files key, file name, columns) of every table; error rank r is the r-th nonzero
+    # eigenvalue, rank r+1 of the sorted spectrum
     tables = [
         (
             f"error_profile/{e.value}",

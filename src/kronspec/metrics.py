@@ -6,7 +6,7 @@ Four families of measurements:
   eigenvector x = u_i kron v_j, which is 1 exactly when x is an eigenvector,
   computed in closed form from the factors of a :class:`KroneckerLaplacian`;
 * percentage-error vectors between sorted estimated and sorted exact
-  spectra, with the matched zero eigenvalue dropped from both;
+  spectra, with each spectrum's zero eigenvalue dropped;
 * aggregation of per-run error vectors into median and 5/95-percentile
   bands per rank;
 * Gaussian kernel density curves (Silverman bandwidth) for
@@ -36,8 +36,8 @@ class ErrorProfile:
     """Per-rank percentage-error statistics across independent runs.
 
     Entry k of ``median``, ``p5`` and ``p95`` summarizes, over runs, the
-    error of rank k+2 of the sorted spectrum (rank 1, the matched zeros, is
-    dropped).
+    error of the (k+1)-th nonzero eigenvalue, rank k+2 of the sorted
+    spectrum; it is row ``rank`` k+1 of an ``errors_*.csv`` table.
     """
 
     median: np.ndarray
@@ -123,11 +123,13 @@ def correlation_profile(
 def percentage_errors(estimated: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """Per-rank percentage error between sorted estimated and exact spectra.
 
-    Both spectra are sorted ascending and rank 1 (the zero eigenvalue,
-    matched exactly by construction) is dropped from both, so the result has
-    n1*n2 - 1 entries: 100 * (est_k - act_k) / act_k. The exact spectrum
-    must contain exactly one eigenvalue at or below 1e-8 times its largest;
-    more means the product was disconnected and rank pairing is meaningless.
+    The exact spectrum's rank 1 and the estimate's entry nearest zero (the
+    exact zero paired from the factor zeros; an ordering that makes estimates
+    negative puts them below it, and they are kept) are dropped and the rest
+    sorted ascending: n1*n2 - 1 entries, 100 * (est_k - act_k) / act_k. The
+    exact spectrum must contain exactly one eigenvalue at or below 1e-8 times
+    its largest; more means the product was disconnected and rank pairing is
+    meaningless.
     """
     actual = np.asarray(actual, dtype=np.float64)
     if len(estimated) != len(actual):
@@ -141,8 +143,9 @@ def percentage_errors(estimated: np.ndarray, actual: np.ndarray) -> np.ndarray:
             f"expected exactly one zero eigenvalue, found {zeros} below {cutoff:g} "
             "(disconnected product?)"
         )
-    est = np.sort(estimated)
-    return 100.0 * (est[1:] - actual[1:]) / actual[1:]
+    est = np.asarray(estimated, dtype=np.float64)
+    est = np.sort(np.delete(est, np.argmin(np.abs(est))))
+    return 100.0 * (est - actual[1:]) / actual[1:]
 
 
 def aggregate_profile(error_vectors) -> ErrorProfile:

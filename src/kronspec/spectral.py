@@ -1,10 +1,11 @@
-"""Every eigensolve of a run: the factor decompositions and the exact product spectrum.
+"""Every eigensolve kronspec makes: factor decompositions and exact product spectra.
 
-:func:`factor_spectra` returns ``np.linalg.eigh`` results: ascending eigenvalues,
-orthonormal eigenvectors and no sign promise, since every consumer (cosines,
-quadratic forms, residual norms) is sign-invariant. :func:`product_spectrum`
-makes every solve decision for the product Laplacian: blocks or dense, in
-place or copied, solved or read from the per-process cache.
+No other module calls a numpy eigensolver: the theory checks, too, solve through
+:func:`factor_spectra` and :func:`owned_eigenvalues`. :func:`factor_spectra` returns
+``np.linalg.eigh`` results: ascending eigenvalues, orthonormal eigenvectors and no
+sign promise, since every consumer (cosines, quadratic forms, residual norms) is
+sign-invariant. :func:`product_spectrum` makes every solve decision for the product
+Laplacian: blocks or dense, in place or copied, solved or read from the cache.
 
 No solve scans its input for symmetry. ``Graph.__post_init__`` checks that
 an adjacency equals its transpose exactly where outside input enters, and

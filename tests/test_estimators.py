@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from kronspec.checks import complete_graph, cycle_graph
 from kronspec import estimators
@@ -22,6 +21,7 @@ from kronspec.graphs import laplacian, normalized_laplacian
 from kronspec.spectral import factor_spectra
 from kronspec.theory import sayama_bound_holds
 from toolkit import (
+    ORDERINGS,
     SEEDS,
     brute_force_product_spectrum,
     dense_laplacian,
@@ -193,7 +193,6 @@ def test_first_normalized_pair_is_not_product_eigenvector():
 # ---------------------------------------------------------------------------
 
 PROPERTY = property_settings(40)
-ORDERINGS = st.builds(Ordering, kind=st.sampled_from(OrderingKind), randomization_seed=SEEDS)
 REGULAR = factor_graphs(("CYCLE", "RING"), ring_degrees=(2, 4, 6))
 
 

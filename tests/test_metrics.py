@@ -4,10 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import kronspec
 from kronspec.checks import complete_graph, cycle_graph
-from kronspec.generators import GeneratorSpec, generate_connected
+from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
+from kronspec.experiments import ExperimentConfig, run_single
+from kronspec.generators import GeneratorSpec, generate_connected, generate_connected_pair
 from kronspec.graphs import KroneckerLaplacian, laplacian
 from kronspec import metrics
 from kronspec.metrics import (
@@ -17,7 +20,15 @@ from kronspec.metrics import (
     kde,
     percentage_errors,
 )
-from toolkit import dense_laplacian, estimates, run_fresh
+from kronspec.spectral import factor_spectra
+from toolkit import (
+    ORDERINGS,
+    dense_laplacian,
+    estimates,
+    factor_pairs,
+    property_settings,
+    run_fresh,
+)
 
 
 def test_correlation_profile_exact_eigenvector_gives_one():
@@ -69,6 +80,41 @@ def test_percentage_errors_exact_for_regular_factors():
     _, normalized = estimates(c4, k3)
     errors = percentage_errors(normalized, np.linalg.eigvalsh(dense_laplacian(c4, k3)))
     assert np.abs(errors).max() <= 1e-7
+
+
+def errors_without_one_zero(estimated, actual):
+    """The percentage errors with one exact zero of the estimate and rank 1 of the truth dropped."""
+    rest = list(estimated)
+    rest.remove(0.0)
+    return 100.0 * (np.sort(rest) - actual[1:]) / actual[1:]
+
+
+def test_percentage_errors_drop_the_zero_not_a_negative_estimate():
+    # an explicit Uncorrelated pairing makes two Sayama estimates of this run negative;
+    # the entry dropped must be the matched zero, not the smallest
+    config = ExperimentConfig(
+        model="ER", orders=(10, 12), density=0.4, master_seed=1,
+        ordering=Ordering(OrderingKind.UNCORRELATED),
+    )
+    g, h = generate_connected_pair(*config.run_specs(0))
+    sayama = Estimator.SAYAMA_LAPLACIAN
+    est = estimate_spectrum(sayama, factor_spectra(g), factor_spectra(h), config.ordering)
+    assert np.count_nonzero(est < 0) == 2
+    assert est.min() == pytest.approx(-15.10, abs=5e-3)
+    actual = np.linalg.eigvalsh(dense_laplacian(g, h))
+    errors = run_single(config, 0).errors[sayama]
+    assert errors[0] == pytest.approx(100.0 * (est.min() - actual[1]) / actual[1], rel=1e-12)
+    assert np.allclose(errors, errors_without_one_zero(est, actual), rtol=1e-9)
+
+
+@property_settings(40)
+@given(factor_pairs(), ORDERINGS)
+def test_property_percentage_errors_drop_one_exact_zero(pair, ordering):
+    g, h = pair
+    actual = np.linalg.eigvalsh(dense_laplacian(g, h))
+    for est in estimates(g, h, ordering):
+        errors = percentage_errors(est, actual)
+        assert np.array_equal(errors, errors_without_one_zero(est, actual))
 
 
 def test_aggregate_profile_single_run():

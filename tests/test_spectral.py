@@ -1,12 +1,14 @@
 """The eigensolves of spectral.py: factor decompositions and in-place product solves."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kronspec
 from kronspec import spectral
 from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
@@ -29,6 +31,13 @@ def generated_graphs():
             (m, n, d) for m in ("ER", "WS", "BA") for n in (8, 20) for d in (0.3, 0.6)
         )
     ]
+
+
+def test_only_spectral_calls_a_numpy_eigensolver():
+    # one module decides how kronspec solves: driver, copy or in place, which triangle
+    package = Path(kronspec.__file__).parent
+    callers = [f.name for f in sorted(package.glob("*.py")) if "linalg.eig" in f.read_text()]
+    assert callers == ["spectral.py"]
 
 
 def test_k2_laplacian_spectrum():

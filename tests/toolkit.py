@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import assume, reject, settings
 from hypothesis import strategies as st
 
-from kronspec.estimators import Ordering, normalized_estimate, sayama_spectrum
+from kronspec.estimators import Ordering, OrderingKind, normalized_estimate, sayama_spectrum
 from kronspec.experiments import ExperimentConfig
 from kronspec.generators import GeneratorSpec, generate_connected, watts_strogatz
 from kronspec.graphs import (
@@ -31,6 +31,7 @@ SRC = TESTS.parent / "src"
 
 BASES = {"laplacian": laplacian, "normalized": normalized_laplacian}
 SEEDS = st.integers(0, 2**32 - 1)
+ORDERINGS = st.builds(Ordering, kind=st.sampled_from(OrderingKind), randomization_seed=SEEDS)
 RANDOM_MODELS = ("ER", "WS", "BA")
 DENSITIES = (0.3, 0.5, 0.7)  # feasible for every random model at order 5 and above
 
