@@ -9,15 +9,9 @@ machine precision.
 
 import numpy as np
 
-from kronspec import (
-    KroneckerLaplacian,
-    build_graph,
-    kronecker_graph,
-    normalized_estimate,
-    product_spectrum,
-    sayama_spectrum,
-)
-from kronspec.spectral import factor_spectra
+from kronspec.estimators import normalized_estimate, sayama_spectrum
+from kronspec.graphs import KroneckerLaplacian, build_graph, kronecker_graph
+from kronspec.spectral import factor_spectra, product_spectrum
 
 c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 k3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])

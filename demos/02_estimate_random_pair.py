@@ -9,19 +9,12 @@ factor's degrees over their root mean square.
 
 import numpy as np
 
-from kronspec import (
-    GeneratorSpec,
-    KroneckerLaplacian,
-    correlation_profile,
-    generate_connected_pair,
-    mean_rms_ratio,
-    normalized_estimate,
-    percentage_errors,
-    product_spectrum,
-    sayama_spectrum,
-)
-from kronspec.estimators import Ordering, OrderingKind
-from kronspec.spectral import factor_spectra
+from kronspec.estimators import Ordering, OrderingKind, normalized_estimate, sayama_spectrum
+from kronspec.generators import GeneratorSpec, generate_connected_pair
+from kronspec.graphs import KroneckerLaplacian
+from kronspec.metrics import correlation_profile, percentage_errors
+from kronspec.spectral import factor_spectra, product_spectrum
+from kronspec.theory import mean_rms_ratio
 
 SEED = 7
 

@@ -8,8 +8,8 @@ plot-ready CSV bundles into demos_out/error_bands/.
 
 import numpy as np
 
-from kronspec import ExperimentConfig, run_experiment
 from kronspec.estimators import Estimator
+from kronspec.experiments import ExperimentConfig, run_experiment
 
 RUNS = 15
 

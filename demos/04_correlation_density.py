@@ -10,7 +10,7 @@ Laplacian basis (w) concentrates higher than the normalized basis (v).
 
 import numpy as np
 
-from kronspec import ExperimentConfig, run_experiment
+from kronspec.experiments import ExperimentConfig, run_experiment
 
 bundle = run_experiment(
     ExperimentConfig(

@@ -1,17 +1,13 @@
-"""Command-line entry points.
+"""Command-line entry points: ``kronspec generate | estimate | experiment | figure | theory``.
 
-Subcommands:
-
-* ``generate``   one connected random graph, written as an edge list
-* ``estimate``   estimated and exact product spectra for two edge lists
-* ``experiment`` full run grid from a JSON config file
-* ``figure``     one reference figure, one report bundle per panel
-* ``theory``     the closed-form/bound verification report
+A ValueError raised while a command reads and checks its inputs (flag values, edge
+lists, the config JSON) is printed as one ``error:`` line, with exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -19,21 +15,39 @@ import sys
 import numpy as np
 
 from .checks import theory_suite
-from .estimators import Estimator, Ordering, OrderingKind, estimate_spectrum, resolve_ordering
+from .estimators import Estimator, Ordering, OrderingKind
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
-from .graphs import KroneckerLaplacian, read_edge_list, write_edge_list
-from .experiments import ExperimentConfig, FIGURES, reproduce_figure, run_experiment, write_csv
-from .spectral import factor_spectra, product_spectrum
+from .graphs import Graph, _as_int, read_edge_list, write_edge_list
+from .experiments import (
+    FIGURES, ExperimentConfig, measure_pair, reproduce_figure, run_experiment, write_csv
+)
+
+
+class _InputError(Exception):
+    """Bad input to a command, which :func:`main` prints as one ``error:`` line."""
+
+
+@contextlib.contextmanager
+def _reading(source: str | None = None):
+    """Raise a ValueError from the block as an _InputError, led by ``source`` if given."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _InputError(f"{source}: {exc}" if source else exc) from None
+
+
+def _read_factor(path: str) -> Graph:
+    """The factor in edge-list file ``path``, which needs every degree >= 1 to be estimated."""
+    with _reading(path):
+        g = read_edge_list(path)
+        if not g.degrees.all():
+            raise ValueError(f"vertex {np.argmin(g.degrees)} is isolated; no normalized Laplacian")
+    return g
 
 
 def _cmd_generate(args) -> int:
-    spec = GeneratorSpec(
-        model=args.model,
-        n=args.n,
-        target_density=args.density,
-        seed=args.seed,
-        ws_beta=args.ws_beta,
-    )
+    with _reading():
+        spec = GeneratorSpec(args.model, args.n, args.density, args.seed, args.ws_beta)
     g = generate_connected(spec)
     write_edge_list(g, args.output)
     print(f"wrote {args.output}: n={g.n} m={g.edge_count}")
@@ -41,38 +55,29 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g1 = read_edge_list(args.factor1)
-    g2 = read_edge_list(args.factor2)
+    g1, g2 = _read_factor(args.factor1), _read_factor(args.factor2)
+    with _reading():
+        seed = _as_int("--seed", args.seed, 0)
     # the output format: an estimate_<key> column and an ordering_<key> note entry each
     columns = {"sayama": Estimator.SAYAMA_LAPLACIAN, "normalized": Estimator.NORMALIZED_LAPLACIAN}
-    explicit = Ordering(args.ordering, args.seed) if args.ordering else None
-    orderings = {k: resolve_ordering(explicit, e, args.seed) for k, e in columns.items()}
-    f1, f2 = factor_spectra(g1), factor_spectra(g2)
-    exact = product_spectrum(KroneckerLaplacian(g1, g2))
-    estimates = {
-        f"estimate_{k}": np.sort(estimate_spectrum(e, f1, f2, orderings[k]))
-        for k, e in columns.items()
-    }
-    note = " ".join(f"ordering_{k}={o.kind.value}" for k, o in orderings.items())
-    write_csv(
-        args.output or sys.stdout,
-        f"{note} seed={args.seed}",
-        {"rank": range(1, len(exact) + 1), "exact": exact} | estimates,
-    )
+    explicit = Ordering(args.ordering, seed) if args.ordering else None
+    exact, orderings, estimates, _ = measure_pair(g1, g2, columns.values(), explicit, seed, False)
+    note = " ".join(f"ordering_{k}={orderings[e].kind.value}" for k, e in columns.items())
+    table = {"rank": range(1, len(exact) + 1), "exact": exact}
+    table |= {f"estimate_{k}": np.sort(estimates[e]) for k, e in columns.items()}
+    write_csv(args.output or sys.stdout, f"{note} seed={seed}", table)
     if args.output:
         print(f"wrote {args.output}: {len(exact)} eigenvalues")
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        data = json.load(fh)
-    config = ExperimentConfig.from_dict(data)
+    with _reading(args.config), open(args.config) as fh:
+        config = ExperimentConfig.from_dict(json.load(fh))
     if args.output_dir:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     if config.output_dir is None:
-        print("error: no output_dir in config and no --output-dir given", file=sys.stderr)
-        return 2
+        raise _InputError("no output_dir in config and no --output-dir given")
     bundle = run_experiment(config)
     print(f"wrote {len(bundle.files)} files to {config.output_dir}")
     return 0
@@ -160,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

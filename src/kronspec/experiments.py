@@ -1,14 +1,14 @@
 """Experiment orchestration: seeded runs, aggregation, and report bundles.
 
-One run generates a connected factor pair, takes its factor spectra and the
-exact product-Laplacian spectrum from :mod:`kronspec.spectral` (which makes
-every solve decision), and evaluates each estimator against it
-(:func:`kronspec.estimators.estimate_spectrum`); the CLI ``estimate`` command
-goes through the same functions. A full experiment repeats this over per-run seeds
-derived from a master seed and aggregates percentage-error profiles and
-correlation-coefficient densities. A reference figure (:func:`reproduce_figure`)
-is one such experiment per panel, each written as a report bundle by
-:func:`write_bundle`.
+One run generates a connected factor pair and measures it with
+:func:`measure_pair`: factor spectra and the exact product-Laplacian spectrum
+from :mod:`kronspec.spectral` (which makes every solve decision), each
+estimator's pairing and estimate, and the correlation profiles. The CLI
+``estimate`` command measures its two edge lists with the same function. A
+full experiment repeats this over per-run seeds derived from a master seed and
+aggregates percentage-error profiles and correlation-coefficient densities. A
+reference figure (:func:`reproduce_figure`) is one such experiment per panel,
+each written as a report bundle by :func:`write_bundle`.
 
 Everything written to disk is a pure function of the config: per-run seeds
 come from (master_seed, run index, role), and every CSV table goes through
@@ -37,7 +37,7 @@ from .generators import (
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import KroneckerLaplacian, _as_float, _as_int, edge_density
+from .graphs import Graph, KroneckerLaplacian, _as_float, _as_int, edge_density
 from .metrics import (
     DensityCurve,
     ErrorProfile,
@@ -186,6 +186,28 @@ class ExperimentConfig:
         return digest.hexdigest()[:12]
 
 
+def measure_pair(
+    g1: Graph, g2: Graph, estimators, ordering: Ordering | None, seed: int, correlations: bool
+) -> tuple[np.ndarray, dict, dict, dict | None]:
+    """Measure one factor pair: ``(exact, orderings, estimates, profiles)``.
+
+    The exact product spectrum, ascending; per estimator, its pairing by
+    ``resolve_ordering(ordering, estimator, seed)`` and its estimate, unsorted; and
+    per basis in :data:`BASES`, the correlation profile if ``correlations``, else None.
+    """
+    f1, f2 = factor_spectra(g1), factor_spectra(g2)
+    op = KroneckerLaplacian(g1, g2)
+    exact = product_spectrum(op)
+    orderings = {e: resolve_ordering(ordering, e, seed) for e in estimators}
+    estimates = {e: estimate_spectrum(e, f1, f2, o) for e, o in orderings.items()}
+    profiles = None
+    if correlations:
+        # each basis name in BASES is also the FactorSpectra field holding that basis
+        bases = ((b, getattr(f1, b).eigenvectors, getattr(f2, b).eigenvectors) for b in BASES)
+        profiles = {b: correlation_profile(op, w1, w2) for b, w1, w2 in bases}
+    return exact, orderings, estimates, profiles
+
+
 @dataclass
 class RunRecord:
     """Everything measured in one independent run."""
@@ -205,32 +227,15 @@ def run_single(config: ExperimentConfig, run_index: int) -> RunRecord:
     except Exception as exc:
         raise RuntimeError(f"run {run_index}: factor generation failed") from exc
 
-    f1, f2 = factor_spectra(g1), factor_spectra(g2)
-    op = KroneckerLaplacian(g1, g2)
-    actual = product_spectrum(op)
     seed = derive_seed(config.master_seed, run_index, "ordering")
-    errors = {
-        e: percentage_errors(
-            estimate_spectrum(e, f1, f2, resolve_ordering(config.ordering, e, seed)), actual
-        )
-        for e in config.estimators
-    }
-
-    correlations = None
-    if config.compute_correlations:
-        # each basis name in BASES is also the FactorSpectra field holding that basis
-        correlations = {
-            basis: correlation_profile(
-                op, getattr(f1, basis).eigenvectors, getattr(f2, basis).eigenvectors
-            )
-            for basis in BASES
-        }
-
+    exact, _, estimates, correlations = measure_pair(
+        g1, g2, config.estimators, config.ordering, seed, config.compute_correlations
+    )
     return RunRecord(
         run_index=run_index,
         factor_seeds=(spec1.seed, spec2.seed),
         achieved_densities=(edge_density(g1), edge_density(g2)),
-        errors=errors,
+        errors={e: percentage_errors(x, exact) for e, x in estimates.items()},
         correlations=correlations,
     )
 

@@ -1,6 +1,7 @@
 """CLI subcommands: generate, estimate, experiment, figure, theory."""
 
 import json
+import subprocess
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from kronspec import cli, generators
 from kronspec.cli import main
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
 from kronspec.spectral import factor_spectra
-from kronspec.graphs import read_edge_list, write_edge_list
-from kronspec.checks import cycle_graph
-from toolkit import er_pair
+from kronspec.graphs import cycle_graph, read_edge_list, write_edge_list
+from toolkit import er_pair, run_fresh
 
 
 def test_generate_round_trips(tmp_path, capsys):
@@ -31,14 +31,15 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_generate_rejects_a_negative_seed_before_drawing(tmp_path, monkeypatch):
+def test_generate_rejects_a_negative_seed_before_drawing(tmp_path, monkeypatch, capsys):
     def no_draw(*args):
         raise AssertionError("a graph was drawn before the seed was checked")
 
     monkeypatch.setattr(generators, "_draw", no_draw)
     out = tmp_path / "g.edges"
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
-        main(["generate", "--model", "ER", "--n", "20", "--seed", "-1", "--output", str(out)])
+    argv = ["generate", "--model", "ER", "--n", "20", "--seed", "-1", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     assert not out.exists()
 
 
@@ -105,6 +106,40 @@ def test_experiment_requires_output_dir(tmp_path, capsys):
     config_path.write_text(json.dumps({"model": "CYCLE", "orders": [9, 7], "density": 0.5, "runs": 1}))
     assert main(["experiment", str(config_path)]) == 2
     assert "output_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("experiment", '{"model": "ER", "orders": [30, 50], "density": "x"}',
+         "density must be a number, got 'x'"),
+        ("experiment", '{"model": "ER", "orders": [30, 50], "density": 0.3, "run": 5}',
+         "unknown config keys: run"),
+        ("estimate", "3 2\n0 1\n", "expected 2 edges, found 1"),
+        ("estimate", "3 1\n0 1\n", "vertex 2 is isolated; no normalized Laplacian"),
+    ],
+    ids=["density", "unknown_key", "edge_count", "isolated_vertex"],
+)
+def test_bad_input_is_one_error_line(tmp_path, command, text, message):
+    # run as the console script runs it, so a traceback would reach stderr
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = [command, str(path)] + ([str(path)] if command == "estimate" else [])
+    with pytest.raises(subprocess.CalledProcessError) as failure:
+        run_fresh(f"import sys; from kronspec.cli import main; sys.exit(main({argv!r}))")
+    assert failure.value.returncode == 2
+    assert failure.value.stderr == f"error: {path}: {message}\n"
+
+
+def test_a_value_error_after_the_inputs_are_read_keeps_its_traceback(tmp_path, monkeypatch):
+    def failing_run(config):
+        raise ValueError("raised inside a run")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": "CYCLE", "orders": [9, 7], "density": 0.5}))
+    with pytest.raises(ValueError, match="raised inside a run"):
+        main(["experiment", str(config_path), "--output-dir", str(tmp_path / "out")])
 
 
 def test_figure_subcommand(tmp_path):

@@ -1,10 +1,15 @@
 """The library demos and the README quickstart run end to end, so an API they use
-cannot vanish unnoticed."""
+cannot vanish unnoticed; they and the tests import each name from the module that
+defines it."""
 
+import ast
+import re
 import runpy
 from pathlib import Path
 
 import pytest
+
+from toolkit import SRC, TESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -34,3 +39,41 @@ def test_readme_quickstart_runs():
     n = namespace["g"].n * namespace["h"].n
     assert namespace["exact"].shape == (n,)
     assert namespace["profile"].shape == (n - 1,)
+
+
+def _defined(module: Path) -> set[str]:
+    """The names a module binds at its top level, other than by import."""
+    names = set()
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    modules = {path.stem: _defined(path) for path in (SRC / "kronspec").glob("*.py")}
+    # the package binds __version__ and re-exports nothing
+    init = ast.parse((SRC / "kronspec" / "__init__.py").read_text())
+    assert not [node for node in init.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert modules.pop("__init__") == {"__version__"}
+    readme = (ROOT / "README.md").read_text()
+    sources = {path.name: path.read_text() for path in [*TESTS.glob("*.py"), *DEMOS.glob("*.py")]}
+    sources |= dict(enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)))
+    wrong = []
+    for where, code in sources.items():
+        submodules = {}
+        for node in ast.walk(ast.parse(code)):
+            if isinstance(node, ast.ImportFrom) and node.module == "kronspec":
+                submodules |= {a.asname or a.name: a.name for a in node.names}
+                wrong += [f"{where}: kronspec.{a.name}" for a in node.names if a.name not in modules]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kronspec."):
+                defined = modules[node.module.split(".")[1]]
+                wrong += [f"{where}: {node.module}.{a.name}" for a in node.names
+                          if a.name not in defined]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in submodules:
+                if node.attr not in modules.get(submodules[node.value.id], ()):
+                    wrong.append(f"{where}: {submodules[node.value.id]}.{node.attr}")
+    assert wrong == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from kronspec.checks import complete_graph, cycle_graph
+from kronspec.checks import complete_graph
 from kronspec import estimators
 from kronspec.estimators import (
     Estimator,
@@ -17,7 +17,7 @@ from kronspec.estimators import (
     sayama_spectrum,
 )
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import laplacian, normalized_laplacian
+from kronspec.graphs import cycle_graph, laplacian, normalized_laplacian
 from kronspec.spectral import factor_spectra
 from kronspec.theory import sayama_bound_holds
 from toolkit import (

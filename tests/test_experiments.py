@@ -11,13 +11,11 @@ import pytest
 
 from kronspec import checks, experiments, spectral
 from kronspec.checks import theory_suite
-from kronspec.estimators import Estimator, Ordering, OrderingKind
+from kronspec.estimators import Estimator, Ordering, OrderingKind, ordering_label, resolve_ordering
 from kronspec.experiments import (
     ExperimentConfig,
     FIGURES,
-    ordering_label,
     reproduce_figure,
-    resolve_ordering,
     run_experiment,
     run_single,
 )

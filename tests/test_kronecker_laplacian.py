@@ -14,9 +14,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronspec import checks, spectral
-from kronspec.checks import complete_graph, cycle_graph
+from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import KroneckerLaplacian, laplacian
+from kronspec.graphs import KroneckerLaplacian, cycle_graph, laplacian
 from kronspec.metrics import correlation_profile
 from kronspec.theory import mean_rms_ratio
 from toolkit import (

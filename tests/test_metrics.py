@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 
 import kronspec
-from kronspec.checks import complete_graph, cycle_graph
+from kronspec.checks import complete_graph
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
 from kronspec.experiments import ExperimentConfig, run_single
 from kronspec.generators import GeneratorSpec, generate_connected, generate_connected_pair
-from kronspec.graphs import KroneckerLaplacian, laplacian
+from kronspec.graphs import KroneckerLaplacian, cycle_graph, laplacian
 from kronspec import metrics
 from kronspec.metrics import (
     KDE_BLOCK,

@@ -9,12 +9,11 @@ from kronspec import checks
 from kronspec.checks import (
     complete_bipartite_graph,
     complete_graph,
-    cycle_graph,
     staircase_degrees,
     star_graph,
 )
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import _normalize_owned, laplacian
+from kronspec.graphs import _normalize_owned, cycle_graph, laplacian
 from kronspec.theory import (
     asymptotic_cubic,
     expected_kron_normalized_spectrum,
