@@ -22,14 +22,13 @@ from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
     _as_int,
-    _normalize_owned,
     build_graph,
     cycle_graph,
     kronecker_graph,
     laplacian,
     normalized_laplacian,
 )
-from .spectral import factor_spectra, owned_eigenvalues
+from .spectral import factor_spectra, owned_eigenvalues, upper_buffer
 from .theory import (
     asymptotic_cubic,
     expected_kron_normalized_spectrum,
@@ -38,6 +37,21 @@ from .theory import (
     rprime_lower_bound,
     sayama_bound_holds,
 )
+
+
+# the rule for each argument of theory_suite; the checks sized by er_draws and
+# graph_count apply theirs to their own arguments too
+_ARGUMENTS = {
+    "seed": lambda value: _as_int("seed", value, 0),
+    "er_draws": lambda value: _as_int("draws", value, 1),
+    "graph_count": lambda value: _as_int("graph_count", value, 2),  # at least one pair
+}
+
+
+def theory_arguments(**arguments) -> dict:
+    """The given arguments of :func:`theory_suite` (any of ``seed``, ``er_draws`` and
+    ``graph_count``), each checked by its rule; a bad value is a ValueError naming it."""
+    return {key: _ARGUMENTS[key](value) for key, value in arguments.items()}
 
 
 def _er_pairs(seed, tag: str, count: int):
@@ -143,12 +157,34 @@ def expected_r1j_grid() -> dict:
     }
 
 
+def _expected_normalized_upper(bar1: np.ndarray, bar2: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``graphs._normalize_owned(np.kron(bar1, bar2))``, bit for bit.
+
+    Built from one block row of ``np.kron(bar1, bar2)`` at a time into an
+    :func:`upper_buffer`, so no N x N array is made, with the arithmetic of
+    ``_normalize_owned``: the degrees are whole rows' sums, each entry is
+    scaled by ``inv_r * -inv_c``, then 1 is added on the diagonal.
+    """
+    n1, n2 = len(bar1), len(bar2)
+    inv_sqrt = 1.0 / np.sqrt(np.concatenate([np.kron(row, bar2).sum(axis=1) for row in bar1]))
+    m = upper_buffer(n1 * n2)
+    upper = np.triu_indices(n2)
+    for i in range(n1):
+        start, stop = i * n2, (i + 1) * n2
+        block = np.kron(bar1[i, i:], bar2) * np.outer(inv_sqrt[start:stop], -inv_sqrt[start:])
+        np.fill_diagonal(block, block.diagonal() + 1.0)
+        m[start:stop, stop:] = block[:, n2:]
+        m[start:stop, start:stop][upper] = block[:, :n2][upper]
+    return m
+
+
 def expected_spectrum_gap(n1: int, n2: int) -> dict:
     """Closed-form four-level spectrum vs a direct eigensolve, per p.
 
     The normalized Laplacian of each expected adjacency ``kron(bar1, bar2)``
-    is built in the buffer ``np.kron`` returns and given up to ``owned_eigenvalues``,
-    so a solve holds that one order-n1*n2 matrix plus the solver's working copy.
+    is built as the upper triangle ``owned_eigenvalues`` reads
+    (:func:`_expected_normalized_upper`), so a solve holds that triangle's
+    pages plus the solver's working copy.
     """
     probs, tolerance = (0.3, 1.0), 1e-8
     levels = expected_kron_normalized_spectrum(n1, n2)
@@ -156,7 +192,7 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
     worst = 0.0
     for p in probs:
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
-        numeric = owned_eigenvalues(_normalize_owned(np.kron(bar1, bar2)))
+        numeric = owned_eigenvalues(_expected_normalized_upper(bar1, bar2))
         worst = max(worst, float(np.abs(numeric - closed).max()))
     return {
         "inputs": {"orders": [n1, n2], "probs": list(probs), "tolerance": tolerance},
@@ -173,7 +209,7 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
     graphs are paired up and both estimators evaluated under the correlated
     ordering; the smallest estimated value over all pairs is reported.
     """
-    graph_count = _as_int("graph_count", graph_count, 2)  # at least one pair
+    graph_count = _ARGUMENTS["graph_count"](graph_count)
     n_range, p_range, floor = [10, 40], [0.3, 0.7], -1e-12
     rng = np.random.default_rng(seed)
     spectra = []
@@ -210,7 +246,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     Laplacian eigenvector of a connected graph is the constant vector, and
     the cosine is scale-free, so u_1 is passed as all ones, not solved for.
     """
-    draws = _as_int("draws", draws, 1)
+    draws = _ARGUMENTS["er_draws"](draws)
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
     w_h = factor_spectra(h).laplacian.eigenvectors
@@ -337,11 +373,12 @@ def theory_suite(
     Returns the report dict; also writes theory_report.json when an output
     directory is given.
     """
-    seed = _as_int("seed", seed, 0)
-    # the two checks sized by the arguments run first, so bad sizes fail before any solve
+    # all three are checked before the first check runs
+    args = theory_arguments(seed=seed, er_draws=er_draws, graph_count=graph_count)
+    seed = args["seed"]
     report = {
-        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=er_draws, seed=seed),
-        "sayama_nonnegativity": sayama_nonnegativity_sweep(graph_count=graph_count, seed=seed),
+        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=args["er_draws"], seed=seed),
+        "sayama_nonnegativity": sayama_nonnegativity_sweep(args["graph_count"], seed),
         "mean_rms_closed_forms": closed_form_mean_rms(),
         "staircase_limit": staircase_limit(),
         "asymptotic_inequality_grid": asymptotic_inequality_grid(),

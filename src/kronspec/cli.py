@@ -1,7 +1,8 @@
 """Command-line entry points: ``kronspec generate | estimate | experiment | figure | theory``.
 
 A ValueError raised while a command reads and checks its inputs (flag values, edge
-lists, the config JSON) is printed as one ``error:`` line, with exit status 2.
+lists, the config JSON), or an OSError raised while it opens or reads a file named
+on the command line, is printed as one ``error:`` line, with exit status 2.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import sys
 
 import numpy as np
 
-from .checks import theory_suite
+from .checks import theory_arguments, theory_suite
 from .estimators import Estimator, Ordering, OrderingKind
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
 from .graphs import Graph, _as_int, read_edge_list, write_edge_list
 from .experiments import (
-    FIGURES, ExperimentConfig, measure_pair, reproduce_figure, run_experiment, write_csv
+    FIGURES, ExperimentConfig, figure_configs, measure_pair, reproduce_figure, run_experiment,
+    write_csv,
 )
 
 
@@ -28,12 +30,17 @@ class _InputError(Exception):
 
 
 @contextlib.contextmanager
-def _reading(source: str | None = None):
-    """Raise a ValueError from the block as an _InputError, led by ``source`` if given."""
+def _reading(path: str | None = None):
+    """Raise a ValueError from the block as an _InputError, led by ``path`` if given,
+    and with a ``path`` given, an OSError too: the block opens or reads that file."""
     try:
         yield
     except ValueError as exc:
-        raise _InputError(f"{source}: {exc}" if source else exc) from None
+        raise _InputError(f"{path}: {exc}" if path else exc) from None
+    except OSError as exc:
+        if path is None:
+            raise
+        raise _InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _read_factor(path: str) -> Graph:
@@ -90,15 +97,19 @@ def _given(args, *names) -> dict:
 
 
 def _cmd_figure(args) -> int:
-    manifest = reproduce_figure(
-        args.figure_id, args.output_dir, runs_override=args.runs, **_given(args, "master_seed")
-    )
+    options = {"runs_override": args.runs, **_given(args, "master_seed")}
+    with _reading():
+        figure_configs(args.figure_id, args.output_dir, **options)
+    manifest = reproduce_figure(args.figure_id, args.output_dir, **options)
     print(f"wrote {len(manifest['panels'])} panels to {args.output_dir}")
     return 0
 
 
 def _cmd_theory(args) -> int:
-    report = theory_suite(**_given(args, "output_dir", "seed", "er_draws", "graph_count"))
+    given = _given(args, "seed", "er_draws", "graph_count")
+    with _reading():
+        theory_arguments(**given)
+    report = theory_suite(**_given(args, "output_dir"), **given)
     for name, entry in sorted(report.items()):
         if isinstance(entry, dict):
             print(f"{'PASS' if entry['pass'] else 'FAIL'}  {name}")

@@ -148,8 +148,8 @@ class ExperimentConfig:
         if len(set(self.estimators)) != len(self.estimators):
             names = [e.value for e in self.estimators]
             raise ValueError(f"estimators must not repeat, got {names}")
-        # GeneratorSpec checks model and orders, the predicate (by density_to_params) each
-        # density, as the list is built in full; a product of bipartite graphs is disconnected
+        # GeneratorSpec checks model, orders and density as the list is built in full;
+        # a product of bipartite graphs is disconnected
         if all([bipartite_for_every_seed(self.factor_spec(n, seed=0)) for n in self.orders]):
             raise ValueError(
                 f"orders must not give two factors bipartite for every seed, got {self.orders}"
@@ -397,32 +397,28 @@ FIGURES = {
 }
 
 
-def reproduce_figure(
+def figure_configs(
     figure_id: str,
     output_dir: str,
     master_seed: int = 1729,
     runs_override: int | None = None,
-) -> dict:
-    """Run the configuration grid behind one figure as one report bundle per panel.
+) -> dict[str, ExperimentConfig]:
+    """The experiment behind each panel of one figure, by tag, every one built and so checked.
 
-    Each density's experiment writes its bundle to ``<output_dir>/<tag>``
+    A density's experiment writes its bundle to ``<output_dir>/<tag>``
     (e.g. ``WS_30x50_d10``: the tag names the target density, the bundle's
-    ``runs.csv`` the achieved ones). Returns the manifest, also written as
-    ``<figure_id>_manifest.json``, which maps each panel to its CSV path
-    relative to ``output_dir``. ``runs_override`` shrinks the run counts for
-    smoke tests from the reference 5 (density panels) and 100 (error panels).
+    ``runs.csv`` the achieved ones). ``runs_override`` shrinks the run counts
+    for smoke tests from the reference 5 (density panels) and 100 (error panels).
     """
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
     recipe = FIGURES[figure_id]
     kind = recipe["kind"]
-    panel_kind = "density_curve" if kind == "kde" else "error_profile"
     runs = runs_override if runs_override is not None else (5 if kind == "kde" else 100)
-
-    panels: dict[str, str] = {}
+    configs = {}
     for density in recipe["densities"]:
         tag = f"{recipe['model']}_{recipe['orders'][0]}x{recipe['orders'][1]}_d{int(density * 100)}"
-        config = ExperimentConfig(
+        configs[tag] = ExperimentConfig(
             model=recipe["model"],
             orders=recipe["orders"],
             density=density,
@@ -431,6 +427,21 @@ def reproduce_figure(
             output_dir=str(Path(output_dir, tag)),
             compute_correlations=(kind == "kde"),
         )
+    return configs
+
+
+def reproduce_figure(figure_id: str, output_dir: str, **options) -> dict:
+    """Run the experiments of :func:`figure_configs` ``(figure_id, output_dir, **options)``.
+
+    Every panel's config is built before the first runs, so a bad option
+    fails before any work. Each experiment writes its report bundle. Returns
+    the manifest, also written as ``<figure_id>_manifest.json``, which maps
+    each panel to its CSV path relative to ``output_dir``.
+    """
+    configs = figure_configs(figure_id, output_dir, **options)
+    panel_kind = "density_curve" if FIGURES[figure_id]["kind"] == "kde" else "error_profile"
+    panels: dict[str, str] = {}
+    for tag, config in configs.items():
         for key, path in run_experiment(config).files.items():
             if key.startswith(f"{panel_kind}/"):
                 panels[f"{tag}/{key.split('/')[1]}"] = f"{tag}/{Path(path).name}"
@@ -438,4 +449,3 @@ def reproduce_figure(
     manifest = {"figure": figure_id, "version": version_string(), "panels": panels}
     _write_json(Path(output_dir, f"{figure_id}_manifest.json"), manifest)
     return manifest
-

@@ -12,8 +12,9 @@ an adjacency equals its transpose exactly where outside input enters, and
 each factor Laplacian and block is formed from such adjacencies by
 operations that keep the equality. :func:`owned_eigenvalues` reads only the
 upper triangle (diagonal included) of the matrix it is given, so the dense
-product (:func:`_product_upper`) is built as that triangle alone, its lower
-triangle left as zero pages that are never written.
+product (:func:`_product_upper`) and the theory checks' expected products are
+built as that triangle alone, in a buffer from :func:`upper_buffer` whose lower
+triangle is left as zero pages that are never written.
 ``test_owned_matrices_are_exactly_symmetric`` checks every matrix a solve receives.
 """
 
@@ -55,14 +56,15 @@ def factor_spectra(g: Graph) -> FactorSpectra:
 
 
 def owned_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a C-ordered float64 symmetric matrix, from its upper triangle.
+    """Ascending eigenvalues of a float64 symmetric matrix, from its upper triangle.
 
-    Only the upper triangle of ``m``, diagonal included, is read. The caller
-    built ``m`` and gives it up. From order ``IN_PLACE_MIN_ORDER`` the solve
-    overwrites ``m`` instead of copying it, with the same bits as
+    Only the upper triangle of ``m``, diagonal included, is read, and its
+    rows may be padded (:func:`upper_buffer`). The caller built ``m`` and
+    gives it up. From order ``IN_PLACE_MIN_ORDER`` the solve overwrites a
+    C-contiguous ``m`` instead of copying it, with the same bits as
     ``np.linalg.eigvalsh``.
     """
-    # m.T is a Fortran-ordered view whose lower triangle, the one LAPACK
+    # m.T is a column-major view whose lower triangle, the one LAPACK
     # reads, is m's upper triangle
     if m.shape[0] < IN_PLACE_MIN_ORDER:
         return np.linalg.eigvalsh(m.T)
@@ -76,30 +78,44 @@ def owned_eigenvalues(m: np.ndarray) -> np.ndarray:
 _spectra: dict[str, np.ndarray] = {}  # least recently used first
 
 
-def _product_upper(op: KroneckerLaplacian) -> np.ndarray:
-    """The upper triangle of ``op``'s N x N Laplacian, diagonal included, C-ordered.
+def upper_buffer(n: int) -> np.ndarray:
+    """A fresh (n, n) float64 matrix of +0.0, to build a triangle for :func:`owned_eigenvalues` in.
 
-    Entry for entry, signed zeros included, it is the upper triangle of
-    ``diag(d1 (x) d2) + (-A1) (x) A2`` (as ``np.kron`` forms it), written one
-    block row at a time from the factors. The buffer is a fresh anonymous
-    mapping without huge pages, and nothing is written below the diagonal,
-    so those entries stay +0.0 in pages that are never committed.
+    Write only the upper triangle (diagonal included), through slices: the
+    pages that hold nothing else are never written and never committed.
+    Below ``IN_PLACE_MIN_ORDER``, where ``eigvalsh`` copies the matrix
+    anyway, each row is padded so that its diagonal entry, where its part of
+    the triangle starts, starts a page; from that order on the rows are
+    contiguous, as the in-place solve needs them.
     """
-    g, h = op.first, op.second
-    n = g.n * h.n
+    per_page = mmap.PAGESIZE // 8
+    # row stride lda with (lda + 1) entries a whole number of pages
+    lda = n if n >= IN_PLACE_MIN_ORDER else -(-(n + 1) // per_page) * per_page - 1
     # private, because reading an unwritten page of a shared (shmem) mapping
     # allocates it, and no huge pages, because each would commit 2 MB around
     # the entries written into it
-    buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf = mmap.mmap(-1, 8 * n * lda, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
     if no_huge_pages is not None:
         buf.madvise(no_huge_pages)
-    m = np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+    return np.ndarray((n, n), np.float64, buf, strides=(8 * lda, 8))
+
+
+def _product_upper(op: KroneckerLaplacian) -> np.ndarray:
+    """The upper triangle of ``op``'s N x N Laplacian, diagonal included, in an upper_buffer.
+
+    Entry for entry, signed zeros included, it is the upper triangle of
+    ``diag(d1 (x) d2) + (-A1) (x) A2`` (as ``np.kron`` forms it), written one
+    block row at a time from the factors; below the diagonal it is +0.0.
+    """
+    g, h = op.first, op.second
+    m = upper_buffer(g.n * h.n)
     upper = np.triu_indices(h.n)
     for i in range(g.n):
         rows = m[i * h.n : (i + 1) * h.n]
-        # block (i, j) is -A1[i, j] * A2; those right of the diagonal block in one step
-        right = rows.reshape(h.n, g.n, h.n)[:, i + 1 :]
+        # block (i, j) is -A1[i, j] * A2; those right of the diagonal block in one
+        # step, through a view (copy=False raises where a padded row would need a copy)
+        right = rows.reshape(h.n, g.n, h.n, copy=False)[:, i + 1 :]
         np.multiply(-g.adjacency[i, i + 1 :, None], h.adjacency[:, None, :], out=right)
         block = -g.adjacency[i, i] * h.adjacency
         np.fill_diagonal(block, g.degrees[i] * h.degrees)

@@ -108,6 +108,18 @@ def test_experiment_requires_output_dir(tmp_path, capsys):
     assert "output_dir" in capsys.readouterr().err
 
 
+def input_error(argv: list[str]) -> str:
+    """The standard error of ``kronspec <argv>``, which must exit with status 2.
+
+    It runs as the console script runs it, in a fresh process, so a traceback
+    would reach standard error.
+    """
+    with pytest.raises(subprocess.CalledProcessError) as failure:
+        run_fresh(f"import sys; from kronspec.cli import main; sys.exit(main({argv!r}))")
+    assert failure.value.returncode == 2
+    return failure.value.stderr
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -115,20 +127,43 @@ def test_experiment_requires_output_dir(tmp_path, capsys):
          "density must be a number, got 'x'"),
         ("experiment", '{"model": "ER", "orders": [30, 50], "density": 0.3, "run": 5}',
          "unknown config keys: run"),
+        ("experiment", '{"model": "ER", "orders": [5, 5], "density": 0.05}',
+         "density 0.05 infeasible for ER at order 5 (4.07 isolated vertices expected per draw)"),
         ("estimate", "3 2\n0 1\n", "expected 2 edges, found 1"),
         ("estimate", "3 1\n0 1\n", "vertex 2 is isolated; no normalized Laplacian"),
     ],
-    ids=["density", "unknown_key", "edge_count", "isolated_vertex"],
+    ids=["density", "unknown_key", "infeasible_density", "edge_count", "isolated_vertex"],
 )
 def test_bad_input_is_one_error_line(tmp_path, command, text, message):
-    # run as the console script runs it, so a traceback would reach stderr
     path = tmp_path / "input"
     path.write_text(text)
     argv = [command, str(path)] + ([str(path)] if command == "estimate" else [])
-    with pytest.raises(subprocess.CalledProcessError) as failure:
-        run_fresh(f"import sys; from kronspec.cli import main; sys.exit(main({argv!r}))")
-    assert failure.value.returncode == 2
-    assert failure.value.stderr == f"error: {path}: {message}\n"
+    assert input_error(argv) == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["experiment", "estimate"])
+def test_a_missing_input_file_is_one_error_line(tmp_path, command):
+    missing, factor = tmp_path / "nothere", tmp_path / "g.edges"
+    write_edge_list(cycle_graph(5), str(factor))
+    argv = [command, str(missing)] + ([str(factor)] if command == "estimate" else [])
+    assert input_error(argv) == f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["figure", "fig4", "--runs", "0"], "runs must be at least 1, got 0"),
+        (["theory", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["theory", "--draws", "0"], "draws must be at least 1, got 0"),
+        (["theory", "--graphs", "1"], "graph_count must be at least 2, got 1"),
+    ],
+    ids=["figure_runs", "theory_seed", "theory_draws", "theory_graphs"],
+)
+def test_a_bad_flag_of_figure_or_theory_is_one_error_line(tmp_path, argv, message):
+    # checked where it enters, before any run: nothing is written
+    out = tmp_path / "out"
+    assert input_error(argv + ["-o", str(out)]) == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_a_value_error_after_the_inputs_are_read_keeps_its_traceback(tmp_path, monkeypatch):
@@ -140,6 +175,13 @@ def test_a_value_error_after_the_inputs_are_read_keeps_its_traceback(tmp_path, m
     config_path.write_text(json.dumps({"model": "CYCLE", "orders": [9, 7], "density": 0.5}))
     with pytest.raises(ValueError, match="raised inside a run"):
         main(["experiment", str(config_path), "--output-dir", str(tmp_path / "out")])
+    # and once figure or theory has checked its flags
+    monkeypatch.setattr(cli, "reproduce_figure", lambda *args, **kwargs: failing_run(None))
+    monkeypatch.setattr(cli, "theory_suite", lambda **kwargs: failing_run(None))
+    with pytest.raises(ValueError, match="raised inside a run"):
+        main(["figure", "fig4", "--runs", "1", "-o", str(tmp_path / "fig")])
+    with pytest.raises(ValueError, match="raised inside a run"):
+        main(["theory", "--seed", "1"])
 
 
 def test_figure_subcommand(tmp_path):

@@ -501,17 +501,16 @@ def test_theory_suite_report(tmp_path):
 
 
 def test_theory_suite_rejects_degenerate_sizes(monkeypatch):
-    # bad sizes must fail before any of the fixed checks run
+    # bad sizes and a bad seed must fail before any check runs
     def unreachable(*args, **kwargs):
-        raise AssertionError("a fixed check ran before the sizes were checked")
+        raise AssertionError("a check ran before the sizes were checked")
 
-    monkeypatch.setattr(checks, "expected_spectrum_gap", unreachable)
+    for name in ("er_r1j_monte_carlo", "sayama_nonnegativity_sweep", "expected_spectrum_gap"):
+        monkeypatch.setattr(checks, name, unreachable)
     with pytest.raises(ValueError, match="graph_count"):
         theory_suite(seed=3, er_draws=3, graph_count=1)
     with pytest.raises(ValueError, match="draws"):
         theory_suite(seed=3, er_draws=0, graph_count=20)
-    # and a bad seed before any check at all
-    monkeypatch.setattr(checks, "er_r1j_monte_carlo", unreachable)
     with pytest.raises(ValueError, match="seed"):
         theory_suite(seed=-1, er_draws=3, graph_count=20)
 
@@ -637,9 +636,10 @@ def test_block_spectrum_ignores_blas_thread_count():
 
 
 def test_desk_expected_spectrum_check_holds_one_product_matrix():
-    # the order-1500 normalized Laplacian is built in the np.kron buffer, so
-    # the check's peak is that 18 MB matrix and eigvalsh's working copy; a
-    # separate Laplacian beside the kron argument made it three (52 MB).
+    # the order-1500 normalized Laplacian is built as the upper triangle the
+    # solve reads, each row's part of it starting a page, so the check's peak
+    # is the triangle's pages (0.68 of the 18 MB matrix) and eigvalsh's
+    # working copy: 1.74 matrices; a full matrix beside that copy reads 2.04.
     code = (
         "from kronspec import checks\n"
         "from toolkit import peak_rss_kib\n"
@@ -649,4 +649,4 @@ def test_desk_expected_spectrum_check_holds_one_product_matrix():
         "print((peak_rss_kib() - before) / 1024)\n"
     )
     order_1500_mb = 1500 * 1500 * 8 / 2**20
-    assert float(run_fresh(code)) < 2.5 * order_1500_mb
+    assert float(run_fresh(code)) < 1.85 * order_1500_mb

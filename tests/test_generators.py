@@ -19,7 +19,13 @@ from kronspec.generators import (
     generate_connected_pair,
     watts_strogatz,
 )
-from kronspec.graphs import is_bipartite, is_connected, kronecker_graph, write_edge_list
+from kronspec.graphs import (
+    build_graph,
+    is_bipartite,
+    is_connected,
+    kronecker_graph,
+    write_edge_list,
+)
 from toolkit import config_spec_pairs, property_settings
 
 
@@ -104,6 +110,11 @@ def test_ba_determinism(edge_list_text):
 def test_density_to_params_er():
     spec = GeneratorSpec("ER", 50, 0.10, seed=0)
     assert density_to_params(spec) == {"p": 0.10}
+    # the sparsest reference factor expects 30 * 0.9^29 = 1.41 isolated vertices per draw
+    assert density_to_params(GeneratorSpec("ER", 30, 0.10, seed=0)) == {"p": 0.10}
+    # 2 * 0.8 = 1.6: all 50 draws of K2 at p = 0.2 fail with probability 0.8^50 = 1.4e-5
+    with pytest.raises(ValueError, match=r"^density 0.2 infeasible for ER at order 2 \(1.60 "):
+        GeneratorSpec("ER", 2, 0.2, seed=0)
 
 
 def test_density_to_params_ws():
@@ -134,11 +145,18 @@ def test_generate_connected(edge_list_text):
     )
 
 
-def test_generate_connected_exhausts_retries():
-    # far below the connectivity threshold: essentially never connected
-    spec = GeneratorSpec("ER", 30, 0.02, seed=1)
+def test_generate_connected_exhausts_retries(monkeypatch):
+    # far below the connectivity threshold no spec is accepted, so every draw
+    # of a feasible one is made disconnected here, as any draw can be by chance
+    with pytest.raises(ValueError, match="density 0.02 infeasible for ER at order 30"):
+        GeneratorSpec("ER", 30, 0.02, seed=1)
+    draws = []
+    monkeypatch.setattr(
+        generators, "_draw", lambda spec, seed: draws.append(seed) or build_graph(spec.n, [])
+    )
     with pytest.raises(GenerationError):
-        generate_connected(spec)
+        generate_connected(GeneratorSpec("ER", 30, 0.3, seed=1))
+    assert len(draws) == generators.MAX_ATTEMPTS
 
 
 def test_generate_connected_pair_product_connected():

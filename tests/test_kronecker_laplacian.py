@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kronspec import checks, spectral
 from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import KroneckerLaplacian, cycle_graph, laplacian
+from kronspec.graphs import KroneckerLaplacian, _normalize_owned, cycle_graph, laplacian
 from kronspec.metrics import correlation_profile
 from kronspec.theory import mean_rms_ratio
 from toolkit import (
@@ -80,10 +80,11 @@ def test_block_spectrum_matches_dense(pair, swap):
 )
 def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     # no solve scans its input for symmetry; this is why none needs to: every
-    # factor basis, block and expected-adjacency matrix a kronspec solve
-    # receives equals its transpose exactly, and the dense product holds the
-    # exact product Laplacian's bits in the triangle LAPACK reads (the lower
-    # one of the m.T it receives), with +0.0 in the other
+    # factor basis and block a kronspec solve receives equals its transpose
+    # exactly, and the dense product and the two expected-adjacency products
+    # hold the bits of the exactly symmetric matrices they stand for in the
+    # triangle LAPACK reads (the lower one of the m.T it receives), with +0.0
+    # in the other
     g, h = pair[::-1] if swap else pair
     received = []
 
@@ -109,6 +110,9 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     product_solves = 1 + max(regular) if regular else 1
     assert [name for name, _ in received] == ["eigh"] * 4 + ["eigvalsh"] * (product_solves + 2)
     symmetric = [m for _, m in received]
+    for p in (1.0, 0.3):
+        bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
+        assert_upper_triangle_of(symmetric.pop().T, _normalize_owned(np.kron(bar1, bar2)))
     if not regular:
         assert_upper_triangle_of(symmetric.pop(4).T, dense_laplacian(g, h))
     assert all(np.array_equal(m, m.T) for m in symmetric)

@@ -1,5 +1,6 @@
 """The eigensolves of spectral.py: factor decompositions and in-place product solves."""
 
+import mmap
 from itertools import product
 from pathlib import Path
 
@@ -137,9 +138,22 @@ def test_in_place_solve_is_bit_exact(op):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "IN_PLACE_MIN_ORDER", 1)
         m = spectral._product_upper(op)
+        assert m.flags.c_contiguous
         values = owned_eigenvalues(m)
     assert values.tobytes() == np.linalg.eigvalsh(reference).tobytes()
     assert not np.array_equal(np.triu(m), np.triu(reference))
+
+
+@property_settings(20)
+@given(st.builds(KroneckerLaplacian, *[factor_graphs(orders=(5, 40))] * 2))
+def test_copied_product_rows_start_their_triangle_on_a_page(op):
+    # below IN_PLACE_MIN_ORDER eigvalsh copies the matrix, so each row is
+    # padded until its diagonal entry, where its part of the triangle starts,
+    # starts a page: no page holds the triangle of two rows
+    m = spectral._product_upper(op)
+    diagonal = m.__array_interface__["data"][0] + np.arange(len(m)) * sum(m.strides)
+    assert m.strides[1] == m.itemsize
+    assert np.all(diagonal % mmap.PAGESIZE == 0)
 
 
 def test_in_place_solve_is_bit_exact_at_the_real_order():
