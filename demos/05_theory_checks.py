@@ -14,7 +14,7 @@ import json
 
 from kronspec.checks import theory_suite
 
-report = theory_suite(output_dir="demos_out/theory", seed=5, er_draws=20, graph_count=100)
+report = theory_suite(output_dir="demos_out/theory", seed=5, draws=20, graphs=100)
 
 for name in sorted(report):
     entry = report[name]

@@ -39,19 +39,16 @@ from .theory import (
 )
 
 
-# the rule for each argument of theory_suite; the checks sized by er_draws and
-# graph_count apply theirs to their own arguments too
-_ARGUMENTS = {
-    "seed": lambda value: _as_int("seed", value, 0),
-    "er_draws": lambda value: _as_int("draws", value, 1),
-    "graph_count": lambda value: _as_int("graph_count", value, 2),  # at least one pair
-}
+# the least value of each integer argument of theory_suite; the checks sized by draws
+# and graphs apply theirs to their own arguments too
+_LEAST = {"seed": 0, "draws": 1, "graphs": 2}  # graphs: at least one pair
 
 
 def theory_arguments(**arguments) -> dict:
-    """The given arguments of :func:`theory_suite` (any of ``seed``, ``er_draws`` and
-    ``graph_count``), each checked by its rule; a bad value is a ValueError naming it."""
-    return {key: _ARGUMENTS[key](value) for key, value in arguments.items()}
+    """The given arguments of :func:`theory_suite` (any of ``seed``, ``draws`` and
+    ``graphs``), each an integer by ``_as_int`` at least its ``_LEAST``; a bad value is
+    a ValueError naming it."""
+    return {key: _as_int(key, value, _LEAST[key]) for key, value in arguments.items()}
 
 
 def _er_pairs(seed, tag: str, count: int):
@@ -158,12 +155,13 @@ def expected_r1j_grid() -> dict:
 
 
 def _expected_normalized_upper(bar1: np.ndarray, bar2: np.ndarray) -> np.ndarray:
-    """The upper triangle of ``graphs._normalize_owned(np.kron(bar1, bar2))``, bit for bit.
+    """The upper triangle of the normalized Laplacian of the weights ``np.kron(bar1, bar2)``.
 
     Built from one block row of ``np.kron(bar1, bar2)`` at a time into an
-    :func:`upper_buffer`, so no N x N array is made, with the arithmetic of
-    ``_normalize_owned``: the degrees are whole rows' sums, each entry is
-    scaled by ``inv_r * -inv_c``, then 1 is added on the diagonal.
+    :func:`upper_buffer`, so no N x N array is made. The degrees are whole
+    rows' sums, ``inv = deg**-1/2``, each entry is scaled by ``inv_r * -inv_c``,
+    then 1 is added on the diagonal: the arithmetic of :func:`normalized_laplacian`,
+    with row sums for degrees.
     """
     n1, n2 = len(bar1), len(bar2)
     inv_sqrt = 1.0 / np.sqrt(np.concatenate([np.kron(row, bar2).sum(axis=1) for row in bar1]))
@@ -202,18 +200,18 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
     }
 
 
-def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
+def sayama_nonnegativity_sweep(graphs: int, seed: int) -> dict:
     """Random connected ER sweep: mu_i <= 2 d_i and nonnegative estimates.
 
     Graphs are checked individually for the degree bound, then consecutive
     graphs are paired up and both estimators evaluated under the correlated
     ordering; the smallest estimated value over all pairs is reported.
     """
-    graph_count = _ARGUMENTS["graph_count"](graph_count)
+    graphs = _as_int("graphs", graphs, _LEAST["graphs"])
     n_range, p_range, floor = [10, 40], [0.3, 0.7], -1e-12
     rng = np.random.default_rng(seed)
     spectra = []
-    for t in range(graph_count):
+    for t in range(graphs):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         p = float(rng.uniform(*p_range))
         g = generate_connected(GeneratorSpec("ER", n, p, derive_seed(seed, "sweep", t)))
@@ -226,7 +224,7 @@ def sayama_nonnegativity_sweep(graph_count: int, seed: int) -> dict:
         min_normalized = min(min_normalized, float(normalized_estimate(lam1, d1, lam2, d2).min()))
     return {
         "inputs": {
-            "graph_count": graph_count, "n_range": n_range, "p_range": p_range, "seed": seed
+            "graph_count": graphs, "n_range": n_range, "p_range": p_range, "seed": seed
         },
         "predicted": {"bound_failures": 0, "min_estimate_floor": floor},
         "observed": {
@@ -246,7 +244,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     Laplacian eigenvector of a connected graph is the constant vector, and
     the cosine is scale-free, so u_1 is passed as all ones, not solved for.
     """
-    draws = _ARGUMENTS["er_draws"](draws)
+    draws = _as_int("draws", draws, _LEAST["draws"])
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
     w_h = factor_spectra(h).laplacian.eigenvectors
@@ -365,8 +363,8 @@ def rprime_bound_slack(seed: int) -> dict:
 def theory_suite(
     output_dir: str | None = None,
     seed: int = 12345,
-    er_draws: int = 100,
-    graph_count: int = 1000,
+    draws: int = 100,
+    graphs: int = 1000,
 ) -> dict:
     """Run every closed-form/bound/Monte-Carlo check and report pass/fail.
 
@@ -374,11 +372,11 @@ def theory_suite(
     directory is given.
     """
     # all three are checked before the first check runs
-    args = theory_arguments(seed=seed, er_draws=er_draws, graph_count=graph_count)
+    args = theory_arguments(seed=seed, draws=draws, graphs=graphs)
     seed = args["seed"]
     report = {
-        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=args["er_draws"], seed=seed),
-        "sayama_nonnegativity": sayama_nonnegativity_sweep(args["graph_count"], seed),
+        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=args["draws"], seed=seed),
+        "sayama_nonnegativity": sayama_nonnegativity_sweep(args["graphs"], seed),
         "mean_rms_closed_forms": closed_form_mean_rms(),
         "staircase_limit": staircase_limit(),
         "asymptotic_inequality_grid": asymptotic_inequality_grid(),

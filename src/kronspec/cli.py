@@ -18,7 +18,7 @@ import numpy as np
 from .checks import theory_arguments, theory_suite
 from .estimators import Estimator, Ordering, OrderingKind
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
-from .graphs import Graph, _as_int, read_edge_list, write_edge_list
+from .graphs import Graph, _as_int, normalized_laplacian, read_edge_list, write_edge_list
 from .experiments import (
     FIGURES, ExperimentConfig, figure_configs, measure_pair, reproduce_figure, run_experiment,
     write_csv,
@@ -47,8 +47,7 @@ def _read_factor(path: str) -> Graph:
     """The factor in edge-list file ``path``, which needs every degree >= 1 to be estimated."""
     with _reading(path):
         g = read_edge_list(path)
-        if not g.degrees.all():
-            raise ValueError(f"vertex {np.argmin(g.degrees)} is isolated; no normalized Laplacian")
+        normalized_laplacian(g)
     return g
 
 
@@ -106,7 +105,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    given = _given(args, "seed", "er_draws", "graph_count")
+    given = _given(args, "seed", "draws", "graphs")
     with _reading():
         theory_arguments(**given)
     report = theory_suite(**_given(args, "output_dir"), **given)
@@ -165,10 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output-dir", "-o", default=None)
     p.add_argument("--seed", type=int)
-    p.add_argument("--draws", dest="er_draws", metavar="DRAWS", type=int,
-                   help="Monte-Carlo draws for the ER expectation")
-    p.add_argument("--graphs", dest="graph_count", metavar="GRAPHS", type=int,
-                   help="graphs in the nonnegativity sweep")
+    p.add_argument("--draws", type=int, help="Monte-Carlo draws for the ER expectation")
+    p.add_argument("--graphs", type=int, help="graphs in the nonnegativity sweep")
     p.set_defaults(func=_cmd_theory)
 
     return parser

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import _as_int
+from .graphs import _as_int, _as_member
 from .spectral import FactorSpectra
 
 # factor eigenvalues closer to zero than this (relative to the spectrum
@@ -66,7 +66,7 @@ class Ordering:
     swap_count: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", OrderingKind(self.kind))
+        object.__setattr__(self, "kind", _as_member("kind", self.kind, OrderingKind))
         seed = _as_int("randomization_seed", self.randomization_seed, 0)
         object.__setattr__(self, "randomization_seed", seed)
         if self.swap_count is not None:

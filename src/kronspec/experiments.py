@@ -37,7 +37,7 @@ from .generators import (
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import Graph, KroneckerLaplacian, _as_float, _as_int, edge_density
+from .graphs import Graph, KroneckerLaplacian, _as_float, _as_int, _as_member, edge_density
 from .metrics import (
     DensityCurve,
     ErrorProfile,
@@ -102,7 +102,9 @@ _COERCE = {
     "orders": lambda k, v: tuple(_as_int(k, n) for n in _of_type(k, v, _ARRAY, "an array")),
     "density": _as_float,
     "runs": lambda k, v: _as_int(k, v, 1),
-    "estimators": lambda k, v: tuple(Estimator(e) for e in _of_type(k, v, _ARRAY, "an array")),
+    "estimators": lambda k, v: tuple(
+        _as_member(k, e, Estimator) for e in _of_type(k, v, _ARRAY, "an array")
+    ),
     "ordering": lambda k, v: (
         v if v is None or isinstance(v, Ordering) else _from_mapping(Ordering, k, v)
     ),

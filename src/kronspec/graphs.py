@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
@@ -51,6 +51,15 @@ def _as_int(key: str, value, low: int | None = None) -> int:
         bound = "nonnegative" if low == 0 else f"at least {low}"
         raise ValueError(f"{key} must be {bound}, got {value}")
     return value
+
+
+def _as_member(key: str, value, enum: type[Enum]) -> Enum:
+    """A member of ``enum`` or its value, as the member; a ValueError naming ``key`` otherwise."""
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in enum)
+        raise ValueError(f"{key} must be one of {allowed}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -128,24 +137,13 @@ def laplacian(g: Graph) -> np.ndarray:
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``, as a new array.
 
-    Requires every degree >= 1; eigenvalues of the result lie in [0, 2].
+    Requires every degree >= 1; eigenvalues of the result lie in [0, 2]. Entry
+    (i, j) is ``(a_i * -a_j) A_ij`` with ``a = deg**-1/2``, exactly symmetric.
     """
-    return _normalize_owned(np.array(g.adjacency))
-
-
-def _normalize_owned(lap: np.ndarray) -> np.ndarray:
-    """Turn a float64 matrix the caller gives up into its normalized Laplacian, in place.
-
-    Degrees are row sums, so weighted matrices such as expected adjacency
-    matrices work too. Entry (i, j) becomes ``(a_i * -a_j) m_ij`` with
-    ``a = deg**-1/2``, which is exactly ``-(a_i a_j) m_ij``, so a symmetric
-    input stays exactly symmetric; then 1 is added on the diagonal.
-    """
-    deg = lap.sum(axis=1)
-    if np.any(deg <= 0):
-        raise ValueError(f"vertex {np.argmax(deg <= 0)} is isolated; no normalized Laplacian")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    lap *= np.outer(inv_sqrt, -inv_sqrt)
+    if not g.degrees.all():
+        raise ValueError(f"vertex {np.argmin(g.degrees)} is isolated; no normalized Laplacian")
+    inv_sqrt = 1.0 / np.sqrt(g.degrees)
+    lap = g.adjacency * np.outer(inv_sqrt, -inv_sqrt)
     np.fill_diagonal(lap, lap.diagonal() + 1.0)
     return lap
 
@@ -188,37 +186,35 @@ class KroneckerLaplacian:
         return (scaled - mixed).reshape(x.shape)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches every vertex."""
-    reached = np.zeros(g.n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(g.n, dtype=bool)
-    frontier[0] = True
+def _search(g: Graph, every_component: bool) -> np.ndarray:
+    """The step at which a breadth-first search from vertex 0 reaches each vertex, -1 if never.
+
+    With ``every_component``, the search goes on from the lowest unreached
+    vertex whenever its frontier empties, so in each component the steps are
+    the depths from the component's first vertex plus one constant.
+    """
     adj = g.adjacency != 0
+    step = np.full(g.n, -1)
+    frontier, level = np.arange(g.n) == 0, 0
     while frontier.any():
-        neighbors = adj[frontier].any(axis=0)
-        frontier = neighbors & ~reached
-        reached |= frontier
-    return bool(reached.all())
+        step[frontier] = level
+        frontier = adj[frontier].any(axis=0) & (step < 0)
+        if every_component and not frontier.any() and (step < 0).any():
+            frontier = np.arange(g.n) == np.argmax(step < 0)
+        level += 1
+    return step
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff a breadth-first search from vertex 0 reaches every vertex."""
+    return bool((_search(g, every_component=False) >= 0).all())
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Standard BFS 2-coloring test, per connected component."""
-    color = np.full(g.n, -1, dtype=np.int8)
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in np.nonzero(g.adjacency[u])[0]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(int(v))
-                elif color[v] == color[u]:
-                    return False
-    return True
+    """True iff the parity of the search step 2-colors every component: an odd vertex
+    has no odd neighbor and an even vertex only odd ones (else an odd cycle closes)."""
+    odd = _search(g, every_component=True) % 2
+    return np.array_equal(g.adjacency @ odd, np.where(odd, 0.0, g.degrees))
 
 
 def edge_density(g: Graph) -> float:

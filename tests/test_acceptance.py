@@ -172,7 +172,7 @@ def test_criterion_04_first_row_closed_form():
 
 
 def test_criterion_05_nonnegativity_sweep():
-    result = checks.sayama_nonnegativity_sweep(graph_count=1000, seed=ACCEPT_SEED)
+    result = checks.sayama_nonnegativity_sweep(graphs=1000, seed=ACCEPT_SEED)
     observed = result["observed"]
     report(
         "5",

@@ -131,8 +131,11 @@ def input_error(argv: list[str]) -> str:
          "density 0.05 infeasible for ER at order 5 (4.07 isolated vertices expected per draw)"),
         ("estimate", "3 2\n0 1\n", "expected 2 edges, found 1"),
         ("estimate", "3 1\n0 1\n", "vertex 2 is isolated; no normalized Laplacian"),
+        ("experiment", '{"model": "ER", "orders": [30, 50], "density": 0.3, "estimators": ["x"]}',
+         "estimators must be one of SayamaLaplacian, NormalizedLaplacian, got 'x'"),
     ],
-    ids=["density", "unknown_key", "infeasible_density", "edge_count", "isolated_vertex"],
+    ids=["density", "unknown_key", "infeasible_density", "edge_count", "isolated_vertex",
+         "unknown_estimator"],
 )
 def test_bad_input_is_one_error_line(tmp_path, command, text, message):
     path = tmp_path / "input"
@@ -155,7 +158,7 @@ def test_a_missing_input_file_is_one_error_line(tmp_path, command):
         (["figure", "fig4", "--runs", "0"], "runs must be at least 1, got 0"),
         (["theory", "--seed", "-1"], "seed must be nonnegative, got -1"),
         (["theory", "--draws", "0"], "draws must be at least 1, got 0"),
-        (["theory", "--graphs", "1"], "graph_count must be at least 2, got 1"),
+        (["theory", "--graphs", "1"], "graphs must be at least 2, got 1"),
     ],
     ids=["figure_runs", "theory_seed", "theory_draws", "theory_graphs"],
 )
@@ -214,7 +217,7 @@ def test_theory_and_figure_leave_unset_flags_to_the_library(monkeypatch, tmp_pat
     assert main(["figure", "fig2", "-o", out, "--master-seed", "5", "--runs", "1"]) == 0
     assert calls == [
         {"output_dir": None},
-        {"output_dir": None, "seed": 7, "er_draws": 3, "graph_count": 20},
+        {"output_dir": None, "seed": 7, "draws": 3, "graphs": 20},
         (("fig2", out), {"runs_override": None}),
         (("fig2", out), {"runs_override": 1, "master_seed": 5}),
     ]

@@ -73,9 +73,9 @@ def test_ordering_validation():
         Ordering(kind=OrderingKind.UNCORRELATED, randomization_seed=2.5)
     # a kind given by name becomes the enum member; an unknown name is rejected
     assert Ordering(kind="AntiCorrelated").kind is OrderingKind.ANTI_CORRELATED
-    with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):
+    with pytest.raises(ValueError, match="kind must be one of .*, got 'Bogus'"):
         Ordering(kind="Bogus")
-    with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):
+    with pytest.raises(ValueError, match="kind must be one of .*, got 'Bogus'"):
         Ordering(kind="Bogus", swap_count=2)
     # default swap count for randomized kinds resolves to n // 4 at apply time
     values = np.arange(8.0)

@@ -339,11 +339,11 @@ def test_enum_names_become_members(tmp_path):
     assert "error_profile/SayamaLaplacian" in bundle.files
     assert ",SayamaLaplacian,Correlated," in (tmp_path / "errors_SayamaLaplacian.csv").read_text()
     # ... and unknown names fail there, with the same message from Python and JSON
-    with pytest.raises(ValueError, match="'Bogus' is not a valid Estimator"):
+    with pytest.raises(ValueError, match="estimators must be one of .*, got 'Bogus'"):
         cycle_config(estimators=("Bogus",))
-    with pytest.raises(ValueError, match="'Bogus' is not a valid Estimator"):
+    with pytest.raises(ValueError, match="estimators must be one of .*, got 'Bogus'"):
         ExperimentConfig.from_dict({**cycle_config().to_dict(), "estimators": ["Bogus"]})
-    with pytest.raises(ValueError, match="'Bogus' is not a valid OrderingKind"):
+    with pytest.raises(ValueError, match="kind must be one of .*, got 'Bogus'"):
         ExperimentConfig.from_dict({**cycle_config().to_dict(), "ordering": {"kind": "Bogus"}})
 
 
@@ -379,6 +379,9 @@ def test_config_rejects_unknown_keys():
         ({"model": "BA", "orders": [30, 50], "density": 0.05}, "orders"),
         ({"model": "WS", "orders": [30, 50], "density": 0.05, "ws_beta": 0.0}, "orders"),
         ({"model": "ER", "orders": [2, 2], "density": 0.5}, "orders"),
+        # an unknown enum value names its key
+        ({"estimators": ["Bogus"]}, "estimators"),
+        ({"ordering": {"kind": "Bogus"}}, "kind"),
     ],
 )
 def test_config_rejects_malformed_values(extra, key):
@@ -471,7 +474,7 @@ def test_figures_cover_reference_grid():
 
 
 def test_theory_suite_report(tmp_path):
-    report = theory_suite(output_dir=str(tmp_path), seed=3, er_draws=3, graph_count=20)
+    report = theory_suite(output_dir=str(tmp_path), seed=3, draws=3, graphs=20)
     written = json.loads((tmp_path / "theory_report.json").read_text())
     assert written["staircase_limit"]["pass"] is True
     assert report["normalized_decomposition"]["pass"] is True
@@ -507,12 +510,12 @@ def test_theory_suite_rejects_degenerate_sizes(monkeypatch):
 
     for name in ("er_r1j_monte_carlo", "sayama_nonnegativity_sweep", "expected_spectrum_gap"):
         monkeypatch.setattr(checks, name, unreachable)
-    with pytest.raises(ValueError, match="graph_count"):
-        theory_suite(seed=3, er_draws=3, graph_count=1)
+    with pytest.raises(ValueError, match="graphs"):
+        theory_suite(seed=3, draws=3, graphs=1)
     with pytest.raises(ValueError, match="draws"):
-        theory_suite(seed=3, er_draws=0, graph_count=20)
+        theory_suite(seed=3, draws=0, graphs=20)
     with pytest.raises(ValueError, match="seed"):
-        theory_suite(seed=-1, er_draws=3, graph_count=20)
+        theory_suite(seed=-1, draws=3, graphs=20)
 
 
 def test_version_is_computed_once_per_process(monkeypatch, tmp_path):

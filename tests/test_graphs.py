@@ -9,7 +9,6 @@ from kronspec.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from kronspec.graphs import (
     Graph,
     KroneckerLaplacian,
-    _normalize_owned,
     build_graph,
     cycle_graph,
     edge_density,
@@ -21,7 +20,7 @@ from kronspec.graphs import (
     read_edge_list,
     write_edge_list,
 )
-from toolkit import SEEDS, property_settings
+from toolkit import SEEDS, property_settings, two_coloring
 
 
 def k2():
@@ -224,6 +223,20 @@ def test_connectivity_and_bipartiteness():
     assert is_bipartite(k2())
     assert is_bipartite(star4())
     assert not is_bipartite(triangle())
+    # every component is colored: an odd cycle away from vertex 0 is found
+    k2_and_triangle = build_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    assert not is_connected(k2_and_triangle) and not is_bipartite(k2_and_triangle)
+    assert is_bipartite(build_graph(6, [(0, 1), (3, 4), (4, 5)]))
+    assert is_bipartite(build_graph(4, [])) and is_bipartite(build_graph(1, []))
+
+
+@property_settings(300)
+@given(st.integers(1, 14), st.sampled_from((0.0, 0.05, 0.15, 0.3, 0.6, 1.0)), SEEDS)
+def test_graph_checks_match_a_two_coloring(n, p, seed):
+    # sparse draws are disconnected, often with odd cycles away from vertex 0
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    g = Graph(upper | upper.T)
+    assert (is_connected(g), is_bipartite(g)) == two_coloring(g)
 
 
 def test_edge_density():
@@ -241,33 +254,22 @@ def test_normalized_laplacian_is_a_new_writable_array():
     assert np.array_equal(g.adjacency, before)
 
 
-def test_normalize_owned_weighted_matrix():
-    # scaling the matrix leaves the normalized Laplacian unchanged
-    base = np.array([[0, 2.0, 1.0], [2.0, 0, 1.0], [1.0, 1.0, 0]])
-    assert np.allclose(_normalize_owned(base.copy()), _normalize_owned(3.7 * base))
-
-
 @property_settings(40)
-@given(st.integers(1, 257), SEEDS)
-def test_normalize_owned_matches_whole_matrix_formula(n, seed):
-    # a random symmetric nonnegative weighted matrix, zeros included; every
-    # row keeps a positive entry on a cycle (n = 1: the diagonal)
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(0.0, 3.0, (n, n)) * (rng.random((n, n)) < 0.5)
-    m = np.triu(m) + np.triu(m, 1).T
-    ring = (np.arange(n) + 1) % n
-    m[np.arange(n), ring] = m[ring, np.arange(n)] = 1.5
-    inv_sqrt = 1.0 / np.sqrt(m.sum(axis=1))
-    expected = -np.outer(inv_sqrt, inv_sqrt) * m
+@given(st.integers(2, 257), SEEDS)
+def test_normalized_laplacian_matches_whole_matrix_formula(n, seed):
+    # a random graph; every vertex keeps a neighbor on a cycle (n = 2: one edge)
+    m = np.random.default_rng(seed).random((n, n)) < 0.5
+    m[np.arange(n), (np.arange(n) + 1) % n] = True
+    upper = np.triu(m | m.T, 1)
+    g = Graph(upper | upper.T)
+    inv_sqrt = 1.0 / np.sqrt(g.degrees)
+    expected = -np.outer(inv_sqrt, inv_sqrt) * g.adjacency
     np.fill_diagonal(expected, expected.diagonal() + 1.0)
-    buffer = m.copy()
-    lap = _normalize_owned(buffer)
+    lap = normalized_laplacian(g)
     # the same bits as the whole-matrix formula, signed zeros included
     assert np.array_equal(lap, expected)
     assert np.array_equal(np.signbit(lap), np.signbit(expected))
     assert np.array_equal(lap, lap.T)
-    # built in the buffer it was given, so no second N x N array is made
-    assert np.shares_memory(lap, buffer)
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -64,7 +64,7 @@ ENTRY_POINTS = {
     "checks.er_r1j_monte_carlo": (lambda v: checks.er_r1j_monte_carlo(v, seed=0), "draws", 0),
     "checks.sayama_nonnegativity_sweep": (
         lambda v: checks.sayama_nonnegativity_sweep(v, seed=0),
-        "graph_count",
+        "graphs",
         1,
     ),
 }

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from kronspec import checks, spectral
 from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
-from kronspec.graphs import KroneckerLaplacian, _normalize_owned, cycle_graph, laplacian
+from kronspec.graphs import KroneckerLaplacian, cycle_graph, laplacian
 from kronspec.metrics import correlation_profile
 from kronspec.theory import mean_rms_ratio
 from toolkit import (
     BASES,
     SEEDS,
     dense_laplacian,
+    dense_normalized,
     er_pair,
     factor_graphs,
     factor_pairs,
@@ -112,7 +113,7 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     symmetric = [m for _, m in received]
     for p in (1.0, 0.3):
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
-        assert_upper_triangle_of(symmetric.pop().T, _normalize_owned(np.kron(bar1, bar2)))
+        assert_upper_triangle_of(symmetric.pop().T, dense_normalized(np.kron(bar1, bar2)))
     if not regular:
         assert_upper_triangle_of(symmetric.pop(4).T, dense_laplacian(g, h))
     assert all(np.array_equal(m, m.T) for m in symmetric)

@@ -8,6 +8,7 @@ child's ``PYTHONPATH`` as well, so code run there can import it too.
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,40 @@ def dense_laplacian(g, h) -> np.ndarray:
     Every zero off the diagonal is -0.0, as in the matrix kronspec solves.
     """
     return laplacian(kronecker_graph(g, h))
+
+
+def dense_normalized(m: np.ndarray) -> np.ndarray:
+    """The normalized Laplacian of a symmetric weighted matrix, degrees its row sums.
+
+    Entry (i, j) is ``(a_i * -a_j) m_ij`` with ``a = deg**-1/2``, then 1 is
+    added on the diagonal: the arithmetic of ``normalized_laplacian``, so a
+    0/1 adjacency gives its bits.
+    """
+    inv_sqrt = 1.0 / np.sqrt(m.sum(axis=1))
+    lap = m * np.outer(inv_sqrt, -inv_sqrt)
+    np.fill_diagonal(lap, lap.diagonal() + 1.0)
+    return lap
+
+
+def two_coloring(g) -> tuple[bool, bool]:
+    """``(connected, bipartite)`` by a plain 2-coloring walk, one component at a time."""
+    color = np.full(g.n, -1)
+    components, bipartite = 0, True
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in np.nonzero(g.adjacency[u])[0]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    bipartite = False
+    return components == 1, bipartite
 
 
 def brute_force_product_spectrum(g, h) -> np.ndarray:

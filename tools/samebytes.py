@@ -15,7 +15,8 @@ The corpus:
 
 * one round of the bands-30x50 and kde-30x50 benchmark commands
   (``perfbench/workloads.py``, seed 7, round 0);
-* ER (12,15) d=0.4 with 3 runs, master seed 5; CYCLE (13,15) and CYCLE (3,3);
+* ER (12,15) d=0.4 with 3 runs, master seed 5; CYCLE (13,15), CYCLE (3,3) and
+  CYCLE (14,15), whose first factor is bipartite and second is not;
   WS (12,15) d=0.4 under an explicit CorrelatedRandomized ordering;
 * ``figure fig2 --runs 1`` and ``figure fig4 --runs 1 --master-seed 3``;
 * two generated ER factors, and ``estimate`` on them with and without
@@ -58,6 +59,7 @@ def corpus_configs() -> dict[str, dict]:
         "er_12x15": er,
         "cycle_13x15": {"model": "CYCLE", "orders": [13, 15], "density": 0.5, "runs": 2},
         "cycle_3x3": {"model": "CYCLE", "orders": [3, 3], "density": 0.5, "runs": 2},
+        "cycle_14x15": {"model": "CYCLE", "orders": [14, 15], "density": 0.5, "runs": 2},
         "ws_ordering": er | {"model": "WS", "ordering": ordering},
     }
 
