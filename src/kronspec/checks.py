@@ -181,8 +181,8 @@ def expected_spectrum_gap(n1: int, n2: int) -> dict:
 
     The normalized Laplacian of each expected adjacency ``kron(bar1, bar2)``
     is built as the upper triangle ``owned_eigenvalues`` reads
-    (:func:`_expected_normalized_upper`), so a solve holds that triangle's
-    pages plus the solver's working copy.
+    (:func:`_expected_normalized_upper`) and solved in place, so a solve
+    holds that triangle's pages and the solver's workspace.
     """
     probs, tolerance = (0.3, 1.0), 1e-8
     levels = expected_kron_normalized_spectrum(n1, n2)

@@ -33,6 +33,10 @@ from .spectral import FactorSpectra
 # eigenvalue is an exact zero
 ZERO_SNAP = 1e-12
 
+# The most adjacent transpositions an ordering may ask for: apply_ordering
+# makes them one at a time, about two seconds per million.
+MAX_SWAP_COUNT = 10**6
+
 
 class OrderingKind(str, Enum):
     UNCORRELATED = "Uncorrelated"
@@ -58,7 +62,8 @@ class Ordering:
 
     ``swap_count`` is the number of random adjacent transpositions applied
     after sorting (randomized kinds only); None means the default n // 4.
-    Both it and ``randomization_seed`` are nonnegative ints by ``graphs._as_int``.
+    Both it and ``randomization_seed`` are nonnegative ints by ``graphs._as_int``,
+    ``swap_count`` at most ``MAX_SWAP_COUNT``.
     """
 
     kind: OrderingKind = OrderingKind.CORRELATED
@@ -70,7 +75,8 @@ class Ordering:
         seed = _as_int("randomization_seed", self.randomization_seed, 0)
         object.__setattr__(self, "randomization_seed", seed)
         if self.swap_count is not None:
-            object.__setattr__(self, "swap_count", _as_int("swap_count", self.swap_count, 0))
+            swaps = _as_int("swap_count", self.swap_count, 0, MAX_SWAP_COUNT)
+            object.__setattr__(self, "swap_count", swaps)
         if self.kind not in _RANDOMIZED and self.swap_count not in (None, 0):
             raise ValueError(f"swap_count must be 0 for ordering kind {self.kind.value}")
 

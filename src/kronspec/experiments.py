@@ -32,6 +32,7 @@ import numpy as np
 from .estimators import Estimator, Ordering, estimate_spectrum, ordering_label, resolve_ordering
 from .generators import (
     DEFAULT_WS_BETA,
+    MAX_ORDER,
     GeneratorSpec,
     bipartite_for_every_seed,
     derive_seed,
@@ -99,7 +100,9 @@ def _from_mapping(cls, name: str, data):
 # on every config, built in Python or loaded from JSON; Ordering checks its own fields
 _ARRAY = (list, tuple)  # to_dict gives tuples
 _COERCE = {
-    "orders": lambda k, v: tuple(_as_int(k, n) for n in _of_type(k, v, _ARRAY, "an array")),
+    "orders": lambda k, v: tuple(
+        _as_int(k, n, high=MAX_ORDER) for n in _of_type(k, v, _ARRAY, "an array")
+    ),
     "density": _as_float,
     "runs": lambda k, v: _as_int(k, v, 1),
     "estimators": lambda k, v: tuple(

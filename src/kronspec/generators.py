@@ -24,6 +24,9 @@ MODELS = ("ER", "WS", "BA", "CYCLE")
 
 DEFAULT_WS_BETA = 0.25
 
+# The largest factor order accepted: its dense adjacency alone is 800 MB.
+MAX_ORDER = 10_000
+
 # draws per connected factor, and draws of a factor redrawn for a connected product
 MAX_ATTEMPTS = 50
 
@@ -51,7 +54,7 @@ def derive_seed(*parts) -> int:
 class GeneratorSpec:
     """Everything needed to reproduce one random graph draw.
 
-    ``n`` (at least 2) and ``seed`` (at least 0) are ints by ``graphs._as_int``,
+    ``n`` (2 to ``MAX_ORDER``) and ``seed`` (at least 0) are ints by ``graphs._as_int``,
     and the density is one :func:`density_to_params` can meet.
     """
 
@@ -64,7 +67,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        object.__setattr__(self, "n", _as_int("order", self.n, 2))
+        object.__setattr__(self, "n", _as_int("order", self.n, 2, MAX_ORDER))
         object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
         if self.model != "CYCLE" and not 0.0 < self.target_density < 1.0:
             raise ValueError(f"target density must be in (0, 1), got {self.target_density}")

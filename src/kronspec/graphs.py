@@ -36,11 +36,12 @@ def _as_float(key: str, value) -> float:
     return float(value)
 
 
-def _as_int(key: str, value, low: int | None = None) -> int:
+def _as_int(key: str, value, low: int | None = None, high: int | None = None) -> int:
     """An integer given to kronspec, as an int; a ValueError naming ``key`` otherwise.
 
     Any integer type (numpy's too) or an integral finite float is an
-    integer, a bool is not. A value below ``low``, when given, is rejected.
+    integer, a bool is not. A value below ``low`` or above ``high``, when
+    given, is rejected.
     """
     if isinstance(value, float) and _as_float(key, value).is_integer():
         value = int(value)
@@ -50,6 +51,8 @@ def _as_int(key: str, value, low: int | None = None) -> int:
     if low is not None and value < low:
         bound = "nonnegative" if low == 0 else f"at least {low}"
         raise ValueError(f"{key} must be {bound}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{key} must be at most {high}, got {value}")
     return value
 
 

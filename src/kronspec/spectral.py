@@ -5,7 +5,7 @@ No other module calls a numpy eigensolver: the theory checks, too, solve through
 ``np.linalg.eigh`` results: ascending eigenvalues, orthonormal eigenvectors and no
 sign promise, since every consumer (cosines, quadratic forms, residual norms) is
 sign-invariant. :func:`product_spectrum` makes every solve decision for the product
-Laplacian: blocks or dense, in place or copied, solved or read from the cache.
+Laplacian: blocks or one dense matrix, solved or read from the cache.
 
 No solve scans its input for symmetry. ``Graph.__post_init__`` checks that
 an adjacency equals its transpose exactly where outside input enters, and
@@ -20,6 +20,7 @@ triangle is left as zero pages that are never written.
 
 from __future__ import annotations
 
+import ctypes
 import mmap
 from hashlib import sha256
 from typing import NamedTuple
@@ -27,12 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph, KroneckerLaplacian, laplacian, normalized_laplacian
-
-# The measured crossover on 2 cores: from this order on, the in-place solve
-# is no slower than eigvalsh with its copy, the scipy.linalg import (about
-# 0.3 s) included, and saves the N x N copy (98 MB at N=3500), far more than
-# the import's 28 MB. At N=1500 it was twice as slow and used more memory.
-IN_PLACE_MIN_ORDER = 3500
 
 # Exact product spectra kept per process before the least recently used
 # one is dropped.
@@ -56,23 +51,114 @@ def factor_spectra(g: Graph) -> FactorSpectra:
 
 
 def owned_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a float64 symmetric matrix, from its upper triangle.
+    """Ascending eigenvalues of a float64 symmetric matrix, from its upper triangle, in place.
 
     Only the upper triangle of ``m``, diagonal included, is read, and its
     rows may be padded (:func:`upper_buffer`). The caller built ``m`` and
-    gives it up. From order ``IN_PLACE_MIN_ORDER`` the solve overwrites a
-    C-contiguous ``m`` instead of copying it, with the same bits as
-    ``np.linalg.eigvalsh``.
+    gives it up: LAPACK's ``dsyevd``, from the library ``np.linalg.eigvalsh``
+    calls and with the workspace it asks for, overwrites it, so the values
+    have ``eigvalsh``'s bits. Any matrix but a writable square float64 one
+    with unit column stride and a row stride of at least its order is a
+    ValueError, never a silent copy.
     """
-    # m.T is a column-major view whose lower triangle, the one LAPACK
-    # reads, is m's upper triangle
-    if m.shape[0] < IN_PLACE_MIN_ORDER:
-        return np.linalg.eigvalsh(m.T)
-    import scipy.linalg
+    n = len(m)
+    if not (
+        m.dtype == np.float64
+        and m.shape == (n, n)
+        and m.flags.writeable
+        and m.strides[1] == 8
+        and m.strides[0] >= 8 * n
+        and m.strides[0] % 8 == 0
+    ):
+        raise ValueError(
+            "owned_eigenvalues needs a writable square float64 matrix with unit column stride "
+            f"and a row stride of at least its order, got {m.dtype} {m.shape}, strides "
+            f"{m.strides}, writable={m.flags.writeable}"
+        )
+    dsyevd, integer = _lapack()
+    order, work, lwork, iwork, liwork = _workspace(n)
+    values, info = (ctypes.c_double * n)(), integer()
+    # m's rows are the columns of the column-major matrix LAPACK sees, so its
+    # lower triangle ("L") is m's upper one and its leading dimension m's row stride
+    a, lda, status = m.ctypes.data, ctypes.byref(integer(m.strides[0] // 8)), ctypes.byref(info)
+    dsyevd(b"N", b"L", order, a, lda, values, work(), lwork, iwork(), liwork, status, 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevd failed at order {n}: info {info.value}")
+    return np.frombuffer(values)
 
-    return scipy.linalg.eigh(
-        m.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
-    )
+
+_dsyevd: tuple | None = None  # (numpy's dsyevd, its Fortran integer type), bound on first use
+_workspaces: dict[int, tuple] = {}  # see _workspace
+
+
+def _dsyevd_symbols() -> list[str]:
+    """The names numpy's linked LAPACK may give ``dsyevd``, in the order they are tried.
+
+    numpy's wheels bundle an OpenBLAS build, named ``<project>-openblas`` in
+    numpy's build configuration, that prefixes every symbol ``<project>_``;
+    a 64-bit-integer build also suffixes it ``64_``.
+    """
+    lapack = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
+    project, dash, vendor = str(lapack.get("name", "")).rpartition("-")
+    prefixes = [f"{project}_"] if dash and vendor == "openblas" else []
+    return [prefix + name for prefix in [*prefixes, ""] for name in ("dsyevd_64_", "dsyevd_")]
+
+
+def _lapack() -> tuple:
+    """numpy's linked ``dsyevd`` and its Fortran integer type, looked up on the first call."""
+    global _dsyevd
+    if _dsyevd is None:
+        from numpy.linalg import _umath_linalg
+
+        # the extension's own handle resolves the symbols of the LAPACK it links
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        symbols = _dsyevd_symbols()
+        routine = next((getattr(library, s) for s in symbols if hasattr(library, s)), None)
+        if routine is None:
+            raise RuntimeError(
+                f"numpy's LAPACK, linked by {_umath_linalg.__file__}, exports no dsyevd "
+                f"(tried {', '.join(symbols)})"
+            )
+        integer = ctypes.c_int64 if _umath_linalg._ilp64 else ctypes.c_int32
+        count, address = ctypes.POINTER(integer), ctypes.c_void_p
+        routine.restype = None
+        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
+        # hidden lengths of the two Fortran strings
+        routine.argtypes = (
+            [ctypes.c_char_p] * 2
+            + [count, address, count, address, address, count, address, count, count]
+            + [ctypes.c_size_t] * 2
+        )
+        _dsyevd = routine, integer
+    return _dsyevd
+
+
+def _workspace(n: int) -> tuple:
+    """The order and optimal-workspace arguments of an order-``n`` ``dsyevd``, queried once.
+
+    Returns (n, the work buffer's type, lwork, the iwork buffer's type,
+    liwork), the integers by reference. The optimal sizes are the ones
+    ``eigvalsh`` queries: the minimal workspace leaves the tridiagonal
+    reduction unblocked, which rounds differently.
+    """
+    found = _workspaces.get(n)
+    if found is None:
+        dsyevd, integer = _lapack()
+        ref, lwork, liwork, info = ctypes.byref, ctypes.c_double(), integer(), integer()
+        query = ref(integer(-1))
+        shape = ref(integer(n)), None, ref(integer(max(n, 1))), None
+        dsyevd(b"N", b"L", *shape, ref(lwork), query, ref(liwork), query, ref(info), 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"LAPACK dsyevd workspace query failed: info {info.value}")
+        size, isize = int(lwork.value), liwork.value
+        found = _workspaces[n] = (
+            ref(integer(n)),
+            ctypes.c_double * size,
+            ref(integer(size)),
+            integer * isize,
+            ref(integer(isize)),
+        )
+    return found
 
 
 _spectra: dict[str, np.ndarray] = {}  # least recently used first
@@ -82,15 +168,13 @@ def upper_buffer(n: int) -> np.ndarray:
     """A fresh (n, n) float64 matrix of +0.0, to build a triangle for :func:`owned_eigenvalues` in.
 
     Write only the upper triangle (diagonal included), through slices: the
-    pages that hold nothing else are never written and never committed.
-    Below ``IN_PLACE_MIN_ORDER``, where ``eigvalsh`` copies the matrix
-    anyway, each row is padded so that its diagonal entry, where its part of
-    the triangle starts, starts a page; from that order on the rows are
-    contiguous, as the in-place solve needs them.
+    pages that hold nothing else are never written and never committed. Each
+    row is padded so that its diagonal entry, where its part of the triangle
+    starts, starts a page, and the solve works in place on that layout.
     """
     per_page = mmap.PAGESIZE // 8
     # row stride lda with (lda + 1) entries a whole number of pages
-    lda = n if n >= IN_PLACE_MIN_ORDER else -(-(n + 1) // per_page) * per_page - 1
+    lda = -(-(n + 1) // per_page) * per_page - 1
     # private, because reading an unwritten page of a shared (shmem) mapping
     # allocates it, and no huge pages, because each would commit 2 MB around
     # the entries written into it

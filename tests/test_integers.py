@@ -2,7 +2,7 @@
 
 An accepted value is any integer type (numpy's too) or an integral finite
 float, stored as a Python int; bools, fractions, strings, NaN and values
-below the field's bound are a ValueError naming the field.
+outside the field's bounds are a ValueError naming the field.
 """
 
 import json
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from kronspec import checks
-from kronspec.estimators import Ordering, OrderingKind
+from kronspec.estimators import MAX_SWAP_COUNT, Ordering, OrderingKind
 from kronspec.experiments import ExperimentConfig
-from kronspec.generators import GeneratorSpec
+from kronspec.generators import MAX_ORDER, GeneratorSpec
 from kronspec.graphs import build_graph
 
 ER = {"model": "ER", "orders": (10, 12), "density": 0.4}
@@ -71,13 +71,24 @@ ENTRY_POINTS = {
 # the checks would run on an accepted size, so only their rejections are tested
 SIZED_CHECKS = ("checks.er_r1j_monte_carlo", "checks.sayama_nonnegativity_sweep")
 
+# entry point: a value above its upper bound (the first two once ran into numpy's
+# allocation limit and a 10**18-step loop)
+ABOVE = {
+    "from_dict.orders": 10**30,
+    "from_dict.ordering.swap_count": 10**18,
+    "config.orders": MAX_ORDER + 1,
+    "GeneratorSpec.n": MAX_ORDER + 1,
+    "Ordering.swap_count": MAX_SWAP_COUNT + 1,
+}
+
 ACCEPTED = [3, np.int64(3), np.int32(3), 3.0]
 REJECTED = [True, 2.5, "3", math.nan]
 
 
 def rejections():
     for entry, (_, _, below) in ENTRY_POINTS.items():
-        for value in REJECTED + ([] if below is None else [below]):
+        bounds = ([] if below is None else [below]) + ([ABOVE[entry]] if entry in ABOVE else [])
+        for value in REJECTED + bounds:
             yield pytest.param(entry, value, id=f"{entry}-{value!r}")
 
 
@@ -94,3 +105,11 @@ def test_integer_rule_rejects(entry, value):
     store, name, _ = ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=name):
         store(value)
+
+
+def test_upper_bounds_are_inclusive():
+    assert Ordering(OrderingKind.CORRELATED_RANDOMIZED, swap_count=MAX_SWAP_COUNT).swap_count == (
+        MAX_SWAP_COUNT
+    )
+    assert GeneratorSpec("ER", MAX_ORDER, 0.5, seed=0).n == MAX_ORDER
+    assert built(orders=(MAX_ORDER, 12)).orders == (MAX_ORDER, 12)

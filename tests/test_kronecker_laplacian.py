@@ -8,6 +8,8 @@ cycles, ring lattices) check the engine's block path against a dense
 ``eigvalsh``.
 """
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -84,8 +86,8 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     # factor basis and block a kronspec solve receives equals its transpose
     # exactly, and the dense product and the two expected-adjacency products
     # hold the bits of the exactly symmetric matrices they stand for in the
-    # triangle LAPACK reads (the lower one of the m.T it receives), with +0.0
-    # in the other
+    # triangle LAPACK reads (the lower one of the column-major matrix at its
+    # address and leading dimension), with +0.0 in the other
     g, h = pair[::-1] if swap else pair
     received = []
 
@@ -96,20 +98,35 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
 
         return kept
 
+    dsyevd, integer = spectral._lapack()
+
+    def lapack_recording(jobz, uplo, order, address, lda, *rest):
+        if address is not None:  # not a workspace query
+            n, stride = order._obj.value, lda._obj.value
+            entries = ctypes.cast(address, ctypes.POINTER(ctypes.c_double))
+            flat = np.ctypeslib.as_array(entries, ((n - 1) * stride + n,))
+            # column j of what LAPACK reads starts at entry j * lda; copied,
+            # since the solve overwrites it
+            columns = np.lib.stride_tricks.as_strided(flat, (n, n), (8, 8 * stride))
+            received.append(("dsyevd", columns.copy()))
+        return dsyevd(jobz, uplo, order, address, lda, *rest)
+
     spectral._spectra.clear()
     with pytest.MonkeyPatch.context() as mp:
         for name in ("eigh", "eigvalsh"):
             mp.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        mp.setattr(spectral, "_dsyevd", (lapack_recording, integer))
         spectral.factor_spectra(g)
         spectral.factor_spectra(h)
         spectral.product_spectrum(KroneckerLaplacian(g, h))
         checks.expected_spectrum_gap(n1, n2)
     spectral._spectra.clear()
-    # two bases per factor; the regular factor's adjacency and one block per
-    # vertex of it, or one dense product; the two expected-adjacency products
+    # two bases per factor; the regular factor's adjacency (numpy's own solve)
+    # and one block per vertex of it, or one dense product; the two
+    # expected-adjacency products
     regular = [f.n for f in (g, h) if np.all(f.degrees == f.degrees[0])]
-    product_solves = 1 + max(regular) if regular else 1
-    assert [name for name, _ in received] == ["eigh"] * 4 + ["eigvalsh"] * (product_solves + 2)
+    product_solves = ["eigvalsh"] + ["dsyevd"] * max(regular) if regular else ["dsyevd"]
+    assert [name for name, _ in received] == ["eigh"] * 4 + product_solves + ["dsyevd"] * 2
     symmetric = [m for _, m in received]
     for p in (1.0, 0.3):
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))

@@ -192,11 +192,11 @@ def test_kde_degenerate_inputs():
 
 
 def test_import_loads_no_scipy():
-    # only spectral.py names scipy, inside the solver for large products, so
-    # importing the package, the CLI or the checks leaves it unloaded
+    # no source file names scipy (the solver calls the LAPACK numpy links),
+    # so importing the package, the CLI or the checks leaves it unloaded
     package = Path(kronspec.__file__).resolve().parent
     names = [p.name for p in sorted(package.glob("*.py")) if "scipy" in p.read_text()]
-    assert names == ["spectral.py"]
+    assert names == []
     code = (
         "import sys, kronspec, kronspec.cli, kronspec.checks; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

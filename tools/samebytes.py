@@ -15,9 +15,11 @@ The corpus:
 
 * one round of the bands-30x50 and kde-30x50 benchmark commands
   (``perfbench/workloads.py``, seed 7, round 0);
-* ER (12,15) d=0.4 with 3 runs, master seed 5; CYCLE (13,15), CYCLE (3,3) and
-  CYCLE (14,15), whose first factor is bipartite and second is not;
-  WS (12,15) d=0.4 under an explicit CorrelatedRandomized ordering;
+* ER (12,15) d=0.4 with 3 runs, master seed 5; ER (50,70) d=0.3 with 1 run,
+  master seed 5, whose dense product (order 3500) is the largest the corpus
+  solves; CYCLE (13,15), CYCLE (3,3) and CYCLE (14,15), whose first factor is
+  bipartite and second is not; WS (12,15) d=0.4 under an explicit
+  CorrelatedRandomized ordering;
 * ``figure fig2 --runs 1`` and ``figure fig4 --runs 1 --master-seed 3``;
 * two generated ER factors, and ``estimate`` on them with and without
   ``--ordering``, each to stdout and to a file;
@@ -57,6 +59,7 @@ def corpus_configs() -> dict[str, dict]:
     ordering = {"kind": "CorrelatedRandomized", "randomization_seed": 3}
     return named | {
         "er_12x15": er,
+        "er_50x70": er | {"orders": [50, 70], "density": 0.3, "runs": 1},
         "cycle_13x15": {"model": "CYCLE", "orders": [13, 15], "density": 0.5, "runs": 2},
         "cycle_3x3": {"model": "CYCLE", "orders": [3, 3], "density": 0.5, "runs": 2},
         "cycle_14x15": {"model": "CYCLE", "orders": [14, 15], "density": 0.5, "runs": 2},
