@@ -21,7 +21,7 @@ import functools
 import json
 import subprocess
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from hashlib import sha256
 from itertools import chain, repeat
 from pathlib import Path
@@ -47,9 +47,10 @@ from .metrics import (
     kde,
     percentage_errors,
 )
-from .spectral import factor_spectra, product_spectrum
+from .spectral import MAX_DENSE_ORDER, factor_spectra, product_spectrum
 
 BASES = ("laplacian", "normalized")
+MAX_RUNS = 10_000  # the most runs a config may ask for; a reference error-band panel takes 100
 
 
 @functools.cache
@@ -85,14 +86,18 @@ def _of_type(key: str, value, types, what: str):
 def _from_mapping(cls, name: str, data):
     """Dataclass ``cls`` from a JSON object, whose ``__post_init__`` checks each field.
 
-    Absent keys take the field defaults. Input that is not a mapping, or
-    that has keys ``cls`` lacks, is a ValueError naming ``name`` or the keys.
+    Absent keys take the field defaults. Input that is not a mapping, has
+    keys ``cls`` lacks, or lacks a key without a default is a ValueError
+    naming ``name`` or the keys.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"{name} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"missing {name} keys: {', '.join(missing)}")
     return cls(**data)
 
 
@@ -101,10 +106,10 @@ def _from_mapping(cls, name: str, data):
 _ARRAY = (list, tuple)  # to_dict gives tuples
 _COERCE = {
     "orders": lambda k, v: tuple(
-        _as_int(k, n, high=MAX_ORDER) for n in _of_type(k, v, _ARRAY, "an array")
+        _as_int(k, n, 2, MAX_ORDER) for n in _of_type(k, v, _ARRAY, "an array")
     ),
     "density": _as_float,
-    "runs": lambda k, v: _as_int(k, v, 1),
+    "runs": lambda k, v: _as_int(k, v, 1, MAX_RUNS),
     "estimators": lambda k, v: tuple(
         _as_member(k, e, Estimator) for e in _of_type(k, v, _ARRAY, "an array")
     ),
@@ -158,6 +163,13 @@ class ExperimentConfig:
         if all([bipartite_for_every_seed(self.factor_spec(n, seed=0)) for n in self.orders]):
             raise ValueError(
                 f"orders must not give two factors bipartite for every seed, got {self.orders}"
+            )
+        # a larger product is solved only as the blocks of a regular factor
+        regular = self.model == "CYCLE" or (self.model == "WS" and self.ws_beta == 0)
+        if self.orders[0] * self.orders[1] > MAX_DENSE_ORDER and not regular:
+            raise ValueError(
+                f"orders must have a product of at most {MAX_DENSE_ORDER} unless a factor is "
+                f"regular for every seed (CYCLE, or WS with ws_beta 0), got {self.orders}"
             )
 
     def factor_spec(self, n: int, seed: int) -> GeneratorSpec:
@@ -278,13 +290,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
                 # factors of other orders differ by rounding, so get a ~1e-16 bandwidth curve
                 density_curves[basis] = None
 
-    bundle = ExperimentBundle(
-        config=config,
-        records=records,
-        error_profiles=error_profiles,
-        density_curves=density_curves,
-        correlation_samples=correlation_samples,
-    )
+    bundle = ExperimentBundle(config, records, error_profiles, density_curves, correlation_samples)
     if config.output_dir is not None:
         write_bundle(bundle, config.output_dir)
     return bundle

@@ -1,11 +1,12 @@
 """Every eigensolve kronspec makes: factor decompositions and exact product spectra.
 
-No other module calls a numpy eigensolver: the theory checks, too, solve through
-:func:`factor_spectra` and :func:`owned_eigenvalues`. :func:`factor_spectra` returns
-``np.linalg.eigh`` results: ascending eigenvalues, orthonormal eigenvectors and no
-sign promise, since every consumer (cosines, quadratic forms, residual norms) is
-sign-invariant. :func:`product_spectrum` makes every solve decision for the product
-Laplacian: blocks or one dense matrix, solved or read from the cache.
+No other module calls a numpy eigensolver, and here only :func:`factor_spectra`
+does: it returns numpy's ``eigh`` results (ascending eigenvalues, orthonormal
+eigenvectors and no sign promise, since every consumer, cosines, quadratic forms
+and residual norms, is sign-invariant). Every solve for eigenvalues alone, the
+theory checks' and the block path's included, is :func:`owned_eigenvalues`.
+:func:`product_spectrum` makes every solve decision for the product Laplacian:
+blocks or one dense matrix, solved or read from the cache.
 
 No solve scans its input for symmetry. ``Graph.__post_init__`` checks that
 an adjacency equals its transpose exactly where outside input enters, and
@@ -21,6 +22,7 @@ triangle is left as zero pages that are never written.
 from __future__ import annotations
 
 import ctypes
+import functools
 import mmap
 from hashlib import sha256
 from typing import NamedTuple
@@ -37,7 +39,7 @@ SPECTRUM_CACHE_ENTRIES = 2048
 class FactorSpectra(NamedTuple):
     """What both estimators need from one factor graph."""
 
-    # np.linalg.eigh results: column j of .eigenvectors pairs with .eigenvalues[j]
+    # numpy's eigh results: column j of .eigenvectors pairs with .eigenvalues[j]
     laplacian: tuple[np.ndarray, np.ndarray]
     normalized: tuple[np.ndarray, np.ndarray]
     degrees: np.ndarray
@@ -55,9 +57,9 @@ def owned_eigenvalues(m: np.ndarray) -> np.ndarray:
 
     Only the upper triangle of ``m``, diagonal included, is read, and its
     rows may be padded (:func:`upper_buffer`). The caller built ``m`` and
-    gives it up: LAPACK's ``dsyevd``, from the library ``np.linalg.eigvalsh``
-    calls and with the workspace it asks for, overwrites it, so the values
-    have ``eigvalsh``'s bits. Any matrix but a writable square float64 one
+    gives it up: LAPACK's ``dsyevd``, from the library numpy links and with
+    the workspace numpy's own value-only solve asks for, overwrites it, so
+    the values have that solve's bits. Any matrix but a writable square float64 one
     with unit column stride and a row stride of at least its order is a
     ValueError, never a silent copy.
     """
@@ -87,10 +89,6 @@ def owned_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.frombuffer(values)
 
 
-_dsyevd: tuple | None = None  # (numpy's dsyevd, its Fortran integer type), bound on first use
-_workspaces: dict[int, tuple] = {}  # see _workspace
-
-
 def _dsyevd_symbols() -> list[str]:
     """The names numpy's linked LAPACK may give ``dsyevd``, in the order they are tried.
 
@@ -104,64 +102,59 @@ def _dsyevd_symbols() -> list[str]:
     return [prefix + name for prefix in [*prefixes, ""] for name in ("dsyevd_64_", "dsyevd_")]
 
 
+@functools.cache
 def _lapack() -> tuple:
     """numpy's linked ``dsyevd`` and its Fortran integer type, looked up on the first call."""
-    global _dsyevd
-    if _dsyevd is None:
-        from numpy.linalg import _umath_linalg
+    from numpy.linalg import _umath_linalg
 
-        # the extension's own handle resolves the symbols of the LAPACK it links
-        library = ctypes.CDLL(_umath_linalg.__file__)
-        symbols = _dsyevd_symbols()
-        routine = next((getattr(library, s) for s in symbols if hasattr(library, s)), None)
-        if routine is None:
-            raise RuntimeError(
-                f"numpy's LAPACK, linked by {_umath_linalg.__file__}, exports no dsyevd "
-                f"(tried {', '.join(symbols)})"
-            )
-        integer = ctypes.c_int64 if _umath_linalg._ilp64 else ctypes.c_int32
-        count, address = ctypes.POINTER(integer), ctypes.c_void_p
-        routine.restype = None
-        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
-        # hidden lengths of the two Fortran strings
-        routine.argtypes = (
-            [ctypes.c_char_p] * 2
-            + [count, address, count, address, address, count, address, count, count]
-            + [ctypes.c_size_t] * 2
+    # the extension's own handle resolves the symbols of the LAPACK it links
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    symbols = _dsyevd_symbols()
+    routine = next((getattr(library, s) for s in symbols if hasattr(library, s)), None)
+    if routine is None:
+        raise RuntimeError(
+            f"numpy's LAPACK, linked by {_umath_linalg.__file__}, exports no dsyevd "
+            f"(tried {', '.join(symbols)})"
         )
-        _dsyevd = routine, integer
-    return _dsyevd
+    integer = ctypes.c_int64 if _umath_linalg._ilp64 else ctypes.c_int32
+    count, address = ctypes.POINTER(integer), ctypes.c_void_p
+    routine.restype = None
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
+    # hidden lengths of the two Fortran strings
+    routine.argtypes = (
+        [ctypes.c_char_p] * 2
+        + [count, address, count, address, address, count, address, count, count]
+        + [ctypes.c_size_t] * 2
+    )
+    return routine, integer
 
 
+@functools.cache
 def _workspace(n: int) -> tuple:
     """The order and optimal-workspace arguments of an order-``n`` ``dsyevd``, queried once.
 
     Returns (n, the work buffer's type, lwork, the iwork buffer's type,
     liwork), the integers by reference. The optimal sizes are the ones
-    ``eigvalsh`` queries: the minimal workspace leaves the tridiagonal
+    numpy queries: the minimal workspace leaves the tridiagonal
     reduction unblocked, which rounds differently.
     """
-    found = _workspaces.get(n)
-    if found is None:
-        dsyevd, integer = _lapack()
-        ref, lwork, liwork, info = ctypes.byref, ctypes.c_double(), integer(), integer()
-        query = ref(integer(-1))
-        shape = ref(integer(n)), None, ref(integer(max(n, 1))), None
-        dsyevd(b"N", b"L", *shape, ref(lwork), query, ref(liwork), query, ref(info), 1, 1)
-        if info.value:
-            raise np.linalg.LinAlgError(f"LAPACK dsyevd workspace query failed: info {info.value}")
-        size, isize = int(lwork.value), liwork.value
-        found = _workspaces[n] = (
-            ref(integer(n)),
-            ctypes.c_double * size,
-            ref(integer(size)),
-            integer * isize,
-            ref(integer(isize)),
-        )
-    return found
+    dsyevd, integer = _lapack()
+    ref, lwork, liwork, info = ctypes.byref, ctypes.c_double(), integer(), integer()
+    query = ref(integer(-1))
+    shape = ref(integer(n)), None, ref(integer(max(n, 1))), None
+    dsyevd(b"N", b"L", *shape, ref(lwork), query, ref(liwork), query, ref(info), 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevd workspace query failed: info {info.value}")
+    size, isize = int(lwork.value), liwork.value
+    work, iwork = ctypes.c_double * size, integer * isize
+    return ref(integer(n)), work, ref(integer(size)), iwork, ref(integer(isize))
 
 
 _spectra: dict[str, np.ndarray] = {}  # least recently used first
+
+
+# the largest product a config may solve densely: (100,200), a 1.7 GB triangle
+MAX_DENSE_ORDER = 20_000
 
 
 def upper_buffer(n: int) -> np.ndarray:
@@ -215,7 +208,8 @@ def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
     the other factor's degrees D and adjacency A (Van Loan, JCAM 2000). The
     larger regular factor is ``r`` (the second on a tie), so the blocks have
     the smaller order; they are solved one at a time, never stacked, each
-    by :func:`owned_eigenvalues` (a block is built here and dropped).
+    by :func:`owned_eigenvalues` (a block is built here and dropped), as is
+    a copy of ``r``'s adjacency for theta.
     """
     regular = [g for g in (op.second, op.first) if np.all(g.degrees == g.degrees[0])]
     if not regular:
@@ -223,7 +217,7 @@ def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
     r = max(regular, key=lambda g: g.n)
     other = op.first if r is op.second else op.second
     kd = np.diag(r.degrees[0] * other.degrees)
-    theta = np.linalg.eigvalsh(r.adjacency)
+    theta = owned_eigenvalues(np.array(r.adjacency))
     return np.sort(np.concatenate([owned_eigenvalues(kd - t * other.adjacency) for t in theta]))
 
 

@@ -133,9 +133,13 @@ def input_error(argv: list[str]) -> str:
         ("estimate", "3 1\n0 1\n", "vertex 2 is isolated; no normalized Laplacian"),
         ("experiment", '{"model": "ER", "orders": [30, 50], "density": 0.3, "estimators": ["x"]}',
          "estimators must be one of SayamaLaplacian, NormalizedLaplacian, got 'x'"),
+        ("experiment", '{"model": "ER", "orders": [30, 50]}', "missing config keys: density"),
+        ("experiment", '{"model": "ER", "orders": [1000, 1000], "density": 0.5}',
+         "orders must have a product of at most 20000 unless a factor is regular for every "
+         "seed (CYCLE, or WS with ws_beta 0), got (1000, 1000)"),
     ],
     ids=["density", "unknown_key", "infeasible_density", "edge_count", "isolated_vertex",
-         "unknown_estimator"],
+         "unknown_estimator", "missing_key", "dense_bound"],
 )
 def test_bad_input_is_one_error_line(tmp_path, command, text, message):
     path = tmp_path / "input"

@@ -599,8 +599,8 @@ def test_regular_factor_takes_the_block_path(product_solves, monkeypatch):
 
     monkeypatch.setattr(spectral, "_product_upper", no_dense)
     spectrum = product_spectrum(op)
-    # one block per eigenvalue of the cycle's adjacency (that solve is not owned)
-    assert product_solves == [er.n] * 9
+    # the cycle's adjacency, then one block per eigenvalue of it
+    assert product_solves == [9] + [er.n] * 9
     assert np.abs(spectrum - reference).max() <= 1e-12 * reference[-1]
     assert not spectrum.flags.writeable
 

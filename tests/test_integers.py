@@ -13,9 +13,10 @@ import pytest
 
 from kronspec import checks
 from kronspec.estimators import MAX_SWAP_COUNT, Ordering, OrderingKind
-from kronspec.experiments import ExperimentConfig
+from kronspec.experiments import MAX_RUNS, ExperimentConfig
 from kronspec.generators import MAX_ORDER, GeneratorSpec
 from kronspec.graphs import build_graph
+from kronspec.spectral import MAX_DENSE_ORDER
 
 ER = {"model": "ER", "orders": (10, 12), "density": 0.4}
 RANDOMIZED = {"kind": "CorrelatedRandomized"}
@@ -31,8 +32,8 @@ def from_dict(**extra) -> ExperimentConfig:
 
 # entry point: (the value it stores for v, a regex naming the field, a value below its bound)
 ENTRY_POINTS = {
-    "config.orders": (lambda v: built(orders=(v, 12)).orders[0], "order", 1),
-    "from_dict.orders": (lambda v: from_dict(orders=[v, 12]).orders[0], "order", 1),
+    "config.orders": (lambda v: built(orders=(v, 12)).orders[0], r"\borders\b", 1),
+    "from_dict.orders": (lambda v: from_dict(orders=[v, 12]).orders[0], r"\borders\b", 1),
     "config.runs": (lambda v: built(runs=v).runs, "runs", 0),
     "from_dict.runs": (lambda v: from_dict(runs=v).runs, "runs", 0),
     "config.master_seed": (lambda v: built(master_seed=v).master_seed, "master_seed", None),
@@ -71,14 +72,17 @@ ENTRY_POINTS = {
 # the checks would run on an accepted size, so only their rejections are tested
 SIZED_CHECKS = ("checks.er_r1j_monte_carlo", "checks.sayama_nonnegativity_sweep")
 
-# entry point: a value above its upper bound (the first two once ran into numpy's
-# allocation limit and a 10**18-step loop)
+# entry point: values above its upper bounds. Before the bounds, an order of 10**30
+# ran into numpy's allocation limit, a swap count or run count of 10**18 would not
+# end, and an ER product above MAX_DENSE_ORDER could fail to allocate its triangle
 ABOVE = {
-    "from_dict.orders": 10**30,
-    "from_dict.ordering.swap_count": 10**18,
-    "config.orders": MAX_ORDER + 1,
-    "GeneratorSpec.n": MAX_ORDER + 1,
-    "Ordering.swap_count": MAX_SWAP_COUNT + 1,
+    "from_dict.orders": (10**30, MAX_DENSE_ORDER // 12 + 1),
+    "from_dict.ordering.swap_count": (10**18,),
+    "from_dict.runs": (10**18,),
+    "config.orders": (MAX_ORDER + 1, MAX_DENSE_ORDER // 12 + 1),
+    "config.runs": (MAX_RUNS + 1,),
+    "GeneratorSpec.n": (MAX_ORDER + 1,),
+    "Ordering.swap_count": (MAX_SWAP_COUNT + 1,),
 }
 
 ACCEPTED = [3, np.int64(3), np.int32(3), 3.0]
@@ -87,7 +91,7 @@ REJECTED = [True, 2.5, "3", math.nan]
 
 def rejections():
     for entry, (_, _, below) in ENTRY_POINTS.items():
-        bounds = ([] if below is None else [below]) + ([ABOVE[entry]] if entry in ABOVE else [])
+        bounds = ([] if below is None else [below]) + list(ABOVE.get(entry, ()))
         for value in REJECTED + bounds:
             yield pytest.param(entry, value, id=f"{entry}-{value!r}")
 
@@ -112,4 +116,11 @@ def test_upper_bounds_are_inclusive():
         MAX_SWAP_COUNT
     )
     assert GeneratorSpec("ER", MAX_ORDER, 0.5, seed=0).n == MAX_ORDER
-    assert built(orders=(MAX_ORDER, 12)).orders == (MAX_ORDER, 12)
+    assert built(runs=MAX_RUNS).runs == MAX_RUNS
+    # the largest factor, in a product of exactly the dense bound
+    orders = (MAX_ORDER, MAX_DENSE_ORDER // MAX_ORDER)
+    assert orders[0] * orders[1] == MAX_DENSE_ORDER
+    assert built(orders=orders).orders == orders
+    # a factor regular for every seed takes the block path, whatever the product
+    assert built(model="CYCLE", orders=(MAX_ORDER, 13)).orders == (MAX_ORDER, 13)
+    assert built(model="WS", orders=(MAX_ORDER, 12), ws_beta=0).orders == (MAX_ORDER, 12)

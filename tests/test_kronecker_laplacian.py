@@ -113,25 +113,25 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
 
     spectral._spectra.clear()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("eigh", "eigvalsh"):
-            mp.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-        mp.setattr(spectral, "_dsyevd", (lapack_recording, integer))
+        mp.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+        mp.setattr(spectral, "_lapack", lambda: (lapack_recording, integer))
         spectral.factor_spectra(g)
         spectral.factor_spectra(h)
         spectral.product_spectrum(KroneckerLaplacian(g, h))
         checks.expected_spectrum_gap(n1, n2)
     spectral._spectra.clear()
-    # two bases per factor; the regular factor's adjacency (numpy's own solve)
-    # and one block per vertex of it, or one dense product; the two
-    # expected-adjacency products
+    # two bases per factor; the regular factor's adjacency and one block per
+    # vertex of it, or one dense product; the two expected-adjacency products
     regular = [f.n for f in (g, h) if np.all(f.degrees == f.degrees[0])]
-    product_solves = ["eigvalsh"] + ["dsyevd"] * max(regular) if regular else ["dsyevd"]
-    assert [name for name, _ in received] == ["eigh"] * 4 + product_solves + ["dsyevd"] * 2
+    product_solves = 1 + max(regular) if regular else 1
+    assert [name for name, _ in received] == ["eigh"] * 4 + ["dsyevd"] * (product_solves + 2)
     symmetric = [m for _, m in received]
     for p in (1.0, 0.3):
         bar1, bar2 = (p * (np.ones((n, n)) - np.eye(n)) for n in (n1, n2))
         assert_upper_triangle_of(symmetric.pop().T, dense_normalized(np.kron(bar1, bar2)))
-    if not regular:
+    if regular:
+        assert any(np.array_equal(symmetric[4], f.adjacency) for f in (g, h))
+    else:
         assert_upper_triangle_of(symmetric.pop(4).T, dense_laplacian(g, h))
     assert all(np.array_equal(m, m.T) for m in symmetric)
 

@@ -35,10 +35,19 @@ def generated_graphs():
 
 
 def test_only_spectral_calls_a_numpy_eigensolver():
-    # one module decides how kronspec solves: driver, copy or in place, which triangle
-    package = Path(kronspec.__file__).parent
-    callers = [f.name for f in sorted(package.glob("*.py")) if "linalg.eig" in f.read_text()]
-    assert callers == ["spectral.py"]
+    # one module decides how kronspec solves: driver, copy or in place, which triangle;
+    # numpy's eigensolver gives factor_spectra its eigenvectors, and every solve for
+    # eigenvalues alone is owned_eigenvalues
+    sources = {f.name: f.read_text() for f in Path(kronspec.__file__).parent.glob("*.py")}
+    calls = [
+        (name, line.strip())
+        for name, text in sorted(sources.items())
+        for line in text.splitlines()
+        if "linalg.eig" in line
+    ]
+    eigh = "np.linalg.eigh(laplacian(g)), np.linalg.eigh(normalized_laplacian(g)), g.degrees"
+    assert calls == [("spectral.py", eigh)]  # the return line of factor_spectra
+    assert not any("eigvalsh" in text for text in sources.values())
 
 
 def test_k2_laplacian_spectrum():

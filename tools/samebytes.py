@@ -23,6 +23,8 @@ The corpus:
 * ``figure fig2 --runs 1`` and ``figure fig4 --runs 1 --master-seed 3``;
 * two generated ER factors, and ``estimate`` on them with and without
   ``--ordering``, each to stdout and to a file;
+* a generated cycle C51, and ``estimate`` of the first ER factor (order 30)
+  with it, to stdout: a product with one regular factor, solved as blocks;
 * ``theory --seed 7``, and ``theory`` at its default seed.
 """
 
@@ -80,6 +82,8 @@ COMMANDS = [
     ("g2", ["generate", "--model", "ER", "--n", "50", "--seed", "8", "-o", "{run}/g2.edges"]),
     *_estimate("estimate"),
     *_estimate("estimate_anticorrelated", "--ordering", "AntiCorrelated", "--seed", "3"),
+    ("c51", ["generate", "--model", "CYCLE", "--n", "51", "-o", "{run}/c51.edges"]),
+    ("estimate_cycle", ["estimate", "{run}/g1.edges", "{run}/c51.edges"]),
     ("theory_seed7", ["theory", "--seed", "7", "-o", "{run}/theory_seed7"]),
     ("theory", ["theory", "-o", "{run}/theory"]),
 ]
