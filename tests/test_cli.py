@@ -148,6 +148,22 @@ def test_bad_input_is_one_error_line(tmp_path, command, text, message):
     assert input_error(argv) == f"error: {path}: {message}\n"
 
 
+def test_estimate_past_the_dense_bound_is_one_error_line(tmp_path):
+    # two ER(150) factors (N = 22,500) are refused before any solve; with a
+    # cycle factor the same order takes the block path and runs
+    er, cycle = tmp_path / "er.edges", tmp_path / "cycle.edges"
+    g = generators.generate_connected(generators.GeneratorSpec("ER", 150, 0.1, 1))
+    write_edge_list(g, str(er))
+    write_edge_list(cycle_graph(150), str(cycle))
+    assert input_error(["estimate", str(er), str(er)]) == (
+        "error: the product of orders 150 and 150 has order 22500, above the dense bound "
+        "20000, and neither factor is regular\n"
+    )
+    out = tmp_path / "spectra.csv"
+    assert main(["estimate", str(cycle), str(er), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 150 * 150
+
+
 @pytest.mark.parametrize("command", ["experiment", "estimate"])
 def test_a_missing_input_file_is_one_error_line(tmp_path, command):
     missing, factor = tmp_path / "nothere", tmp_path / "g.edges"

@@ -98,7 +98,7 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
 
         return kept
 
-    dsyevd, integer = spectral._lapack()
+    dsyevd, integer = spectral._lapack("dsyevd")
 
     def lapack_recording(jobz, uplo, order, address, lda, *rest):
         if address is not None:  # not a workspace query
@@ -114,7 +114,8 @@ def test_owned_matrices_are_exactly_symmetric(pair, swap, n1, n2):
     spectral._spectra.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
-        mp.setattr(spectral, "_lapack", lambda: (lapack_recording, integer))
+        # every order here is below TWO_STAGE_MIN_ORDER: each solve is a dsyevd
+        mp.setattr(spectral, "_lapack", lambda routine: (lapack_recording, integer))
         spectral.factor_spectra(g)
         spectral.factor_spectra(h)
         spectral.product_spectrum(KroneckerLaplacian(g, h))

@@ -150,6 +150,42 @@ def test_in_place_solve_is_bit_exact(op):
     assert not np.array_equal(np.triu(m), np.triu(reference))
 
 
+def recorded_symbols(mp: pytest.MonkeyPatch) -> list[str]:
+    """Patch spectral so each LAPACK solve records the symbol it calls; the list."""
+    called, lapack = [], spectral._lapack
+
+    def recording(routine):
+        solve, integer = lapack(routine)
+
+        def recorded(*args):
+            if args[3] is not None:  # not a workspace query
+                called.append(solve.__name__)
+            return solve(*args)
+
+        return recorded, integer
+
+    mp.setattr(spectral, "_lapack", recording)
+    return called
+
+
+@property_settings(40)
+@given(st.builds(KroneckerLaplacian, *[factor_graphs(orders=(5, 17))] * 2))
+def test_two_stage_solve_in_place_matches_a_contiguous_copy(op):
+    # with every order on the two-stage path, the padded triangle solved in
+    # place has the bits the same driver gives on a contiguous full copy, and
+    # agrees with eigvalsh to rounding
+    reference = dense_laplacian(op.first, op.second)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "TWO_STAGE_MIN_ORDER", 0)
+        called = recorded_symbols(mp)
+        values = owned_eigenvalues(spectral._product_upper(op))
+        copied = owned_eigenvalues(reference.copy())
+    assert called == [called[0]] * 2 and called[0] in spectral._dsyevd_symbols("dsyevd_2stage")
+    assert values.tobytes() == copied.tobytes()
+    exact = np.linalg.eigvalsh(reference)
+    assert np.max(np.abs(values - exact)) <= 1e-12 * exact[-1]
+
+
 def assert_rows_start_their_triangle_on_a_page(m):
     diagonal = m.__array_interface__["data"][0] + np.arange(len(m)) * sum(m.strides)
     assert m.strides[1] == m.itemsize
@@ -181,6 +217,22 @@ def test_in_place_solve_is_bit_exact_at_the_real_order():
         del m
         reference = dense_laplacian(op.first, op.second)
         assert values.tobytes() == np.linalg.eigvalsh(reference).tobytes()
+
+
+def test_order_4000_product_takes_the_two_stage_solve():
+    # the first order on the two-stage path: it rounds differently from
+    # eigvalsh, by about 1e-14 of the largest eigenvalue, and keeps the trace
+    # identity sum(mu) = (sum d1)(sum d2)
+    op = KroneckerLaplacian(*er_pair(40, 100, 5, 6, density=0.1))
+    assert op.first.n * op.second.n == spectral.TWO_STAGE_MIN_ORDER
+    with pytest.MonkeyPatch.context() as mp:
+        called = recorded_symbols(mp)
+        values = owned_eigenvalues(spectral._product_upper(op))
+    assert len(called) == 1 and called[0] in spectral._dsyevd_symbols("dsyevd_2stage")
+    exact = np.linalg.eigvalsh(dense_laplacian(op.first, op.second))
+    assert np.max(np.abs(values - exact)) <= 1e-12 * exact[-1]
+    trace = op.first.degrees.sum() * op.second.degrees.sum()
+    assert abs(values.sum() - trace) <= 1e-12 * trace
 
 
 def test_owned_eigenvalues_bind_numpys_lapack_under_each_thread_count():
@@ -256,3 +308,18 @@ def test_in_place_product_solve_commits_about_half_the_matrix():
         "print((peak_rss_kib() - before) * 1024)\n"
     )
     assert int(run_fresh(code)) < 0.63 * 8 * 3500**2
+
+
+def test_two_stage_product_solve_commits_about_half_the_matrix():
+    # at order 4000 the two-stage solve's larger workspace still leaves the
+    # build and the solve below 0.63 of the N x N matrix (0.62 measured)
+    code = (
+        "from kronspec.spectral import product_spectrum\n"
+        "from kronspec.graphs import KroneckerLaplacian\n"
+        "from toolkit import er_pair, peak_rss_kib\n"
+        "op = KroneckerLaplacian(*er_pair(40, 100, 5, 6, density=0.1))\n"
+        "before = peak_rss_kib()\n"
+        "assert product_spectrum(op).shape == (4000,)\n"
+        "print((peak_rss_kib() - before) * 1024)\n"
+    )
+    assert int(run_fresh(code)) < 0.63 * 8 * 4000**2
