@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import normalized_estimate, sayama_spectrum
-from .experiments import _write_json, version_string
+from .experiments import MAX_RUNS, _write_json, version_string
 from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
@@ -39,16 +39,17 @@ from .theory import (
 )
 
 
-# the least value of each integer argument of theory_suite; the checks sized by draws
-# and graphs apply theirs to their own arguments too
-_LEAST = {"seed": 0, "draws": 1, "graphs": 2}  # graphs: at least one pair
+# the (least, most) value of each integer argument of theory_suite: graphs at least a
+# pair, and both sizes at most a config's runs; the checks sized by draws and graphs
+# apply theirs to their own arguments too
+_BOUNDS = {"seed": (0, None), "draws": (1, MAX_RUNS), "graphs": (2, MAX_RUNS)}
 
 
 def theory_arguments(**arguments) -> dict:
     """The given arguments of :func:`theory_suite` (any of ``seed``, ``draws`` and
-    ``graphs``), each an integer by ``_as_int`` at least its ``_LEAST``; a bad value is
+    ``graphs``), each an integer by ``_as_int`` within its ``_BOUNDS``; a bad value is
     a ValueError naming it."""
-    return {key: _as_int(key, value, _LEAST[key]) for key, value in arguments.items()}
+    return {key: _as_int(key, value, *_BOUNDS[key]) for key, value in arguments.items()}
 
 
 def _er_pairs(seed, tag: str, count: int):
@@ -207,7 +208,7 @@ def sayama_nonnegativity_sweep(graphs: int, seed: int) -> dict:
     graphs are paired up and both estimators evaluated under the correlated
     ordering; the smallest estimated value over all pairs is reported.
     """
-    graphs = _as_int("graphs", graphs, _LEAST["graphs"])
+    graphs = _as_int("graphs", graphs, *_BOUNDS["graphs"])
     n_range, p_range, floor = [10, 40], [0.3, 0.7], -1e-12
     rng = np.random.default_rng(seed)
     spectra = []
@@ -244,7 +245,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     Laplacian eigenvector of a connected graph is the constant vector, and
     the cosine is scale-free, so u_1 is passed as all ones, not solved for.
     """
-    draws = _as_int("draws", draws, _LEAST["draws"])
+    draws = _as_int("draws", draws, *_BOUNDS["draws"])
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
     w_h = factor_spectra(h).laplacian.eigenvectors

@@ -23,7 +23,7 @@ from .experiments import (
     FIGURES, ExperimentConfig, figure_configs, measure_pair, reproduce_figure, run_experiment,
     write_csv,
 )
-from .spectral import check_dense_order
+from .spectral import block_factor
 
 
 class _InputError(Exception):
@@ -65,7 +65,7 @@ def _cmd_estimate(args) -> int:
     g1, g2 = _read_factor(args.factor1), _read_factor(args.factor2)
     with _reading():
         seed = _as_int("--seed", args.seed, 0)
-        check_dense_order(g1, g2)
+        block_factor(g1, g2)
     # the output format: an estimate_<key> column and an ordering_<key> note entry each
     columns = {"sayama": Estimator.SAYAMA_LAPLACIAN, "normalized": Estimator.NORMALIZED_LAPLACIAN}
     explicit = Ordering(args.ordering, seed) if args.ordering else None

@@ -32,13 +32,14 @@ import numpy as np
 from .estimators import Estimator, Ordering, estimate_spectrum, ordering_label, resolve_ordering
 from .generators import (
     DEFAULT_WS_BETA,
-    MAX_ORDER,
     GeneratorSpec,
     bipartite_for_every_seed,
     derive_seed,
     generate_connected_pair,
 )
-from .graphs import Graph, KroneckerLaplacian, _as_float, _as_int, _as_member, edge_density
+from .graphs import (
+    MAX_ORDER, Graph, KroneckerLaplacian, _as_float, _as_int, _as_member, edge_density,
+)
 from .metrics import (
     DensityCurve,
     ErrorProfile,

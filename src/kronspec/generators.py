@@ -18,14 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, _as_int, cycle_graph, is_bipartite, is_connected
+from .graphs import MAX_ORDER, Graph, _as_int, cycle_graph, is_bipartite, is_connected
 
 MODELS = ("ER", "WS", "BA", "CYCLE")
 
 DEFAULT_WS_BETA = 0.25
-
-# The largest factor order accepted: its dense adjacency alone is 800 MB.
-MAX_ORDER = 10_000
 
 # draws per connected factor, and draws of a factor redrawn for a connected product
 MAX_ATTEMPTS = 50

@@ -21,6 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
+# The largest graph order accepted: its dense adjacency alone is 800 MB.
+MAX_ORDER = 10_000
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -110,10 +113,11 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on ``n`` vertices from an edge list.
 
-    ``n`` is an integer by :func:`_as_int`, at least 1. Duplicate edges are
-    ignored. Self-loops and out-of-range endpoints raise ValueError.
+    ``n`` is an integer by :func:`_as_int`, 1 to ``MAX_ORDER``, checked before
+    anything is allocated. Duplicate edges are ignored. Self-loops and
+    out-of-range endpoints raise ValueError.
     """
-    n = _as_int("graph order", n, 1)
+    n = _as_int("graph order", n, 1, MAX_ORDER)
     adjacency = np.zeros((n, n))
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -5,8 +5,9 @@ does: it returns numpy's ``eigh`` results (ascending eigenvalues, orthonormal
 eigenvectors and no sign promise, since every consumer, cosines, quadratic forms
 and residual norms, is sign-invariant). Every solve for eigenvalues alone, the
 theory checks' and the block path's included, is :func:`owned_eigenvalues`.
-:func:`product_spectrum` makes every solve decision for the product Laplacian:
-blocks or one dense matrix, solved or read from the cache.
+:func:`block_factor` makes the one solve decision for a product Laplacian:
+blocks of a regular factor, or one dense matrix up to ``MAX_DENSE_ORDER``.
+:func:`product_spectrum` solves as it decides, or reads the cache.
 
 No solve scans its input for symmetry. ``Graph.__post_init__`` checks that
 an adjacency equals its transpose exactly where outside input enters, and
@@ -177,20 +178,21 @@ _spectra: dict[str, np.ndarray] = {}  # least recently used first
 MAX_DENSE_ORDER = 20_000
 
 
-def _is_regular(g: Graph) -> bool:
-    """Whether every vertex of ``g`` has the same degree."""
-    return bool(np.all(g.degrees == g.degrees[0]))
+def block_factor(g: Graph, h: Graph) -> Graph | None:
+    """The regular factor the product of ``g`` and ``h`` is solved in blocks of, or None.
 
-
-def check_dense_order(g: Graph, h: Graph) -> None:
-    """Raise a ValueError naming the order if the product of ``g`` and ``h`` is above
-    ``MAX_DENSE_ORDER`` and neither factor is regular, so it would be solved densely."""
-    n = g.n * h.n
-    if n > MAX_DENSE_ORDER and not (_is_regular(g) or _is_regular(h)):
+    That is the larger regular factor, ``h`` on a tie, so the blocks have the
+    smaller order. None means neither factor is regular and the product is
+    solved as one dense matrix; above ``MAX_DENSE_ORDER`` that is a ValueError
+    naming the orders.
+    """
+    regular = [f for f in (h, g) if np.all(f.degrees == f.degrees[0])]
+    if not regular and g.n * h.n > MAX_DENSE_ORDER:
         raise ValueError(
-            f"the product of orders {g.n} and {h.n} has order {n}, above the dense bound "
-            f"{MAX_DENSE_ORDER}, and neither factor is regular"
+            f"the product of orders {g.n} and {h.n} has order {g.n * h.n}, above the dense "
+            f"bound {MAX_DENSE_ORDER}, and neither factor is regular"
         )
+    return max(regular, key=lambda f: f.n, default=None)
 
 
 def upper_buffer(n: int) -> np.ndarray:
@@ -236,22 +238,15 @@ def _product_upper(op: KroneckerLaplacian) -> np.ndarray:
     return m
 
 
-def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
-    """The product spectrum from small blocks if a factor is regular, else None.
+def _block_spectrum(r: Graph, other: Graph) -> np.ndarray:
+    """The spectrum of the product of ``other`` and the k-regular factor ``r``, from blocks.
 
-    With a k-regular factor ``r`` whose adjacency has eigenvalues theta,
-    ``L`` is orthogonally similar to ``blockdiag_j(k D - theta_j A)`` over
-    the other factor's degrees D and adjacency A (Van Loan, JCAM 2000). The
-    larger regular factor is ``r`` (the second on a tie), so the blocks have
-    the smaller order; they are solved one at a time, never stacked, each
-    by :func:`owned_eigenvalues` (a block is built here and dropped), as is
-    a copy of ``r``'s adjacency for theta.
+    With theta the eigenvalues of ``r``'s adjacency, ``L`` is orthogonally
+    similar to ``blockdiag_j(k D - theta_j A)`` over ``other``'s degrees D
+    and adjacency A (Van Loan, JCAM 2000). The blocks are solved one at a
+    time, never stacked, each by :func:`owned_eigenvalues` (a block is built
+    here and dropped), as is a copy of ``r``'s adjacency for theta.
     """
-    regular = [g for g in (op.second, op.first) if _is_regular(g)]
-    if not regular:
-        return None
-    r = max(regular, key=lambda g: g.n)
-    other = op.first if r is op.second else op.second
     kd = np.diag(r.degrees[0] * other.degrees)
     theta = owned_eigenvalues(np.array(r.adjacency))
     return np.sort(np.concatenate([owned_eigenvalues(kd - t * other.adjacency) for t in theta]))
@@ -260,13 +255,13 @@ def _block_spectrum(op: KroneckerLaplacian) -> np.ndarray | None:
 def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     """Ascending exact eigenvalues of the product Laplacian, read-only.
 
-    A regular factor gives n small blocks (:func:`_block_spectrum`) and no
-    N x N matrix; any other product is solved densely by
-    :func:`owned_eigenvalues` from the upper triangle :func:`_product_upper`
-    builds. A process solves each distinct product once: the spectrum is
-    kept under a SHA-256 of the two factor adjacencies, in order (the
-    degrees are their row sums), so a repeated product (the same seeded pair
-    under another ordering) skips both the build and the solve.
+    :func:`block_factor` decides the solve: a regular factor gives n small
+    blocks (:func:`_block_spectrum`) and no N x N matrix; any other product
+    is solved densely by :func:`owned_eigenvalues` from the upper triangle
+    :func:`_product_upper` builds. A process solves each distinct product
+    once: the spectrum is kept under a SHA-256 of the two factor adjacencies,
+    in order (the degrees are their row sums), so a repeated product (the
+    same seeded pair under another ordering) skips the build and the solve.
     """
     digest = sha256()
     for g in (op.first, op.second):
@@ -275,10 +270,11 @@ def product_spectrum(op: KroneckerLaplacian) -> np.ndarray:
     key = digest.hexdigest()
     spectrum = _spectra.pop(key, None)
     if spectrum is None:
-        spectrum = _block_spectrum(op)
-        if spectrum is None:
-            check_dense_order(op.first, op.second)
+        r = block_factor(op.first, op.second)
+        if r is None:
             spectrum = owned_eigenvalues(_product_upper(op))
+        else:
+            spectrum = _block_spectrum(r, op.first if r is op.second else op.second)
         spectrum.setflags(write=False)
     _spectra[key] = spectrum
     if len(_spectra) > SPECTRUM_CACHE_ENTRIES:

@@ -137,9 +137,10 @@ def input_error(argv: list[str]) -> str:
         ("experiment", '{"model": "ER", "orders": [1000, 1000], "density": 0.5}',
          "orders must have a product of at most 20000 unless a factor is regular for every "
          "seed (CYCLE, or WS with ws_beta 0), got (1000, 1000)"),
+        ("estimate", "10001 0\n", "graph order must be at most 10000, got 10001"),
     ],
     ids=["density", "unknown_key", "infeasible_density", "edge_count", "isolated_vertex",
-         "unknown_estimator", "missing_key", "dense_bound"],
+         "unknown_estimator", "missing_key", "dense_bound", "edge_list_order"],
 )
 def test_bad_input_is_one_error_line(tmp_path, command, text, message):
     path = tmp_path / "input"
@@ -179,8 +180,11 @@ def test_a_missing_input_file_is_one_error_line(tmp_path, command):
         (["theory", "--seed", "-1"], "seed must be nonnegative, got -1"),
         (["theory", "--draws", "0"], "draws must be at least 1, got 0"),
         (["theory", "--graphs", "1"], "graphs must be at least 2, got 1"),
+        (["theory", "--draws", "10001"], "draws must be at most 10000, got 10001"),
+        (["theory", "--graphs", "10001"], "graphs must be at most 10000, got 10001"),
     ],
-    ids=["figure_runs", "theory_seed", "theory_draws", "theory_graphs"],
+    ids=["figure_runs", "theory_seed", "theory_draws", "theory_graphs", "theory_draws_above",
+         "theory_graphs_above"],
 )
 def test_a_bad_flag_of_figure_or_theory_is_one_error_line(tmp_path, argv, message):
     # checked where it enters, before any run: nothing is written

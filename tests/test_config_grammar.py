@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from kronspec.estimators import MAX_SWAP_COUNT, Ordering, OrderingKind
 from kronspec.experiments import MAX_RUNS, ExperimentConfig, run_experiment
-from kronspec.generators import MAX_ORDER, MODELS
+from kronspec.generators import MODELS
+from kronspec.graphs import MAX_ORDER
 from kronspec.spectral import MAX_DENSE_ORDER
 from toolkit import SEEDS, property_settings
 

@@ -14,8 +14,8 @@ import pytest
 from kronspec import checks
 from kronspec.estimators import MAX_SWAP_COUNT, Ordering, OrderingKind
 from kronspec.experiments import MAX_RUNS, ExperimentConfig
-from kronspec.generators import MAX_ORDER, GeneratorSpec
-from kronspec.graphs import build_graph
+from kronspec.generators import GeneratorSpec
+from kronspec.graphs import MAX_ORDER, build_graph
 from kronspec.spectral import MAX_DENSE_ORDER
 
 ER = {"model": "ER", "orders": (10, 12), "density": 0.4}
@@ -74,7 +74,9 @@ SIZED_CHECKS = ("checks.er_r1j_monte_carlo", "checks.sayama_nonnegativity_sweep"
 
 # entry point: values above its upper bounds. Before the bounds, an order of 10**30
 # ran into numpy's allocation limit, a swap count or run count of 10**18 would not
-# end, and an ER product above MAX_DENSE_ORDER could fail to allocate its triangle
+# end, an ER product above MAX_DENSE_ORDER could fail to allocate its triangle, an
+# edge list's order above MAX_ORDER allocated its adjacency before any check, and
+# the sweep kept the spectra of every graph it was asked for
 ABOVE = {
     "from_dict.orders": (10**30, MAX_DENSE_ORDER // 12 + 1),
     "from_dict.ordering.swap_count": (10**18,),
@@ -82,6 +84,9 @@ ABOVE = {
     "config.orders": (MAX_ORDER + 1, MAX_DENSE_ORDER // 12 + 1),
     "config.runs": (MAX_RUNS + 1,),
     "GeneratorSpec.n": (MAX_ORDER + 1,),
+    "build_graph": (MAX_ORDER + 1,),
+    "checks.er_r1j_monte_carlo": (MAX_RUNS + 1,),
+    "checks.sayama_nonnegativity_sweep": (MAX_RUNS + 1,),
     "Ordering.swap_count": (MAX_SWAP_COUNT + 1,),
 }
 

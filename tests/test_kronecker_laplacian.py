@@ -75,6 +75,24 @@ def test_block_spectrum_matches_dense(pair, swap):
 
 
 @PROPERTY
+@given(factor_pairs(st.one_of(REGULAR, RANDOM)))
+@example((cycle_graph(13), cycle_graph(13)))
+@example((cycle_graph(15), cycle_graph(13)))
+def test_block_factor_is_the_larger_regular_factor(pair):
+    # the second factor on a tie, so the blocks have the smaller order; None, to
+    # solve densely, when neither factor's degrees are constant
+    g, h = pair
+    g_regular, h_regular = (np.ptp(f.degrees) == 0 for f in pair)
+    if not (g_regular or h_regular):
+        expected = None
+    elif g_regular and not (h_regular and h.n >= g.n):
+        expected = g
+    else:
+        expected = h
+    assert spectral.block_factor(g, h) is expected
+
+
+@PROPERTY
 @given(
     st.one_of(SMALL_PAIRS, factor_pairs(REGULAR, RANDOM)),
     st.booleans(),

@@ -252,6 +252,20 @@ def test_owned_eigenvalues_bind_numpys_lapack_under_each_thread_count():
         assert run_fresh(code, OPENBLAS_NUM_THREADS=threads) == "True"
 
 
+def test_a_dense_product_past_the_bound_is_refused_before_its_triangle(monkeypatch):
+    def no_triangle(n):
+        raise AssertionError("a refused product allocates no triangle")
+
+    monkeypatch.setattr(spectral, "upper_buffer", no_triangle)
+    op = KroneckerLaplacian(*er_pair(150, 150, 1, 2, density=0.1))
+    message = (
+        "the product of orders 150 and 150 has order 22500, above the dense bound 20000, "
+        "and neither factor is regular"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spectral.product_spectrum(op)
+
+
 def test_owned_eigenvalues_rejects_what_it_cannot_solve_in_place():
     # each would need a copy, which the solve never makes silently
     square = np.eye(6)

@@ -24,14 +24,17 @@ The corpus:
 * ER (12,15) d=0.4 with 3 runs, master seed 5; ER (50,70) d=0.3 with 1 run,
   master seed 5, whose dense product (order 3500) is the largest ``dsyevd``
   solves; ER (40,100) d=0.1 with 1 run and correlations off, master seed 5,
-  the first order (4000) ``dsyevd_2stage`` solves; CYCLE (13,15), CYCLE (3,3) and CYCLE (14,15), whose first factor is
-  bipartite and second is not; WS (12,15) d=0.4 under an explicit
-  CorrelatedRandomized ordering;
+  the first order (4000) ``dsyevd_2stage`` solves; CYCLE (13,15) and
+  CYCLE (15,13), solved in blocks of the larger cycle, second and then
+  first; CYCLE (3,3); CYCLE (14,15), whose first factor is bipartite and
+  second is not; WS (12,15) d=0.4 under an explicit CorrelatedRandomized
+  ordering;
 * ``figure fig2 --runs 1`` and ``figure fig4 --runs 1 --master-seed 3``;
 * two generated ER factors, and ``estimate`` on them with and without
   ``--ordering``, each to stdout and to a file;
 * a generated cycle C51, and ``estimate`` of the first ER factor (order 30)
-  with it, to stdout: a product with one regular factor, solved as blocks;
+  with it and of it with the first ER factor, to stdout: products with one
+  regular factor, second and then first, solved as blocks;
 * ``theory --seed 7``, and ``theory`` at its default seed.
 """
 
@@ -74,6 +77,7 @@ def corpus_configs() -> dict[str, dict]:
         "er_40x100": er | {"orders": [40, 100], "density": 0.1, "runs": 1,
                            "compute_correlations": False},
         "cycle_13x15": {"model": "CYCLE", "orders": [13, 15], "density": 0.5, "runs": 2},
+        "cycle_15x13": {"model": "CYCLE", "orders": [15, 13], "density": 0.5, "runs": 2},
         "cycle_3x3": {"model": "CYCLE", "orders": [3, 3], "density": 0.5, "runs": 2},
         "cycle_14x15": {"model": "CYCLE", "orders": [14, 15], "density": 0.5, "runs": 2},
         "ws_ordering": er | {"model": "WS", "ordering": ordering},
@@ -95,6 +99,7 @@ COMMANDS = [
     *_estimate("estimate_anticorrelated", "--ordering", "AntiCorrelated", "--seed", "3"),
     ("c51", ["generate", "--model", "CYCLE", "--n", "51", "-o", "{run}/c51.edges"]),
     ("estimate_cycle", ["estimate", "{run}/g1.edges", "{run}/c51.edges"]),
+    ("estimate_cycle_first", ["estimate", "{run}/c51.edges", "{run}/g1.edges"]),
     ("theory_seed7", ["theory", "--seed", "7", "-o", "{run}/theory_seed7"]),
     ("theory", ["theory", "-o", "{run}/theory"]),
 ]
