@@ -18,7 +18,7 @@ import numpy as np
 from .checks import theory_arguments, theory_suite
 from .estimators import Estimator, Ordering, OrderingKind
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
-from .graphs import Graph, _as_int, normalized_laplacian, read_edge_list, write_edge_list
+from .graphs import Graph, _as_int, read_edge_list, require_no_isolated_vertex, write_edge_list
 from .experiments import (
     FIGURES, ExperimentConfig, figure_configs, measure_pair, reproduce_figure, run_experiment,
     write_csv,
@@ -48,7 +48,7 @@ def _read_factor(path: str) -> Graph:
     """The factor in edge-list file ``path``, which needs every degree >= 1 to be estimated."""
     with _reading(path):
         g = read_edge_list(path)
-        normalized_laplacian(g)
+        require_no_isolated_vertex(g)
     return g
 
 

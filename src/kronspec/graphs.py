@@ -72,9 +72,10 @@ def _as_member(key: str, value, enum: type[Enum]) -> Enum:
 class Graph:
     """Simple undirected graph: symmetric 0/1 adjacency with zero diagonal.
 
-    Built from the adjacency alone, which is checked and kept as a read-only
-    float64 copy; ``n`` is its order and ``degrees`` its row sums. Graphs
-    with equal adjacencies are equal.
+    Built from the adjacency alone, which is kept as a read-only float64
+    copy, the one float copy made, and checked through one n x n boolean
+    temporary at a time; ``n`` is its order and ``degrees`` its row sums.
+    Graphs with equal adjacencies are equal.
     """
 
     adjacency: np.ndarray  # (n, n) float64, read-only
@@ -91,7 +92,9 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diagonal(adjacency) != 0):
             raise ValueError("adjacency must have zero diagonal")
-        if not np.all((adjacency == 0) | (adjacency == 1)):
+        # an entry is 0 or 1 iff it equals its own test for nonzero
+        binary = adjacency != 0
+        if not np.equal(binary, adjacency, out=binary).all():
             raise ValueError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adjacency", _frozen(adjacency))
         object.__setattr__(self, "n", len(adjacency))
@@ -115,10 +118,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     ``n`` is an integer by :func:`_as_int`, 1 to ``MAX_ORDER``, checked before
     anything is allocated. Duplicate edges are ignored. Self-loops and
-    out-of-range endpoints raise ValueError.
+    out-of-range endpoints raise ValueError. The edges are set in a 1-byte
+    matrix, so the graph's float64 adjacency is the one float copy.
     """
     n = _as_int("graph order", n, 1, MAX_ORDER)
-    adjacency = np.zeros((n, n))
+    adjacency = np.zeros((n, n), dtype=np.int8)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for order {n}")
@@ -141,14 +145,24 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``, as a new array.
+def require_no_isolated_vertex(g: Graph) -> None:
+    """Raise ValueError naming the first isolated vertex of ``g``, if it has one.
 
-    Requires every degree >= 1; eigenvalues of the result lie in [0, 2]. Entry
-    (i, j) is ``(a_i * -a_j) A_ij`` with ``a = deg**-1/2``, exactly symmetric.
+    Read from the degrees alone: every degree >= 1 is what
+    :func:`normalized_laplacian` needs.
     """
     if not g.degrees.all():
         raise ValueError(f"vertex {np.argmin(g.degrees)} is isolated; no normalized Laplacian")
+
+
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    """Normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``, as a new array.
+
+    Requires every degree >= 1 (:func:`require_no_isolated_vertex`);
+    eigenvalues of the result lie in [0, 2]. Entry (i, j) is
+    ``(a_i * -a_j) A_ij`` with ``a = deg**-1/2``, exactly symmetric.
+    """
+    require_no_isolated_vertex(g)
     inv_sqrt = 1.0 / np.sqrt(g.degrees)
     lap = g.adjacency * np.outer(inv_sqrt, -inv_sqrt)
     np.fill_diagonal(lap, lap.diagonal() + 1.0)

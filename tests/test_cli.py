@@ -11,7 +11,7 @@ from kronspec.cli import main
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
 from kronspec.spectral import factor_spectra
 from kronspec.graphs import cycle_graph, read_edge_list, write_edge_list
-from toolkit import er_pair, run_fresh
+from toolkit import er_pair, fresh_peak_bytes, run_fresh
 
 
 def test_generate_round_trips(tmp_path, capsys):
@@ -147,6 +147,19 @@ def test_bad_input_is_one_error_line(tmp_path, command, text, message):
     path.write_text(text)
     argv = [command, str(path)] + ([str(path)] if command == "estimate" else [])
     assert input_error(argv) == f"error: {path}: {message}\n"
+
+
+def test_reading_a_factor_holds_its_adjacency_about_once(tmp_path):
+    # the edges go into a 1-byte matrix, the Graph makes the one float64
+    # copy and checks it through 1-byte temporaries, and the isolated-vertex
+    # check reads the degrees: 1.26 of the float64 adjacency, against 2.26
+    # when the edges went into a float matrix and the check built the
+    # normalized Laplacian
+    n, path = 4000, tmp_path / "c4000.edges"
+    path.write_text(f"{n} {n}\n" + "".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+    measured = f"assert _read_factor({str(path)!r}).n == {n}"
+    peak = fresh_peak_bytes("from kronspec.cli import _read_factor", measured)
+    assert peak < 1.5 * 8 * n**2
 
 
 def test_estimate_past_the_dense_bound_is_one_error_line(tmp_path):

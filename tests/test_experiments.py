@@ -22,7 +22,7 @@ from kronspec.experiments import (
 from kronspec.generators import GenerationError, generate_connected_pair
 from kronspec.graphs import KroneckerLaplacian, cycle_graph
 from kronspec.spectral import product_spectrum
-from toolkit import dense_laplacian, run_fresh
+from toolkit import dense_laplacian, fresh_peak_bytes, run_fresh
 
 
 ER_SMALL = {"model": "ER", "orders": (10, 12), "density": 0.4}
@@ -637,18 +637,22 @@ def test_block_spectrum_ignores_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+ORDER_1500_BYTES = 8 * 1500**2  # one float64 matrix of the desk check's order
+
+
 def test_desk_expected_spectrum_check_holds_one_product_matrix():
     # the order-1500 normalized Laplacian is built as the upper triangle the
     # solve reads, each row's part of it starting a page, and solved in place,
     # so the check's peak is the triangle's pages and the solve's workspace:
     # 0.84 of the 17.2 MB matrix; eigvalsh's working copy beside it read 1.84.
-    code = (
-        "from kronspec import checks\n"
-        "from toolkit import peak_rss_kib\n"
-        "checks.expected_spectrum_gap(5, 7)\n"
-        "before = peak_rss_kib()\n"
-        "assert checks.expected_spectrum_gap(30, 50)['pass']\n"
-        "print((peak_rss_kib() - before) / 1024)\n"
-    )
-    order_1500_mb = 1500 * 1500 * 8 / 2**20
-    assert float(run_fresh(code)) < 0.9 * order_1500_mb
+    setup = "from kronspec import checks\nchecks.expected_spectrum_gap(5, 7)"
+    measured = "assert checks.expected_spectrum_gap(30, 50)['pass']"
+    assert fresh_peak_bytes(setup, measured) < 0.9 * ORDER_1500_BYTES
+
+
+def test_theory_suite_peaks_at_the_desk_check():
+    # the desk check runs first, so its order-1500 triangle sits on the heap
+    # as it is after import; run after the draws and the sweep had grown the
+    # heap, it raised the suite's peak by 19.7 MiB (1.15 matrices)
+    measured = "assert checks.theory_suite()['all_pass']"
+    assert fresh_peak_bytes("from kronspec import checks", measured) < 0.9 * ORDER_1500_BYTES

@@ -76,19 +76,24 @@ def test_graph_equality_compares_adjacency():
 
 
 @pytest.mark.parametrize(
-    "adjacency",
+    "adjacency, message",
     [
-        np.zeros((0, 0)),
-        np.zeros((2, 3)),
-        [[0, 1], [0, 0]],
-        [[1, 0], [0, 0]],
-        [[0, 0.5], [0.5, 0]],
-        [[0, 2], [2, 0]],
+        (np.zeros((0, 0)), "must be nonempty"),
+        (np.zeros((2, 3)), "must be square"),
+        ([[0, 1], [0, 0]], "must be symmetric"),
+        ([[1, 0], [0, 0]], "must have zero diagonal"),
+        ([[0, 0.5], [0.5, 0]], "entries must be 0 or 1"),
+        ([[0, 2], [2, 0]], "entries must be 0 or 1"),
+        ([[0, -1], [-1, 0]], "entries must be 0 or 1"),
+        ([[0, np.inf], [np.inf, 0]], "entries must be 0 or 1"),
+        # NaN equals nothing, not even its mirror entry
+        ([[0, np.nan], [np.nan, 0]], "must be symmetric"),
     ],
-    ids=["empty", "non-square", "asymmetric", "nonzero-diagonal", "half-entry", "two-entry"],
+    ids=["empty", "non-square", "asymmetric", "nonzero-diagonal", "half-entry", "two-entry",
+         "negative-entry", "infinite-entry", "nan-entry"],
 )
-def test_graph_rejects_malformed_adjacency(adjacency):
-    with pytest.raises(ValueError, match="adjacency"):
+def test_graph_rejects_malformed_adjacency(adjacency, message):
+    with pytest.raises(ValueError, match=f"^adjacency {message}"):
         Graph(np.asarray(adjacency))
 
 

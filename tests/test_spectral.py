@@ -21,7 +21,15 @@ from kronspec.graphs import (
     normalized_laplacian,
 )
 from kronspec.spectral import factor_spectra, owned_eigenvalues
-from toolkit import BASES, dense_laplacian, er_pair, factor_graphs, property_settings, run_fresh
+from toolkit import (
+    BASES,
+    dense_laplacian,
+    er_pair,
+    factor_graphs,
+    fresh_peak_bytes,
+    property_settings,
+    run_fresh,
+)
 
 
 def generated_graphs():
@@ -290,16 +298,14 @@ def test_owned_eigenvalues_rejects_what_it_cannot_solve_in_place():
 def test_order_1500_product_solve_commits_its_triangle_alone():
     # the triangle's pages (12.4 MB, 0.72 of the order-1500 matrix) and the
     # solve's workspace; the copy eigvalsh makes would add the whole 17.2 MB
-    code = (
+    setup = (
         "from kronspec.spectral import product_spectrum\n"
         "from kronspec.graphs import KroneckerLaplacian\n"
-        "from toolkit import er_pair, peak_rss_kib\n"
-        "op = KroneckerLaplacian(*er_pair(30, 50, 5, 6, density=0.3))\n"
-        "before = peak_rss_kib()\n"
-        "assert product_spectrum(op).shape == (1500,)\n"
-        "print((peak_rss_kib() - before) / 1024)\n"
+        "from toolkit import er_pair\n"
+        "op = KroneckerLaplacian(*er_pair(30, 50, 5, 6, density=0.3))"
     )
-    assert float(run_fresh(code)) < 15
+    measured = "assert product_spectrum(op).shape == (1500,)"
+    assert fresh_peak_bytes(setup, measured) < 15 * 2**20
 
 
 def test_in_place_product_solve_commits_about_half_the_matrix():
@@ -308,32 +314,27 @@ def test_in_place_product_solve_commits_about_half_the_matrix():
     # triangle on a page, so the in-place solve at order 3500 commits 0.60 of
     # its N x N matrix; contiguous rows read 0.67, the full matrix 1.0x.
     # VmHWM is read in a fresh process, so only the build and the solve raise it.
-    code = (
+    setup = (
         "from kronspec.spectral import product_spectrum\n"
         "from kronspec.generators import GeneratorSpec, generate_connected\n"
         "from kronspec.graphs import KroneckerLaplacian\n"
-        "from toolkit import peak_rss_kib\n"
         "op = KroneckerLaplacian(\n"
         "    generate_connected(GeneratorSpec('ER', 50, 0.3, 5)),\n"
         "    generate_connected(GeneratorSpec('ER', 70, 0.3, 6)),\n"
-        ")\n"
-        "before = peak_rss_kib()\n"
-        "assert product_spectrum(op).shape == (3500,)\n"
-        "print((peak_rss_kib() - before) * 1024)\n"
+        ")"
     )
-    assert int(run_fresh(code)) < 0.63 * 8 * 3500**2
+    measured = "assert product_spectrum(op).shape == (3500,)"
+    assert fresh_peak_bytes(setup, measured) < 0.63 * 8 * 3500**2
 
 
 def test_two_stage_product_solve_commits_about_half_the_matrix():
     # at order 4000 the two-stage solve's larger workspace still leaves the
     # build and the solve below 0.63 of the N x N matrix (0.62 measured)
-    code = (
+    setup = (
         "from kronspec.spectral import product_spectrum\n"
         "from kronspec.graphs import KroneckerLaplacian\n"
-        "from toolkit import er_pair, peak_rss_kib\n"
-        "op = KroneckerLaplacian(*er_pair(40, 100, 5, 6, density=0.1))\n"
-        "before = peak_rss_kib()\n"
-        "assert product_spectrum(op).shape == (4000,)\n"
-        "print((peak_rss_kib() - before) * 1024)\n"
+        "from toolkit import er_pair\n"
+        "op = KroneckerLaplacian(*er_pair(40, 100, 5, 6, density=0.1))"
     )
-    assert int(run_fresh(code)) < 0.63 * 8 * 4000**2
+    measured = "assert product_spectrum(op).shape == (4000,)"
+    assert fresh_peak_bytes(setup, measured) < 0.63 * 8 * 4000**2

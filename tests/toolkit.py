@@ -215,11 +215,23 @@ def run_fresh(code: str, **env: str) -> str:
     return out.stdout.strip()
 
 
-def peak_rss_kib() -> int:
-    """This process's peak resident set size, VmHWM, in KiB.
+def fresh_peak_bytes(setup: str, measured: str, **env: str) -> int:
+    """How far ``measured`` raises a fresh process's peak RSS over its baseline, in bytes.
 
-    Not ``ru_maxrss``: a child's ``ru_maxrss`` starts at the RSS of the
-    process that started it (under the tests, pytest).
+    The child runs ``setup`` (imports, inputs), reads its peak RSS (VmHWM)
+    as the baseline, runs ``measured`` and reads it again, all by
+    :func:`run_fresh` with ``env``. Not ``ru_maxrss``: a child's starts at
+    the RSS of the process that started it (pytest). The child imports
+    nothing to read VmHWM, since an import can shift what later allocations
+    cost (hypothesis raises the first order-1500 solve's peak by 1.7 MiB).
     """
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    code = (
+        "def peak_rss_kib():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        f"{setup}\n"
+        "before = peak_rss_kib()\n"
+        f"{measured}\n"
+        "print((peak_rss_kib() - before) * 1024)\n"
+    )
+    return int(run_fresh(code, **env))
