@@ -644,15 +644,17 @@ def test_desk_expected_spectrum_check_holds_one_product_matrix():
     # the order-1500 normalized Laplacian is built as the upper triangle the
     # solve reads, each row's part of it starting a page, and solved in place,
     # so the check's peak is the triangle's pages and the solve's workspace:
-    # 0.84 of the 17.2 MB matrix; eigvalsh's working copy beside it read 1.84.
+    # 0.74 of the 17.2 MB matrix; eigvalsh's working copy beside it added a
+    # whole matrix more.
     setup = "from kronspec import checks\nchecks.expected_spectrum_gap(5, 7)"
     measured = "assert checks.expected_spectrum_gap(30, 50)['pass']"
-    assert fresh_peak_bytes(setup, measured) < 0.9 * ORDER_1500_BYTES
+    assert fresh_peak_bytes(setup, measured) < 0.8 * ORDER_1500_BYTES
 
 
 def test_theory_suite_peaks_at_the_desk_check():
     # the desk check runs first, so its order-1500 triangle sits on the heap
     # as it is after import; run after the draws and the sweep had grown the
-    # heap, it raised the suite's peak by 19.7 MiB (1.15 matrices)
+    # heap, it raised the suite's peak by 19.7 MiB (1.15 matrices); 14.4 MiB
+    # (0.84) now
     measured = "assert checks.theory_suite()['all_pass']"
     assert fresh_peak_bytes("from kronspec import checks", measured) < 0.9 * ORDER_1500_BYTES

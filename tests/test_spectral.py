@@ -311,7 +311,7 @@ def test_order_1500_product_solve_commits_its_triangle_alone():
 def test_in_place_product_solve_commits_about_half_the_matrix():
     # the dense product is built as the upper triangle alone, in a mapping
     # whose lower triangle is never written and whose rows each start their
-    # triangle on a page, so the in-place solve at order 3500 commits 0.60 of
+    # triangle on a page, so the in-place solve at order 3500 commits 0.61 of
     # its N x N matrix; contiguous rows read 0.67, the full matrix 1.0x.
     # VmHWM is read in a fresh process, so only the build and the solve raise it.
     setup = (

@@ -215,15 +215,16 @@ def run_fresh(code: str, **env: str) -> str:
     return out.stdout.strip()
 
 
-def fresh_peak_bytes(setup: str, measured: str, **env: str) -> int:
+def fresh_peak_bytes(setup: str, measured: str) -> int:
     """How far ``measured`` raises a fresh process's peak RSS over its baseline, in bytes.
 
     The child runs ``setup`` (imports, inputs), reads its peak RSS (VmHWM)
     as the baseline, runs ``measured`` and reads it again, all by
-    :func:`run_fresh` with ``env``. Not ``ru_maxrss``: a child's starts at
-    the RSS of the process that started it (pytest). The child imports
-    nothing to read VmHWM, since an import can shift what later allocations
-    cost (hypothesis raises the first order-1500 solve's peak by 1.7 MiB).
+    :func:`run_fresh`. Not ``ru_maxrss``: a child's starts at the RSS of
+    the process that started it (pytest). The child imports nothing to read
+    VmHWM, since an import can shift what later allocations cost (importing
+    this module, hence hypothesis, has moved an order-1500 solve's measured
+    peak by 1.2 MiB).
     """
     code = (
         "def peak_rss_kib():\n"
@@ -234,4 +235,4 @@ def fresh_peak_bytes(setup: str, measured: str, **env: str) -> int:
         f"{measured}\n"
         "print((peak_rss_kib() - before) * 1024)\n"
     )
-    return int(run_fresh(code, **env))
+    return int(run_fresh(code))
