@@ -40,16 +40,9 @@ from .theory import (
 
 
 # the (least, most) value of each integer argument of theory_suite: graphs at least a
-# pair, and both sizes at most a config's runs; the checks sized by draws and graphs
-# apply theirs to their own arguments too
+# pair, and both sizes at most a config's runs; the sweep checks its graphs and seed,
+# and the Monte-Carlo check its draws, against these too
 _BOUNDS = {"seed": (0, None), "draws": (1, MAX_RUNS), "graphs": (2, MAX_RUNS)}
-
-
-def theory_arguments(**arguments) -> dict:
-    """The given arguments of :func:`theory_suite` (any of ``seed``, ``draws`` and
-    ``graphs``), each an integer by ``_as_int`` within its ``_BOUNDS``; a bad value is
-    a ValueError naming it."""
-    return {key: _as_int(key, value, *_BOUNDS[key]) for key, value in arguments.items()}
 
 
 def _er_pairs(seed, tag: str, count: int):
@@ -209,6 +202,7 @@ def sayama_nonnegativity_sweep(graphs: int, seed: int) -> dict:
     ordering; the smallest estimated value over all pairs is reported.
     """
     graphs = _as_int("graphs", graphs, *_BOUNDS["graphs"])
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     n_range, p_range, floor = [10, 40], [0.3, 0.7], -1e-12
     rng = np.random.default_rng(seed)
     spectra = []
@@ -375,8 +369,9 @@ def theory_suite(
     normalized decomposition check second, the others after them.
     """
     # all three are checked before the first check runs
-    args = theory_arguments(seed=seed, draws=draws, graphs=graphs)
-    seed = args["seed"]
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
+    draws = _as_int("draws", draws, *_BOUNDS["draws"])
+    graphs = _as_int("graphs", graphs, *_BOUNDS["graphs"])
     report = {
         # The desk check's order-1500 triangle (about 12 MB) sets the suite's
         # peak RSS, so it goes on the heap as it is after import, before the
@@ -384,8 +379,8 @@ def theory_suite(
         # calls follow it and take up the idle spin of BLAS's second thread.
         "expected_spectrum_desk": expected_spectrum_gap(30, 50),
         "normalized_decomposition": normalized_decomposition_gaps(seed=seed),
-        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=args["draws"], seed=seed),
-        "sayama_nonnegativity": sayama_nonnegativity_sweep(args["graphs"], seed),
+        "er_r1j_monte_carlo": er_r1j_monte_carlo(draws=draws, seed=seed),
+        "sayama_nonnegativity": sayama_nonnegativity_sweep(graphs, seed),
         "mean_rms_closed_forms": closed_form_mean_rms(),
         "staircase_limit": staircase_limit(),
         "asymptotic_inequality_grid": asymptotic_inequality_grid(),

@@ -1,8 +1,8 @@
 """Command-line entry points: ``kronspec generate | estimate | experiment | figure | theory``.
 
-A ValueError raised while a command reads and checks its inputs (flag values, edge
-lists, the config JSON), or an OSError raised while it opens or reads a file named
-on the command line, is printed as one ``error:`` line, with exit status 2.
+Bad input is a ``graphs.InputError``: a value that a library entry rule rejects, or a file
+named on the command line that cannot be opened, read or parsed, led by its path. ``main``
+prints it as one ``error:`` line with exit status 2; other exceptions keep their traceback.
 """
 
 from __future__ import annotations
@@ -15,33 +15,27 @@ import sys
 
 import numpy as np
 
-from .checks import theory_arguments, theory_suite
+from .checks import theory_suite
 from .estimators import Estimator, Ordering, OrderingKind
 from .generators import DEFAULT_WS_BETA, MODELS, GeneratorSpec, generate_connected
-from .graphs import Graph, _as_int, read_edge_list, require_no_isolated_vertex, write_edge_list
-from .experiments import (
-    FIGURES, ExperimentConfig, figure_configs, measure_pair, reproduce_figure, run_experiment,
-    write_csv,
+from .graphs import (
+    Graph, InputError, _as_int, read_edge_list, require_no_isolated_vertex, write_edge_list,
 )
-from .spectral import block_factor
-
-
-class _InputError(Exception):
-    """Bad input to a command, which :func:`main` prints as one ``error:`` line."""
+from .experiments import (
+    FIGURES, ExperimentConfig, measure_pair, reproduce_figure, run_experiment, write_csv,
+)
 
 
 @contextlib.contextmanager
-def _reading(path: str | None = None):
-    """Raise a ValueError from the block as an _InputError, led by ``path`` if given,
-    and with a ``path`` given, an OSError too: the block opens or reads that file."""
+def _reading(path: str):
+    """Raise a ValueError or OSError from the block, which opens, reads and parses the
+    file ``path``, as an InputError led by ``path``."""
     try:
         yield
     except ValueError as exc:
-        raise _InputError(f"{path}: {exc}" if path else exc) from None
+        raise InputError(f"{path}: {exc}") from None
     except OSError as exc:
-        if path is None:
-            raise
-        raise _InputError(f"{path}: {exc.strerror or exc}") from None
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _read_factor(path: str) -> Graph:
@@ -53,9 +47,7 @@ def _read_factor(path: str) -> Graph:
 
 
 def _cmd_generate(args) -> int:
-    with _reading():
-        spec = GeneratorSpec(args.model, args.n, args.density, args.seed, args.ws_beta)
-    g = generate_connected(spec)
+    g = generate_connected(GeneratorSpec(args.model, args.n, args.density, args.seed, args.ws_beta))
     write_edge_list(g, args.output)
     print(f"wrote {args.output}: n={g.n} m={g.edge_count}")
     return 0
@@ -63,9 +55,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g1, g2 = _read_factor(args.factor1), _read_factor(args.factor2)
-    with _reading():
-        seed = _as_int("--seed", args.seed, 0)
-        block_factor(g1, g2)
+    seed = _as_int("--seed", args.seed, 0)
     # the output format: an estimate_<key> column and an ordering_<key> note entry each
     columns = {"sayama": Estimator.SAYAMA_LAPLACIAN, "normalized": Estimator.NORMALIZED_LAPLACIAN}
     explicit = Ordering(args.ordering, seed) if args.ordering else None
@@ -85,7 +75,7 @@ def _cmd_experiment(args) -> int:
     if args.output_dir:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     if config.output_dir is None:
-        raise _InputError("no output_dir in config and no --output-dir given")
+        raise InputError("no output_dir in config and no --output-dir given")
     bundle = run_experiment(config)
     print(f"wrote {len(bundle.files)} files to {config.output_dir}")
     return 0
@@ -99,18 +89,13 @@ def _given(args, *names) -> dict:
 
 def _cmd_figure(args) -> int:
     options = {"runs_override": args.runs, **_given(args, "master_seed")}
-    with _reading():
-        figure_configs(args.figure_id, args.output_dir, **options)
     manifest = reproduce_figure(args.figure_id, args.output_dir, **options)
     print(f"wrote {len(manifest['panels'])} panels to {args.output_dir}")
     return 0
 
 
 def _cmd_theory(args) -> int:
-    given = _given(args, "seed", "draws", "graphs")
-    with _reading():
-        theory_arguments(**given)
-    report = theory_suite(**_given(args, "output_dir"), **given)
+    report = theory_suite(**_given(args, "output_dir", "seed", "draws", "graphs"))
     for name, entry in sorted(report.items()):
         if isinstance(entry, dict):
             print(f"{'PASS' if entry['pass'] else 'FAIL'}  {name}")
@@ -177,7 +162,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import _as_int, _as_member
+from .graphs import InputError, _as_int, _as_member
 from .spectral import FactorSpectra
 
 # factor eigenvalues closer to zero than this (relative to the spectrum
@@ -63,7 +63,7 @@ class Ordering:
     ``swap_count`` is the number of random adjacent transpositions applied
     after sorting (randomized kinds only); None means the default n // 4.
     Both it and ``randomization_seed`` are nonnegative ints by ``graphs._as_int``,
-    ``swap_count`` at most ``MAX_SWAP_COUNT``.
+    ``swap_count`` at most ``MAX_SWAP_COUNT``; any other value is an InputError.
     """
 
     kind: OrderingKind = OrderingKind.CORRELATED
@@ -78,7 +78,7 @@ class Ordering:
             swaps = _as_int("swap_count", self.swap_count, 0, MAX_SWAP_COUNT)
             object.__setattr__(self, "swap_count", swaps)
         if self.kind not in _RANDOMIZED and self.swap_count not in (None, 0):
-            raise ValueError(f"swap_count must be 0 for ordering kind {self.kind.value}")
+            raise InputError(f"swap_count must be 0 for ordering kind {self.kind.value}")
 
 
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:

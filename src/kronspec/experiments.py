@@ -36,9 +36,10 @@ from .generators import (
     bipartite_for_every_seed,
     derive_seed,
     generate_connected_pair,
+    regular_for_every_seed,
 )
 from .graphs import (
-    MAX_ORDER, Graph, KroneckerLaplacian, _as_float, _as_int, _as_member, edge_density,
+    MAX_ORDER, Graph, InputError, KroneckerLaplacian, _as_float, _as_int, _as_member, edge_density,
 )
 from .metrics import (
     DensityCurve,
@@ -78,9 +79,9 @@ def version_string() -> str:
 
 
 def _of_type(key: str, value, types, what: str):
-    """``value`` if it is an instance of ``types``; a ValueError naming ``key`` otherwise."""
+    """``value`` if it is an instance of ``types``; an InputError naming ``key`` otherwise."""
     if not isinstance(value, types):
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+        raise InputError(f"{key} must be {what}, got {value!r}")
     return value
 
 
@@ -88,17 +89,17 @@ def _from_mapping(cls, name: str, data):
     """Dataclass ``cls`` from a JSON object, whose ``__post_init__`` checks each field.
 
     Absent keys take the field defaults. Input that is not a mapping, has
-    keys ``cls`` lacks, or lacks a key without a default is a ValueError
+    keys ``cls`` lacks, or lacks a key without a default is an InputError
     naming ``name`` or the keys.
     """
     if not isinstance(data, Mapping):
-        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+        raise InputError(f"{name} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+        raise InputError(f"unknown {name} keys: {', '.join(unknown)}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
     if missing:
-        raise ValueError(f"missing {name} keys: {', '.join(missing)}")
+        raise InputError(f"missing {name} keys: {', '.join(missing)}")
     return cls(**data)
 
 
@@ -155,20 +156,21 @@ class ExperimentConfig:
         for key, coerce in _COERCE.items():
             object.__setattr__(self, key, coerce(key, getattr(self, key)))
         if len(self.orders) != 2:
-            raise ValueError(f"orders must have two entries, got {self.orders}")
+            raise InputError(f"orders must have two entries, got {self.orders}")
         if len(set(self.estimators)) != len(self.estimators):
             names = [e.value for e in self.estimators]
-            raise ValueError(f"estimators must not repeat, got {names}")
-        # GeneratorSpec checks model, orders and density as the list is built in full;
+            raise InputError(f"estimators must not repeat, got {names}")
+        # GeneratorSpec checks model, orders and density as the list is built in full
+        specs = [self.factor_spec(n, seed=0) for n in self.orders]
         # a product of bipartite graphs is disconnected
-        if all([bipartite_for_every_seed(self.factor_spec(n, seed=0)) for n in self.orders]):
-            raise ValueError(
+        if all(map(bipartite_for_every_seed, specs)):
+            raise InputError(
                 f"orders must not give two factors bipartite for every seed, got {self.orders}"
             )
         # a larger product is solved only as the blocks of a regular factor
-        regular = self.model == "CYCLE" or (self.model == "WS" and self.ws_beta == 0)
+        regular = any(map(regular_for_every_seed, specs))
         if self.orders[0] * self.orders[1] > MAX_DENSE_ORDER and not regular:
-            raise ValueError(
+            raise InputError(
                 f"orders must have a product of at most {MAX_DENSE_ORDER} unless a factor is "
                 f"regular for every seed (CYCLE, or WS with ws_beta 0), got {self.orders}"
             )
@@ -193,7 +195,7 @@ class ExperimentConfig:
         """Inverse of :meth:`to_dict`; absent keys take the field defaults.
 
         ``__post_init__`` gives a number its field's type (``"density": 1`` becomes 1.0), so
-        equal configs hash equally; a wrong type is a ValueError naming its key.
+        equal configs hash equally; a wrong type is an InputError naming its key.
         """
         return _from_mapping(cls, "config", data)
 
@@ -212,10 +214,11 @@ def measure_pair(
     The exact product spectrum, ascending; per estimator, its pairing by
     ``resolve_ordering(ordering, estimator, seed)`` and its estimate, unsorted; and
     per basis in :data:`BASES`, the correlation profile if ``correlations``, else None.
+    The product comes first, so one past the dense bound fails before any factor solve.
     """
-    f1, f2 = factor_spectra(g1), factor_spectra(g2)
     op = KroneckerLaplacian(g1, g2)
     exact = product_spectrum(op)
+    f1, f2 = factor_spectra(g1), factor_spectra(g2)
     orderings = {e: resolve_ordering(ordering, e, seed) for e in estimators}
     estimates = {e: estimate_spectrum(e, f1, f2, o) for e, o in orderings.items()}
     profiles = None
@@ -409,21 +412,20 @@ FIGURES = {
 }
 
 
-def figure_configs(
-    figure_id: str,
-    output_dir: str,
-    master_seed: int = 1729,
-    runs_override: int | None = None,
-) -> dict[str, ExperimentConfig]:
-    """The experiment behind each panel of one figure, by tag, every one built and so checked.
+def reproduce_figure(
+    figure_id: str, output_dir: str, master_seed: int = 1729, runs_override: int | None = None
+) -> dict:
+    """Run the experiment behind each panel of one figure, each writing its report bundle.
 
-    A density's experiment writes its bundle to ``<output_dir>/<tag>``
-    (e.g. ``WS_30x50_d10``: the tag names the target density, the bundle's
-    ``runs.csv`` the achieved ones). ``runs_override`` shrinks the run counts
-    for smoke tests from the reference 5 (density panels) and 100 (error panels).
+    A density's experiment writes to ``<output_dir>/<tag>`` (e.g. ``WS_30x50_d10``: the tag
+    names the target density, the bundle's ``runs.csv`` the achieved ones). ``runs_override``
+    shrinks the run counts for smoke tests from the reference 5 (density panels) and 100
+    (error panels). Every panel's config is built before the first run, so a bad figure id
+    or option is an InputError before any work. Returns the manifest, also written as
+    ``<figure_id>_manifest.json``, which maps each panel to its CSV path in ``output_dir``.
     """
     if figure_id not in FIGURES:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
+        raise InputError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
     recipe = FIGURES[figure_id]
     kind = recipe["kind"]
     runs = runs_override if runs_override is not None else (5 if kind == "kde" else 100)
@@ -439,19 +441,7 @@ def figure_configs(
             output_dir=str(Path(output_dir, tag)),
             compute_correlations=(kind == "kde"),
         )
-    return configs
-
-
-def reproduce_figure(figure_id: str, output_dir: str, **options) -> dict:
-    """Run the experiments of :func:`figure_configs` ``(figure_id, output_dir, **options)``.
-
-    Every panel's config is built before the first runs, so a bad option
-    fails before any work. Each experiment writes its report bundle. Returns
-    the manifest, also written as ``<figure_id>_manifest.json``, which maps
-    each panel to its CSV path relative to ``output_dir``.
-    """
-    configs = figure_configs(figure_id, output_dir, **options)
-    panel_kind = "density_curve" if FIGURES[figure_id]["kind"] == "kde" else "error_profile"
+    panel_kind = "density_curve" if kind == "kde" else "error_profile"
     panels: dict[str, str] = {}
     for tag, config in configs.items():
         for key, path in run_experiment(config).files.items():

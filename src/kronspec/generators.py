@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import MAX_ORDER, Graph, _as_int, cycle_graph, is_bipartite, is_connected
+from .graphs import MAX_ORDER, Graph, InputError, _as_int, cycle_graph, is_bipartite, is_connected
 
 MODELS = ("ER", "WS", "BA", "CYCLE")
 
@@ -52,7 +52,7 @@ class GeneratorSpec:
     """Everything needed to reproduce one random graph draw.
 
     ``n`` (2 to ``MAX_ORDER``) and ``seed`` (at least 0) are ints by ``graphs._as_int``,
-    and the density is one :func:`density_to_params` can meet.
+    and the density is one :func:`density_to_params` can meet; anything else is an InputError.
     """
 
     model: str
@@ -63,13 +63,13 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+            raise InputError(f"unknown model {self.model!r}; expected one of {MODELS}")
         object.__setattr__(self, "n", _as_int("order", self.n, 2, MAX_ORDER))
         object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
         if self.model != "CYCLE" and not 0.0 < self.target_density < 1.0:
-            raise ValueError(f"target density must be in (0, 1), got {self.target_density}")
+            raise InputError(f"target density must be in (0, 1), got {self.target_density}")
         if not 0.0 <= self.ws_beta <= 1.0:
-            raise ValueError(f"ws_beta must be in [0, 1], got {self.ws_beta}")
+            raise InputError(f"ws_beta must be in [0, 1], got {self.ws_beta}")
         density_to_params(self)
 
 
@@ -165,14 +165,14 @@ def density_to_params(spec: GeneratorSpec) -> dict:
     ``MAX_ISOLATED_VERTICES`` isolated vertices. WS: k = nearest even integer
     to target*(n-1), if 2 <= k < n. BA: the attachment count whose
     construction edge count lands closest to the target density. The keys
-    are the generator's own keyword names; an infeasible target is a
-    ValueError naming it and the order.
+    are the generator's own keyword names; an infeasible target is an
+    InputError naming it and the order.
     """
     n, target = spec.n, spec.target_density
     if spec.model == "ER":
         isolated = n * (1.0 - target) ** (n - 1)
         if isolated > MAX_ISOLATED_VERTICES:
-            raise ValueError(
+            raise InputError(
                 f"density {target} infeasible for ER at order {n} "
                 f"({isolated:.2f} isolated vertices expected per draw)"
             )
@@ -180,7 +180,7 @@ def density_to_params(spec: GeneratorSpec) -> dict:
     if spec.model == "WS":
         k = 2 * int(np.floor(target * (n - 1) / 2.0 + 0.5))
         if k < 2 or k >= n:
-            raise ValueError(
+            raise InputError(
                 f"density {target} infeasible for WS at order {n} (ring degree {k})"
             )
         return {"k": k, "beta": spec.ws_beta}
@@ -192,16 +192,21 @@ def density_to_params(spec: GeneratorSpec) -> dict:
     return {}  # CYCLE has no density knob
 
 
+def regular_for_every_seed(spec: GeneratorSpec) -> bool:
+    """True when every graph ``spec`` can draw is regular: CYCLE, or WS with ws_beta 0."""
+    return spec.model == "CYCLE" or (spec.model == "WS" and spec.ws_beta == 0)
+
+
 def bipartite_for_every_seed(spec: GeneratorSpec) -> bool:
     """True when every connected graph ``spec`` can draw is bipartite, whatever its seed.
 
-    That is K2 (order 2), an even cycle (CYCLE, or WS with ring degree 2 and
-    no rewiring) and a tree (BA attaching one edge per new vertex).
+    That is K2 (order 2), an even ring of degree 2 regular for every seed (a CYCLE has no
+    ``k``: it is that ring) and a tree (BA attaching one edge per new vertex).
     """
     params = density_to_params(spec)
     if spec.model == "BA":
         return params["m_attach"] == 1
-    ring = spec.model == "CYCLE" or (spec.model == "WS" and params["k"] == 2 and spec.ws_beta == 0)
+    ring = regular_for_every_seed(spec) and params.get("k", 2) == 2
     return spec.n == 2 or (ring and spec.n % 2 == 0)
 
 

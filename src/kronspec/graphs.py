@@ -30,17 +30,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class InputError(ValueError):
+    """A value rejected where it enters kronspec, by an entry rule that names it."""
+
+
 def _as_float(key: str, value) -> float:
-    """A finite number as a float; a ValueError naming ``key`` otherwise."""
+    """A finite number as a float; an InputError naming ``key`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise InputError(f"{key} must be a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load reads both), huge ints
-        raise ValueError(f"{key} must be finite, got {value!r}")
+        raise InputError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
 def _as_int(key: str, value, low: int | None = None, high: int | None = None) -> int:
-    """An integer given to kronspec, as an int; a ValueError naming ``key`` otherwise.
+    """An integer given to kronspec, as an int; an InputError naming ``key`` otherwise.
 
     Any integer type (numpy's too) or an integral finite float is an
     integer, a bool is not. A value below ``low`` or above ``high``, when
@@ -49,23 +53,23 @@ def _as_int(key: str, value, low: int | None = None, high: int | None = None) ->
     if isinstance(value, float) and _as_float(key, value).is_integer():
         value = int(value)
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise InputError(f"{key} must be an integer, got {value!r}")
     value = operator.index(value)
     if low is not None and value < low:
         bound = "nonnegative" if low == 0 else f"at least {low}"
-        raise ValueError(f"{key} must be {bound}, got {value}")
+        raise InputError(f"{key} must be {bound}, got {value}")
     if high is not None and value > high:
-        raise ValueError(f"{key} must be at most {high}, got {value}")
+        raise InputError(f"{key} must be at most {high}, got {value}")
     return value
 
 
 def _as_member(key: str, value, enum: type[Enum]) -> Enum:
-    """A member of ``enum`` or its value, as the member; a ValueError naming ``key`` otherwise."""
+    """A member of ``enum`` or its value, as the member; an InputError naming ``key`` otherwise."""
     try:
         return enum(value)
     except ValueError:
         allowed = ", ".join(member.value for member in enum)
-        raise ValueError(f"{key} must be one of {allowed}, got {value!r}") from None
+        raise InputError(f"{key} must be one of {allowed}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -174,9 +178,10 @@ def kronecker_graph(g: Graph, h: Graph) -> Graph:
 
     Vertex (i, k) maps to row-major index ``i * |h| + k``, so the adjacency
     matrix of the product is exactly ``np.kron`` of the factor adjacencies,
-    and the degree of (i, k) is ``deg_g(i) * deg_h(k)``.
+    and the degree of (i, k) is ``deg_g(i) * deg_h(k)``. The product is formed
+    of 1-byte factors, so the graph's float64 adjacency is the one float copy.
     """
-    return Graph(np.kron(g.adjacency, h.adjacency))
+    return Graph(np.kron(g.adjacency.astype(np.int8), h.adjacency.astype(np.int8)))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, KroneckerLaplacian, laplacian, normalized_laplacian
+from .graphs import Graph, InputError, KroneckerLaplacian, laplacian, normalized_laplacian
 
 # Exact product spectra kept per process before the least recently used
 # one is dropped.
@@ -183,12 +183,12 @@ def block_factor(g: Graph, h: Graph) -> Graph | None:
 
     That is the larger regular factor, ``h`` on a tie, so the blocks have the
     smaller order. None means neither factor is regular and the product is
-    solved as one dense matrix; above ``MAX_DENSE_ORDER`` that is a ValueError
+    solved as one dense matrix; above ``MAX_DENSE_ORDER`` that is an InputError
     naming the orders.
     """
     regular = [f for f in (h, g) if np.all(f.degrees == f.degrees[0])]
     if not regular and g.n * h.n > MAX_DENSE_ORDER:
-        raise ValueError(
+        raise InputError(
             f"the product of orders {g.n} and {h.n} has order {g.n * h.n}, above the dense "
             f"bound {MAX_DENSE_ORDER}, and neither factor is regular"
         )

@@ -6,11 +6,13 @@ import subprocess
 import numpy as np
 import pytest
 
-from kronspec import cli, generators
+from kronspec import cli, generators, spectral
+from kronspec.checks import sayama_nonnegativity_sweep, star_graph, theory_suite
 from kronspec.cli import main
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
-from kronspec.spectral import factor_spectra
-from kronspec.graphs import cycle_graph, read_edge_list, write_edge_list
+from kronspec.experiments import ExperimentConfig, reproduce_figure
+from kronspec.spectral import block_factor, factor_spectra
+from kronspec.graphs import InputError, cycle_graph, read_edge_list, write_edge_list
 from toolkit import er_pair, fresh_peak_bytes, run_fresh
 
 
@@ -176,6 +178,57 @@ def test_estimate_past_the_dense_bound_is_one_error_line(tmp_path):
     out = tmp_path / "spectra.csv"
     assert main(["estimate", str(cycle), str(er), "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2 + 150 * 150
+
+
+DENSE_BOUND = (
+    "the product of orders 150 and 150 has order 22500, above the dense bound 20000, and "
+    "neither factor is regular"
+)
+
+
+def test_estimate_past_the_dense_bound_solves_nothing(tmp_path, monkeypatch, capsys):
+    # the product's solve decision comes before the factor solves, so the
+    # refusal costs no eigensolve of any kind
+    solves = []
+    eigh, owned = np.linalg.eigh, spectral.owned_eigenvalues
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(len(m)) or eigh(m))
+    monkeypatch.setattr(spectral, "owned_eigenvalues", lambda m: solves.append(len(m)) or owned(m))
+    star = tmp_path / "star.edges"
+    write_edge_list(star_graph(150), str(star))
+    assert main(["estimate", str(star), str(star)]) == 2
+    assert capsys.readouterr().err == f"error: {DENSE_BOUND}\n"
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda out: generators.GeneratorSpec("ER", 20, 0.3, seed=-1),
+         "seed must be nonnegative, got -1"),
+        (lambda out: ExperimentConfig.from_dict({"model": "ER", "orders": [30, 50]}),
+         "missing config keys: density"),
+        (lambda out: ExperimentConfig.from_dict(
+            {"model": "ER", "orders": [1000, 1000], "density": 0.5}),
+         "orders must have a product of at most 20000 unless a factor is regular for every "
+         "seed (CYCLE, or WS with ws_beta 0), got (1000, 1000)"),
+        (lambda out: Ordering(OrderingKind.CORRELATED, swap_count=3),
+         "swap_count must be 0 for ordering kind Correlated"),
+        (lambda out: block_factor(star_graph(150), star_graph(150)), DENSE_BOUND),
+        (lambda out: reproduce_figure("fig4", out, runs_override=0),
+         "runs must be at least 1, got 0"),
+        (lambda out: theory_suite(out, graphs=1), "graphs must be at least 2, got 1"),
+        (lambda out: sayama_nonnegativity_sweep(20, -1), "seed must be nonnegative, got -1"),
+    ],
+    ids=["GeneratorSpec", "from_dict", "from_dict_dense_bound", "Ordering", "block_factor",
+         "reproduce_figure", "theory_suite", "sweep_seed"],
+)
+def test_an_entry_rule_raises_an_input_error(tmp_path, call, message):
+    # the type main prints as one line, with the message it prints; nothing is written
+    out = tmp_path / "out"
+    with pytest.raises(InputError) as raised:
+        call(str(out))
+    assert str(raised.value) == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["experiment", "estimate"])

@@ -3,7 +3,7 @@
 A grammar of JSON config objects: each key's valid values and boundaries,
 wrong types, NaN and Infinity, huge and negative integers, missing and
 unknown keys, and pairs of factors bipartite for every seed. ``from_dict``
-either rejects a config with a ValueError that names a key, or
+either rejects a config with an InputError that names a key, or
 ``run_experiment`` completes on it.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from kronspec.estimators import MAX_SWAP_COUNT, Ordering, OrderingKind
 from kronspec.experiments import MAX_RUNS, ExperimentConfig, run_experiment
 from kronspec.generators import MODELS
-from kronspec.graphs import MAX_ORDER
+from kronspec.graphs import MAX_ORDER, InputError
 from kronspec.spectral import MAX_DENSE_ORDER
 from toolkit import SEEDS, property_settings
 
@@ -138,7 +138,7 @@ def runs_quickly(config: ExperimentConfig) -> bool:
 def test_every_accepted_config_runs(data):
     try:
         config = ExperimentConfig.from_dict(data)
-    except ValueError as exc:
+    except InputError as exc:
         ordering = data.get("ordering")
         named = KEYS | set(data) | set(ordering if isinstance(ordering, dict) else ())
         assert any(re.search(rf"\b{re.escape(str(key))}\b", str(exc)) for key in named), exc

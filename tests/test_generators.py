@@ -12,11 +12,13 @@ from kronspec.generators import (
     GenerationError,
     GeneratorSpec,
     barabasi_albert,
+    bipartite_for_every_seed,
     density_to_params,
     derive_seed,
     erdos_renyi,
     generate_connected,
     generate_connected_pair,
+    regular_for_every_seed,
     watts_strogatz,
 )
 from kronspec.graphs import (
@@ -227,6 +229,20 @@ def test_generate_connected_pair_connects_every_pair_a_config_accepts(specs):
     g1, g2 = generate_connected_pair(*specs)
     assert is_connected(g1) and is_connected(g2)
     assert is_connected(kronecker_graph(g1, g2))
+
+
+@property_settings(100)
+@given(config_spec_pairs())
+@example(ExperimentConfig(model="WS", orders=(8, 9), density=0.2, ws_beta=0).run_specs(0))
+@example(ExperimentConfig(model="WS", orders=(8, 9), density=0.5, ws_beta=0).run_specs(0))
+@example(ExperimentConfig(model="CYCLE", orders=(4, 5), density=0.5).run_specs(0))
+def test_a_spec_regular_or_bipartite_for_every_seed_draws_such_a_graph(specs):
+    for spec in specs:
+        g = generate_connected(spec)
+        if regular_for_every_seed(spec):
+            assert np.all(g.degrees == g.degrees[0])
+        if bipartite_for_every_seed(spec):
+            assert is_bipartite(g)
 
 
 def test_generate_connected_pair_gives_up_after_max_attempts(monkeypatch):

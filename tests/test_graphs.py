@@ -20,7 +20,7 @@ from kronspec.graphs import (
     read_edge_list,
     write_edge_list,
 )
-from toolkit import SEEDS, property_settings, two_coloring
+from toolkit import SEEDS, fresh_peak_bytes, property_settings, two_coloring
 
 
 def k2():
@@ -179,6 +179,18 @@ def test_kronecker_graph_matches_definition():
                     for l in range(b.n):
                         expected = a.adjacency[i, j] * b.adjacency[k, l]
                         assert product.adjacency[i * b.n + k, j * b.n + l] == expected
+        assert product.adjacency.tobytes() == np.kron(a.adjacency, b.adjacency).tobytes()
+
+
+def test_a_product_graph_holds_its_adjacency_about_once():
+    # the product is formed of 1-byte factors, and the Graph makes the one
+    # float64 copy and checks it through 1-byte temporaries: 1.25 of the float64
+    # adjacency, against 2.13 when np.kron formed it in float64
+    n1, n2 = 30, 51
+    setup = "from kronspec.graphs import cycle_graph, kronecker_graph\n"
+    setup += f"g, h = cycle_graph({n1}), cycle_graph({n2})"
+    peak = fresh_peak_bytes(setup, f"assert kronecker_graph(g, h).n == {n1 * n2}")
+    assert peak < 1.5 * 8 * (n1 * n2) ** 2
 
 
 def test_kronecker_k2_k2():

@@ -2,7 +2,7 @@
 
 An accepted value is any integer type (numpy's too) or an integral finite
 float, stored as a Python int; bools, fractions, strings, NaN and values
-outside the field's bounds are a ValueError naming the field.
+outside the field's bounds are an InputError naming the field.
 """
 
 import json
@@ -15,7 +15,7 @@ from kronspec import checks
 from kronspec.estimators import MAX_SWAP_COUNT, Ordering, OrderingKind
 from kronspec.experiments import MAX_RUNS, ExperimentConfig
 from kronspec.generators import GeneratorSpec
-from kronspec.graphs import MAX_ORDER, build_graph
+from kronspec.graphs import MAX_ORDER, InputError, build_graph
 from kronspec.spectral import MAX_DENSE_ORDER
 
 ER = {"model": "ER", "orders": (10, 12), "density": 0.4}
@@ -68,9 +68,18 @@ ENTRY_POINTS = {
         "graphs",
         1,
     ),
+    "checks.sayama_nonnegativity_sweep.seed": (
+        lambda v: checks.sayama_nonnegativity_sweep(2, seed=v),
+        "seed",
+        -1,
+    ),
 }
-# the checks would run on an accepted size, so only their rejections are tested
-SIZED_CHECKS = ("checks.er_r1j_monte_carlo", "checks.sayama_nonnegativity_sweep")
+# the checks would run on an accepted value, so only their rejections are tested
+SIZED_CHECKS = (
+    "checks.er_r1j_monte_carlo",
+    "checks.sayama_nonnegativity_sweep",
+    "checks.sayama_nonnegativity_sweep.seed",
+)
 
 # entry point: values above its upper bounds. Before the bounds, an order of 10**30
 # ran into numpy's allocation limit, a swap count or run count of 10**18 would not
@@ -112,7 +121,7 @@ def test_integer_rule_accepts(entry, value):
 @pytest.mark.parametrize("entry, value", rejections())
 def test_integer_rule_rejects(entry, value):
     store, name, _ = ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(InputError, match=name):
         store(value)
 
 
