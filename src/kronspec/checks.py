@@ -40,13 +40,14 @@ from .theory import (
 
 
 # the (least, most) value of each integer argument of theory_suite: graphs at least a
-# pair, and both sizes at most a config's runs; the sweep checks its graphs and seed,
-# and the Monte-Carlo check its draws, against these too
+# pair, and both sizes at most a config's runs; the sweep checks its graphs, the
+# Monte-Carlo check its draws, and every seeded check its seed, against these too
 _BOUNDS = {"seed": (0, None), "draws": (1, MAX_RUNS), "graphs": (2, MAX_RUNS)}
 
 
 def _er_pairs(seed, tag: str, count: int):
     """Seeded connected ER pairs, orders 8-20, density 0.25-0.7: (product, factor_spectra x2)."""
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     for t in range(count):
         rng = np.random.default_rng(derive_seed(seed, tag, t))
         n1, n2 = int(rng.integers(8, 21)), int(rng.integers(8, 21))
@@ -240,6 +241,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
     the cosine is scale-free, so u_1 is passed as all ones, not solved for.
     """
     draws = _as_int("draws", draws, *_BOUNDS["draws"])
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     n, p, tolerance = 200, 0.3, 0.02
     h = cycle_graph(5)
     w_h = factor_spectra(h).laplacian.eigenvectors

@@ -49,6 +49,8 @@ class OrderingKind(str, Enum):
 _RANDOMIZED = (OrderingKind.CORRELATED_RANDOMIZED, OrderingKind.ANTI_CORRELATED_RANDOMIZED)
 # the kinds whose permutation draws on randomization_seed
 _SEEDED = (OrderingKind.UNCORRELATED, *_RANDOMIZED)
+# the sorted kinds whose base order is descending
+_DESCENDING = (OrderingKind.ANTI_CORRELATED, OrderingKind.ANTI_CORRELATED_RANDOMIZED)
 
 
 class Estimator(str, Enum):
@@ -84,37 +86,24 @@ class Ordering:
 def apply_ordering(values: np.ndarray, ordering: Ordering, seed_salt: int = 0) -> np.ndarray:
     """Index permutation realizing the requested eigenvalue ordering.
 
-    Correlated sorts ascending, AntiCorrelated descending, Uncorrelated is a
-    seeded uniform shuffle, and the randomized kinds start from their sorted
-    base order and apply swap_count seeded adjacent transpositions.
-    ``seed_salt`` decouples the two factors of one estimate.
+    Uncorrelated is a seeded uniform shuffle; any other kind is one stable sort,
+    descending for the AntiCorrelated kinds, then ``swap_count`` seeded adjacent
+    transpositions (default n // 4 if randomized, else 0). ``seed_salt`` decouples
+    the two factors of one estimate.
     """
     values = np.asarray(values)
     n = len(values)
     kind = ordering.kind
-    if kind == OrderingKind.CORRELATED:
-        return np.argsort(values, kind="stable")
-    if kind == OrderingKind.ANTI_CORRELATED:
-        return np.argsort(-values, kind="stable")
-    rng = np.random.default_rng((ordering.randomization_seed, seed_salt))
+    if kind in _SEEDED:
+        rng = np.random.default_rng((ordering.randomization_seed, seed_salt))
     if kind == OrderingKind.UNCORRELATED:
         return rng.permutation(n)
-    base = np.argsort(values, kind="stable")
-    if kind == OrderingKind.ANTI_CORRELATED_RANDOMIZED:
-        base = np.argsort(-values, kind="stable")
-    swaps = ordering.swap_count if ordering.swap_count is not None else n // 4
-    perm = base.copy()
-    for _ in range(swaps):
+    perm = np.argsort(-values if kind in _DESCENDING else values, kind="stable")
+    default = n // 4 if kind in _RANDOMIZED else 0
+    for _ in range(default if ordering.swap_count is None else ordering.swap_count):
         pos = int(rng.integers(0, n - 1))
         perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
     return perm
-
-
-def _snap_zeros(values: np.ndarray) -> np.ndarray:
-    values = np.array(values, dtype=np.float64)
-    scale = max(1.0, float(np.abs(values).max()))
-    values[np.abs(values) <= ZERO_SNAP * scale] = 0.0
-    return values
 
 
 def _combine(values1, d1, values2, d2, ordering, cell) -> np.ndarray:
@@ -122,8 +111,8 @@ def _combine(values1, d1, values2, d2, ordering, cell) -> np.ndarray:
     for k, (values, d) in enumerate([(values1, d1), (values2, d2)], start=1):
         if len(values) != len(d):
             raise ValueError(f"factor {k}: {len(values)} eigenvalues vs {len(d)} degrees")
-        perm = apply_ordering(values, ordering, seed_salt=k)
-        e = _snap_zeros(np.asarray(values, dtype=np.float64)[perm])
+        e = np.asarray(values, dtype=np.float64)[apply_ordering(values, ordering, seed_salt=k)]
+        e[np.abs(e) <= ZERO_SNAP * max(1.0, float(np.abs(e).max()))] = 0.0
         sides.append((e, np.sort(np.asarray(d, dtype=np.float64))))
     (e1, d1), (e2, d2) = sides
     return cell(e1[:, None], d1[:, None], e2[None, :], d2[None, :]).ravel()

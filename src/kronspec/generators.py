@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import MAX_ORDER, Graph, InputError, _as_int, cycle_graph, is_bipartite, is_connected
+from .graphs import (
+    MAX_ORDER, Graph, InputError, _as_float, _as_int, cycle_graph, is_bipartite, is_connected
+)
 
 MODELS = ("ER", "WS", "BA", "CYCLE")
 
@@ -51,8 +53,9 @@ def derive_seed(*parts) -> int:
 class GeneratorSpec:
     """Everything needed to reproduce one random graph draw.
 
-    ``n`` (2 to ``MAX_ORDER``) and ``seed`` (at least 0) are ints by ``graphs._as_int``,
-    and the density is one :func:`density_to_params` can meet; anything else is an InputError.
+    ``n`` (2 to ``MAX_ORDER``) and ``seed`` (at least 0) are ints by ``graphs._as_int``, the
+    density and ``ws_beta`` floats by ``graphs._as_float``, and the density is one
+    :func:`density_to_params` can meet; anything else is an InputError.
     """
 
     model: str
@@ -66,6 +69,8 @@ class GeneratorSpec:
             raise InputError(f"unknown model {self.model!r}; expected one of {MODELS}")
         object.__setattr__(self, "n", _as_int("order", self.n, 2, MAX_ORDER))
         object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
+        object.__setattr__(self, "target_density", _as_float("target density", self.target_density))
+        object.__setattr__(self, "ws_beta", _as_float("ws_beta", self.ws_beta))
         if self.model != "CYCLE" and not 0.0 < self.target_density < 1.0:
             raise InputError(f"target density must be in (0, 1), got {self.target_density}")
         if not 0.0 <= self.ws_beta <= 1.0:

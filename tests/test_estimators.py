@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kronspec.checks import complete_graph
 from kronspec import estimators
@@ -194,6 +195,41 @@ def test_first_normalized_pair_is_not_product_eigenvector():
 
 PROPERTY = property_settings(40)
 REGULAR = factor_graphs(("CYCLE", "RING"), ring_degrees=(2, 4, 6))
+SORTED_KINDS = [kind for kind in OrderingKind if kind != OrderingKind.UNCORRELATED]
+# few distinct values, so most draws hold ties
+TIED_VALUES = st.lists(st.integers(0, 4).map(float), min_size=2, max_size=30).map(np.array)
+
+
+@PROPERTY
+@given(TIED_VALUES, st.sampled_from(SORTED_KINDS), SEEDS, st.none() | st.integers(0, 8))
+def test_property_sorted_kinds_are_a_stable_sort_then_adjacent_swaps(values, kind, seed, swaps):
+    descending, randomized = kind.value.startswith("Anti"), kind.value.endswith("Randomized")
+    # the stable sort in the kind's direction, tied values in index order
+    stable = sorted(range(len(values)), key=lambda i: -values[i] if descending else values[i])
+    position = {index: p for p, index in enumerate(stable)}
+    swaps = swaps if randomized else None
+    default = len(values) // 4 if randomized else 0
+    most = default if swaps is None else swaps
+    for salt in (1, 2):
+        assert apply_ordering(values, Ordering(kind, seed, 0), salt).tolist() == stable
+        moved = [position[i] for i in apply_ordering(values, Ordering(kind, seed, swaps), salt)]
+        assert sorted(moved) == list(range(len(values)))
+        # each adjacent transposition moves the inversion count by exactly one
+        inversions = sum(a > b for p, a in enumerate(moved) for b in moved[p + 1 :])
+        assert inversions <= most and (most - inversions) % 2 == 0
+
+
+@pytest.mark.parametrize("kind", [OrderingKind.CORRELATED, OrderingKind.ANTI_CORRELATED])
+def test_unseeded_kinds_build_no_generator(monkeypatch, kind):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    values, degrees = np.array([2.0, 0.0, 2.0, 1.0]), np.array([1, 2, 2, 1])
+    assert values[apply_ordering(values, Ordering(kind))].tolist() == sorted(
+        values, reverse=kind == OrderingKind.ANTI_CORRELATED
+    )
+    sayama_spectrum(values, degrees, values, degrees, Ordering(kind))
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """Random graph generators: determinism, moments, density targeting."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from kronspec.generators import (
     watts_strogatz,
 )
 from kronspec.graphs import (
+    InputError,
     build_graph,
     is_bipartite,
     is_connected,
@@ -268,6 +270,25 @@ def test_spec_validation():
         erdos_renyi(10, 1.0, seed=0)
     with pytest.raises(ValueError, match="attachment count"):
         barabasi_albert(10, 10, seed=0)
+    # an int density or ws_beta is stored as a float
+    spec = GeneratorSpec("CYCLE", 10, 1, seed=0, ws_beta=0)
+    assert type(spec.target_density) is float and type(spec.ws_beta) is float
+
+
+@pytest.mark.parametrize(
+    "model, density, ws_beta, field",
+    [
+        ("ER", "0.3", 0.25, "target density"),
+        ("WS", 0.5, "0.1", "ws_beta"),
+        ("WS", 0.5, True, "ws_beta"),
+        ("CYCLE", math.nan, 0.25, "target density"),
+    ],
+    ids=["density-str", "ws_beta-str", "ws_beta-bool", "cycle-density-nan"],
+)
+def test_spec_numbers_are_finite_floats(model, density, ws_beta, field):
+    # the density and ws_beta are numbers by graphs._as_float, even where the model ignores them
+    with pytest.raises(InputError, match=field):
+        GeneratorSpec(model, 10, density, 0, ws_beta)
 
 
 def test_generated_graphs_are_simple():

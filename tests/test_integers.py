@@ -73,12 +73,27 @@ ENTRY_POINTS = {
         "seed",
         -1,
     ),
+    "checks.er_r1j_monte_carlo.seed": (lambda v: checks.er_r1j_monte_carlo(1, seed=v), "seed", -1),
+    # these four draw their factor pairs through checks._er_pairs
+    "checks.r1j_closed_form_gap.seed": (lambda v: checks.r1j_closed_form_gap(v), "seed", -1),
+    "checks.colinearity_residual.seed": (lambda v: checks.colinearity_residual(v), "seed", -1),
+    "checks.normalized_decomposition_gaps.seed": (
+        lambda v: checks.normalized_decomposition_gaps(v),
+        "seed",
+        -1,
+    ),
+    "checks.rprime_bound_slack.seed": (lambda v: checks.rprime_bound_slack(v), "seed", -1),
 }
 # the checks would run on an accepted value, so only their rejections are tested
 SIZED_CHECKS = (
     "checks.er_r1j_monte_carlo",
     "checks.sayama_nonnegativity_sweep",
     "checks.sayama_nonnegativity_sweep.seed",
+    "checks.er_r1j_monte_carlo.seed",
+    "checks.r1j_closed_form_gap.seed",
+    "checks.colinearity_residual.seed",
+    "checks.normalized_decomposition_gaps.seed",
+    "checks.rprime_bound_slack.seed",
 )
 
 # entry point: values above its upper bounds. Before the bounds, an order of 10**30
