@@ -22,7 +22,6 @@ from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
     _as_int,
-    build_graph,
     cycle_graph,
     kronecker_graph,
     laplacian,
@@ -45,9 +44,8 @@ from .theory import (
 _BOUNDS = {"seed": (0, None), "draws": (1, MAX_RUNS), "graphs": (2, MAX_RUNS)}
 
 
-def _er_pairs(seed, tag: str, count: int):
+def _er_pairs(seed: int, tag: str, count: int):
     """Seeded connected ER pairs, orders 8-20, density 0.25-0.7: (product, factor_spectra x2)."""
-    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     for t in range(count):
         rng = np.random.default_rng(derive_seed(seed, tag, t))
         n1, n2 = int(rng.integers(8, 21)), int(rng.integers(8, 21))
@@ -69,32 +67,18 @@ def _first_row_cosines(op: KroneckerLaplacian, basis1, basis2) -> np.ndarray:
     return np.einsum("dc,dc->c", x, lx) / norms
 
 
-def star_graph(n: int):
-    return build_graph(n, [(0, v) for v in range(1, n)])
-
-
-def complete_graph(n: int):
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def complete_bipartite_graph(a: int, b: int):
-    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
 def staircase_degrees(k: int) -> list[int]:
     """Degree sequence 1,...,k, k+1, k+1, k+2,...,2k+1 of order 2k+2."""
     return list(range(1, k + 1)) + [k + 1, k + 1] + list(range(k + 2, 2 * k + 2))
 
 
 def closed_form_mean_rms() -> dict:
-    """Star, complete-bipartite, and regular mean/RMS ratios vs closed forms."""
+    """Star (n=5), K_{2,4} and triangle mean/RMS ratios vs closed forms, from the degree
+    sequences ``[4, 1, 1, 1, 1]``, ``[4, 4, 2, 2, 2, 2]`` and ``[2, 2, 2]``."""
     cases = {
-        "star_n5": (star_graph(5).degrees, 2 * math.sqrt(4) / 5),
-        "complete_bipartite_2_4": (
-            complete_bipartite_graph(2, 4).degrees,
-            2 * math.sqrt(2 * 6 - 4) / 6,
-        ),
-        "triangle_regular": (complete_graph(3).degrees, 1.0),
+        "star_n5": ([4, 1, 1, 1, 1], 2 * math.sqrt(4) / 5),
+        "complete_bipartite_2_4": ([4, 4, 2, 2, 2, 2], 2 * math.sqrt(2 * 6 - 4) / 6),
+        "triangle_regular": ([2, 2, 2], 1.0),
     }
     predicted = {name: p for name, (_, p) in cases.items()}
     observed = {name: mean_rms_ratio(degrees) for name, (degrees, _) in cases.items()}
@@ -262,6 +246,7 @@ def er_r1j_monte_carlo(draws: int, seed: int) -> dict:
 
 def r1j_closed_form_gap(seed: int) -> dict:
     """Observed r(1, j) vs the mean/RMS formula, and its j-independence."""
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     pairs, tolerance = 20, 1e-10
     max_gap = max_spread = 0.0
     for op, f1, f2 in _er_pairs(seed, "r1j", pairs):
@@ -278,6 +263,7 @@ def r1j_closed_form_gap(seed: int) -> dict:
 
 def colinearity_residual(seed: int) -> dict:
     """Residual of L (1 kron w_j) = mu_j (d kron w_j) over random pairs."""
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     pairs, tolerance = 20, 1e-8
     worst = 0.0
     for op, f1, f2 in _er_pairs(seed, "colin", pairs):
@@ -295,6 +281,7 @@ def colinearity_residual(seed: int) -> dict:
 
 def normalized_decomposition_gaps(seed: int) -> dict:
     """Exact product decomposition: eigenvalues 1 - (1-lam_i)(1-lam_j), vectors v_i kron v_j."""
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     pairs, tolerance = 20, 1e-8
     max_value_gap = max_vector_residual = 0.0
     for op, f1, f2 in _er_pairs(seed, "decomp", pairs):
@@ -330,6 +317,7 @@ def rprime_bound_slack(seed: int) -> dict:
     ||D2 v|| + ||A2 v|| and does hold, so it is what the pass flag tracks;
     the stated variant's minimum slack is reported alongside.
     """
+    seed = _as_int("seed", seed, *_BOUNDS["seed"])
     pairs, slack_floor = 50, -1e-9
     stated, corrected = [], []
     for op, f1, f2 in _er_pairs(seed, "rprime", pairs):

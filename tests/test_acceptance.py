@@ -20,7 +20,7 @@ from kronspec.estimators import Estimator, Ordering, OrderingKind
 from kronspec.experiments import ExperimentConfig, run_experiment
 from kronspec.graphs import cycle_graph
 from normality import fisher_z, normality_pass_count
-from toolkit import brute_force_product_spectrum, estimates
+from toolkit import brute_force_product_spectrum, complete_graph, estimates
 
 ACCEPT_SEED = 20240808
 DENSITIES = (0.10, 0.30, 0.65)
@@ -117,7 +117,7 @@ def er_larger_bundle():
 def test_criterion_01_regular_factors_exact():
     worst = 0.0
     for g, h in (
-        (cycle_graph(4), checks.complete_graph(3)),
+        (cycle_graph(4), complete_graph(3)),
         (cycle_graph(6), cycle_graph(4)),
     ):
         exact = brute_force_product_spectrum(g, h)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from kronspec import cli, generators, spectral
-from kronspec.checks import sayama_nonnegativity_sweep, star_graph, theory_suite
+from kronspec.checks import sayama_nonnegativity_sweep, theory_suite
 from kronspec.cli import main
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
 from kronspec.experiments import ExperimentConfig, reproduce_figure
 from kronspec.spectral import block_factor, factor_spectra
 from kronspec.graphs import InputError, cycle_graph, read_edge_list, write_edge_list
-from toolkit import er_pair, fresh_peak_bytes, run_fresh
+from toolkit import er_pair, fresh_peak_bytes, run_fresh, star_graph
 
 
 def test_generate_round_trips(tmp_path, capsys):

@@ -77,3 +77,30 @@ def test_every_name_is_imported_from_the_module_that_defines_it():
                 if node.attr not in modules.get(submodules[node.value.id], ()):
                     wrong.append(f"{where}: {submodules[node.value.id]}.{node.attr}")
     assert wrong == []
+
+
+def test_every_public_name_is_read_by_the_library():
+    # a public name that no library module reads is API that only tests or demos use:
+    # each is read by its own module outside the statement that binds it, or imported
+    # by another
+    trees = {path: ast.parse(path.read_text()) for path in (SRC / "kronspec").glob("*.py")}
+    imported = {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unread = []
+    for path, tree in trees.items():
+        for name in sorted(_defined(path)):
+            if name.startswith("_") or (path.stem, name) in imported:
+                continue
+            if not any(
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                for statement in tree.body
+                if getattr(statement, "name", None) != name
+                for node in ast.walk(statement)
+            ):
+                unread.append(f"{path.stem}.{name}")
+    assert unread == []

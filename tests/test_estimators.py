@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kronspec.checks import complete_graph
 from kronspec import estimators
 from kronspec.estimators import (
     Estimator,
@@ -25,6 +24,7 @@ from toolkit import (
     ORDERINGS,
     SEEDS,
     brute_force_product_spectrum,
+    complete_graph,
     dense_laplacian,
     er_pair,
     estimates,
@@ -282,3 +282,17 @@ def test_property_degrees_in_any_order(pair, ordering, seed):
     for f, d in ((g, d1), (h, d2)):
         mu = np.linalg.eigvalsh(laplacian(f))
         assert sayama_bound_holds(rng.permutation(mu), d) == sayama_bound_holds(mu, np.sort(d))
+
+
+@PROPERTY
+@given(factor_pairs(), ORDERINGS, SEEDS)
+def test_property_sayama_keeps_the_trace(pair, ordering, seed):
+    # each side's eigenvalues sum to its trace, sum d, so for any pairing the cells
+    # mu_i d'_j + d_i mu'_j - mu_i mu'_j sum to (sum d)(sum d'); randomized kinds
+    # make their default n // 4 swaps, and the degrees come in a shuffled order
+    g, h = pair
+    rng = np.random.default_rng(seed)
+    degrees = rng.permutation(g.degrees), rng.permutation(h.degrees)
+    sayama, _ = estimates(g, h, ordering, degrees=degrees)
+    trace = g.degrees.sum() * h.degrees.sum()
+    assert abs(sayama.sum() - trace) <= 1e-12 * trace

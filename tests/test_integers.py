@@ -5,6 +5,7 @@ float, stored as a Python int; bools, fractions, strings, NaN and values
 outside the field's bounds are an InputError naming the field.
 """
 
+import functools
 import json
 import math
 
@@ -153,3 +154,26 @@ def test_upper_bounds_are_inclusive():
     # a factor regular for every seed takes the block path, whatever the product
     assert built(model="CYCLE", orders=(MAX_ORDER, 13)).orders == (MAX_ORDER, 13)
     assert built(model="WS", orders=(MAX_ORDER, 12), ws_beta=0).orders == (MAX_ORDER, 12)
+
+
+# the checks that draw their factor pairs through checks._er_pairs
+ER_PAIR_CHECKS = (
+    checks.r1j_closed_form_gap,
+    checks.colinearity_residual,
+    checks.normalized_decomposition_gaps,
+    checks.rprime_bound_slack,
+)
+
+
+@functools.cache
+def seed_3_report(check) -> dict:
+    return check(3)
+
+
+@pytest.mark.parametrize("value", ACCEPTED, ids=repr)
+@pytest.mark.parametrize("check", ER_PAIR_CHECKS, ids=lambda check: check.__name__)
+def test_seeded_checks_report_the_int_seed_they_ran(check, value):
+    result = check(value)
+    assert type(result["inputs"]["seed"]) is int
+    assert json.dumps(result["inputs"]["seed"]) == "3"
+    assert result["observed"] == seed_3_report(check)["observed"]

@@ -16,7 +16,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kronspec import checks, spectral
-from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.graphs import KroneckerLaplacian, cycle_graph, laplacian
 from kronspec.metrics import correlation_profile
@@ -24,6 +23,7 @@ from kronspec.theory import mean_rms_ratio
 from toolkit import (
     BASES,
     SEEDS,
+    complete_graph,
     dense_laplacian,
     dense_normalized,
     er_pair,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 
 import kronspec
-from kronspec.checks import complete_graph
 from kronspec.estimators import Estimator, Ordering, OrderingKind, estimate_spectrum
 from kronspec.experiments import ExperimentConfig, run_single
 from kronspec.generators import GeneratorSpec, generate_connected, generate_connected_pair
@@ -23,6 +22,7 @@ from kronspec.metrics import (
 from kronspec.spectral import factor_spectra
 from toolkit import (
     ORDERINGS,
+    complete_graph,
     dense_laplacian,
     estimates,
     factor_pairs,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import kronspec
 from kronspec import spectral
-from kronspec.checks import complete_graph
 from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.graphs import (
     Graph,
@@ -23,6 +22,7 @@ from kronspec.graphs import (
 from kronspec.spectral import factor_spectra, owned_eigenvalues
 from toolkit import (
     BASES,
+    complete_graph,
     dense_laplacian,
     er_pair,
     factor_graphs,

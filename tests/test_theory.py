@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from kronspec import checks
-from kronspec.checks import (
-    complete_bipartite_graph,
-    complete_graph,
-    staircase_degrees,
-    star_graph,
-)
+from kronspec.checks import staircase_degrees
 from kronspec.generators import GeneratorSpec, generate_connected
 from kronspec.graphs import cycle_graph, laplacian
 from kronspec.theory import (
@@ -22,7 +17,7 @@ from kronspec.theory import (
     rprime_lower_bound,
     sayama_bound_holds,
 )
-from toolkit import dense_normalized
+from toolkit import complete_bipartite_graph, complete_graph, dense_normalized, star_graph
 
 
 def test_mean_rms_star():

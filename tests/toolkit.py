@@ -110,6 +110,21 @@ def config_spec_pairs(draw):
     return config.run_specs(0)
 
 
+def star_graph(n: int):
+    """The star on n vertices, centre 0."""
+    return build_graph(n, [(0, v) for v in range(1, n)])
+
+
+def complete_graph(n: int):
+    """K_n."""
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def complete_bipartite_graph(a: int, b: int):
+    """K_{a,b}: vertices 0..a-1 on one side, a..a+b-1 on the other."""
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
 def er_pair(n1, n2, seed1, seed2, density=0.4):
     """Connected ER factors of orders n1 and n2 at one density, from two seeds."""
     return (
