@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import normalized_estimate, sayama_spectrum
-from .experiments import MAX_RUNS, _write_json, version_string
+from .experiments import MAX_RUNS, _write_json
 from .generators import GeneratorSpec, derive_seed, generate_connected
 from .graphs import (
     KroneckerLaplacian,
@@ -353,10 +353,11 @@ def theory_suite(
 ) -> dict:
     """Run every closed-form/bound/Monte-Carlo check and report pass/fail.
 
-    Returns the report dict; also writes theory_report.json when an output
-    directory is given. Each check seeds itself, so the order they run in
-    changes no result: the order-1500 desk check runs first and the
-    normalized decomposition check second, the others after them.
+    Returns the report dict; given an output directory, writes it there as
+    theory_report.json and returns what it wrote, stamped with the version.
+    Each check seeds itself, so the order they run in changes no result: the
+    order-1500 desk check runs first and the normalized decomposition check
+    second, the others after them.
     """
     # all three are checked before the first check runs
     seed = _as_int("seed", seed, *_BOUNDS["seed"])
@@ -381,9 +382,6 @@ def theory_suite(
         "rprime_lower_bound": rprime_bound_slack(seed=seed),
     }
     report["all_pass"] = all(entry["pass"] for entry in report.values())
-    report["version"] = version_string()
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "theory_report.json", report)
+        report = _write_json(Path(output_dir, "theory_report.json"), report)
     return report

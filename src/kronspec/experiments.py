@@ -11,8 +11,8 @@ reference figure (:func:`reproduce_figure`) is one such experiment per panel,
 each written as a report bundle by :func:`write_bundle`.
 
 Everything written to disk is a pure function of the config: per-run seeds
-come from (master_seed, run index, role), and every CSV table goes through
-the one deterministic writer :func:`write_csv`.
+come from (master_seed, run index, role), and every table or JSON report goes
+through one writer, :func:`write_csv` or :func:`_write_json`, which stamps it.
 """
 
 from __future__ import annotations
@@ -199,11 +199,12 @@ class ExperimentConfig:
         """
         return _from_mapping(cls, "config", data)
 
+    def identity(self) -> dict:
+        """Every field but ``output_dir``, which does not affect the reports: what is hashed."""
+        return {k: v for k, v in asdict(self).items() if k != "output_dir"}
+
     def config_hash(self) -> str:
-        hashed = self.to_dict()
-        hashed.pop("output_dir")  # where the reports land does not affect them
-        digest = sha256(json.dumps(hashed, sort_keys=True).encode())
-        return digest.hexdigest()[:12]
+        return sha256(json.dumps(self.identity(), sort_keys=True).encode()).hexdigest()[:12]
 
 
 def measure_pair(
@@ -296,7 +297,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 
     bundle = ExperimentBundle(config, records, error_profiles, density_curves, correlation_samples)
     if config.output_dir is not None:
-        write_bundle(bundle, config.output_dir)
+        write_bundle(bundle)
     return bundle
 
 
@@ -305,10 +306,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentBundle:
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, data: dict) -> None:
+def _write_json(path: Path, data: dict) -> dict:
+    """Write ``data`` stamped with ``"version"`` to ``path``, making its directory; returns
+    what it wrote. Every JSON report goes through it, as every table goes through write_csv."""
+    stamped = data | {"version": version_string()}
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(stamped, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return stamped
 
 
 def write_csv(dest: str | Path | IO[str], note: str, columns: Mapping[str, object]) -> None:
@@ -342,10 +348,11 @@ def _config_columns(config: ExperimentConfig, density: str) -> dict:
     return {"model": config.model, density: config.density, "n1": n1, "n2": n2, "runs": config.runs}
 
 
-def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def write_bundle(bundle: ExperimentBundle) -> None:
+    """Write ``bundle``'s tables, then its manifest, to its config's ``output_dir``."""
     config = bundle.config
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # for the tables, written before the manifest
     config_hash = config.config_hash()
     # (files key, file name, columns) of every table; error rank r is the r-th nonzero
     # eigenvalue, rank r+1 of the sorted spectrum
@@ -381,15 +388,7 @@ def write_bundle(bundle: ExperimentBundle, output_dir: str) -> None:
     for key, name, columns in tables:
         write_csv(out / name, f"config={config_hash}", columns)
         files[key] = name
-
-    config_dict = config.to_dict()
-    config_dict.pop("output_dir")  # the manifest sits inside it already
-    manifest = {
-        "version": version_string(),
-        "config": config_dict,
-        "config_hash": config_hash,
-        "files": files,
-    }
+    manifest = {"config": config.identity(), "config_hash": config_hash, "files": files}
     _write_json(out / "manifest.json", manifest)
     files["manifest"] = "manifest.json"
     bundle.files = {k: str(out / v) for k, v in files.items()}
@@ -448,6 +447,5 @@ def reproduce_figure(
             if key.startswith(f"{panel_kind}/"):
                 panels[f"{tag}/{key.split('/')[1]}"] = f"{tag}/{Path(path).name}"
 
-    manifest = {"figure": figure_id, "version": version_string(), "panels": panels}
-    _write_json(Path(output_dir, f"{figure_id}_manifest.json"), manifest)
-    return manifest
+    manifest = {"figure": figure_id, "panels": panels}
+    return _write_json(Path(output_dir, f"{figure_id}_manifest.json"), manifest)

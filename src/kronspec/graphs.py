@@ -12,6 +12,7 @@ built and read-only after; its order and degrees are derived from it.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -36,8 +37,10 @@ class InputError(ValueError):
 
 def _as_float(key: str, value) -> float:
     """A finite number as a float; an InputError naming ``key`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy's numbers too
         raise InputError(f"{key} must be a number, got {value!r}")
+    # a Python number: numpy would cast the float64 max below to a float32's own type
+    value = value.item() if isinstance(value, np.generic) else value
     if not abs(value) <= sys.float_info.max:  # NaN, Infinity (json.load reads both), huge ints
         raise InputError(f"{key} must be finite, got {value!r}")
     return float(value)
@@ -261,6 +264,17 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
         fh.writelines(f"{u} {v}\n" for u, v in g.edges())
 
 
+def _number(token: str):
+    """``token`` as an int if it reads as one, else as a float, else as itself: the integer
+    rule judges a token by its exact value (``3.0`` passes) and names what is no integer."""
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
+
+
 def read_edge_list(path: str | Path) -> Graph:
     """Read the edge-list format written by :func:`write_edge_list` from ``path``.
 
@@ -271,7 +285,7 @@ def read_edge_list(path: str | Path) -> Graph:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError("edge-list header 'n m' missing")
-    n, m, *ends = (_as_int(f"edge-list token {t!r}", float(t), 0) for t in tokens)
+    n, m, *ends = (_as_int(f"edge-list token {t!r}", _number(t), 0) for t in tokens)
     if len(ends) != 2 * m:
         raise ValueError(f"expected {m} edges, found {len(ends) // 2}")
     g = build_graph(n, zip(ends[0::2], ends[1::2]))

@@ -3,12 +3,14 @@ cannot vanish unnoticed; they and the tests import each name from the module tha
 defines it."""
 
 import ast
+import dataclasses
 import re
 import runpy
 from pathlib import Path
 
 import pytest
 
+from kronspec import experiments
 from toolkit import SRC, TESTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,12 +22,20 @@ DEMOS = ROOT / "demos"
     [
         "01_exact_regular_products.py",
         "02_estimate_random_pair.py",
+        "03_error_bands.py",
         "04_correlation_density.py",
         "05_theory_checks.py",
     ],
 )
 def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    if script == "03_error_bands.py":
+        # the demo imports run_experiment as it runs, so it gets this one: 2 runs a config,
+        # not its 15 at (30,50)
+        run_experiment = experiments.run_experiment
+        monkeypatch.setattr(
+            experiments, "run_experiment", lambda c: run_experiment(dataclasses.replace(c, runs=2))
+        )
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out
 

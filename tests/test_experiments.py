@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import subprocess
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,7 @@ def test_theory_suite_report(tmp_path):
     assert written["staircase_limit"]["pass"] is True
     assert report["normalized_decomposition"]["pass"] is True
     assert "version" in written
+    assert report == written  # the report as written, stamp included
     # the checks take only seeds and the two CLI sizes; this pins the rest
     spectrum = {"probs": [0.3, 1.0], "tolerance": 1e-8}
     assert {name: entry["inputs"] for name, entry in report.items() if isinstance(entry, dict)} == {
@@ -534,6 +536,41 @@ def test_version_is_computed_once_per_process(monkeypatch, tmp_path):
         assert "kronspec=v-test" in (tmp_path / "runs.csv").read_text()
     finally:
         experiments.version_string.cache_clear()
+
+
+def test_every_report_is_stamped_by_its_writer(monkeypatch, tmp_path):
+    # write_csv and _write_json read experiments.version_string, so this one patch
+    # reaches every CSV and JSON report: bundles, figure manifests and the theory report
+    monkeypatch.setattr(experiments, "version_string", lambda: "v-stamp")
+    run_experiment(cycle_config(runs=1, output_dir=str(tmp_path / "bundle")))
+    figure = reproduce_figure("fig4", str(tmp_path / "fig4"), runs_override=1)
+    report = theory_suite(output_dir=str(tmp_path / "theory"), draws=1, graphs=2)
+    assert figure["version"] == report["version"] == "v-stamp"
+    csvs, reports = sorted(tmp_path.rglob("*.csv")), sorted(tmp_path.rglob("*.json"))
+    # the bundle's 5 tables and manifest; 3 tables and a manifest a fig4 panel, and its
+    # figure manifest; the theory report
+    assert (len(csvs), len(reports)) == (5 + 3 * 3, 1 + 3 + 1 + 1)
+    for path in csvs:
+        assert path.read_text().startswith("# kronspec=v-stamp "), path
+    for path in reports:
+        assert json.loads(path.read_text())["version"] == "v-stamp", path
+
+
+def test_manifest_config_hashes_to_its_config_hash(tmp_path):
+    ordering = Ordering(OrderingKind.CORRELATED_RANDOMIZED, randomization_seed=3)
+    config = ExperimentConfig(
+        model="WS", orders=(8, 9), density=0.5, runs=1, ordering=ordering, ws_beta=0.2,
+        compute_correlations=False, output_dir=str(tmp_path),
+    )
+    run_experiment(config)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    echoed = manifest["config"]
+    assert "output_dir" not in echoed and echoed["ws_beta"] == 0.2
+    assert echoed["ordering"]["randomization_seed"] == 3
+    # the config_hash rule: the sorted JSON of the config's identity, sha256, 12 hex digits
+    digest = sha256(json.dumps(echoed, sort_keys=True).encode()).hexdigest()[:12]
+    assert digest == manifest["config_hash"] == config.config_hash()
+    assert ExperimentConfig.from_dict(echoed).config_hash() == manifest["config_hash"]
 
 
 def test_orderings_of_one_master_seed_solve_each_product_once(product_solves):

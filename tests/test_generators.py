@@ -282,13 +282,32 @@ def test_spec_validation():
         ("WS", 0.5, "0.1", "ws_beta"),
         ("WS", 0.5, True, "ws_beta"),
         ("CYCLE", math.nan, 0.25, "target density"),
+        ("ER", np.bool_(True), 0.25, "target density"),
+        ("WS", 0.5, np.float32(math.inf), "ws_beta"),
     ],
-    ids=["density-str", "ws_beta-str", "ws_beta-bool", "cycle-density-nan"],
+    ids=[
+        "density-str", "ws_beta-str", "ws_beta-bool", "cycle-density-nan", "density-np-bool",
+        "ws_beta-np-inf",
+    ],
 )
 def test_spec_numbers_are_finite_floats(model, density, ws_beta, field):
     # the density and ws_beta are numbers by graphs._as_float, even where the model ignores them
     with pytest.raises(InputError, match=field):
         GeneratorSpec(model, 10, density, 0, ws_beta)
+
+
+@pytest.mark.parametrize(
+    "density, ws_beta",
+    [(np.float32(0.4), 0.25), (0.4, np.int64(0)), (np.float16(0.5), np.float32(0.125))],
+    ids=["density-float32", "ws_beta-int64", "float16-float32"],
+)
+def test_spec_numbers_from_numpy_are_floats(density, ws_beta):
+    # any real number but a bool is a number, numpy's too, and is stored as a plain float
+    spec = GeneratorSpec("WS", 10, density, 0, ws_beta)
+    config = ExperimentConfig(model="ER", orders=(10, 12), density=density, ws_beta=ws_beta)
+    expected = (float(density), float(ws_beta))
+    assert (spec.target_density, spec.ws_beta) == (config.density, config.ws_beta) == expected
+    assert type(spec.target_density) is type(config.ws_beta) is float
 
 
 def test_generated_graphs_are_simple():

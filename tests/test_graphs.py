@@ -334,6 +334,27 @@ def test_read_edge_list_names_a_token_that_is_no_integer(tmp_path):
         read_edge_list(edge_list_file(tmp_path, "3 1\n0 1.5\n"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a token that is no number gets the integer rule's message
+        ("3 1\n0 abc\n", "edge-list token 'abc' must be an integer, got 'abc'"),
+        # an integer past 2**53 keeps its value: no float rounds it to 9007199254740992
+        ("9007199254740993 0\n", "graph order must be at most 10000, got 9007199254740993"),
+        ("3 1\n0 9007199254740993\n", "edge (0, 9007199254740993) out of range for order 3"),
+    ],
+    ids=["word", "huge-order", "huge-endpoint"],
+)
+def test_read_edge_list_judges_each_token_at_its_exact_value(tmp_path, text, message):
+    with pytest.raises(ValueError) as raised:
+        read_edge_list(edge_list_file(tmp_path, text))
+    assert str(raised.value) == message
+
+
+def test_read_edge_list_takes_integral_float_tokens(tmp_path):
+    assert read_edge_list(edge_list_file(tmp_path, "3.0 1\n0 1e0\n")).edges() == [(0, 1)]
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(1, 12))

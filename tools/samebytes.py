@@ -28,7 +28,8 @@ The corpus:
   CYCLE (15,13), solved in blocks of the larger cycle, second and then
   first; CYCLE (3,3); CYCLE (14,15), whose first factor is bipartite and
   second is not; WS (12,15) d=0.4 under an explicit CorrelatedRandomized
-  ordering;
+  ordering; ER (4,5) d=0.5 with 20 runs, master seed 5, whose runs 13, 14
+  and 17 draw two bipartite factors and redraw the second;
 * ``figure fig2 --runs 1`` and ``figure fig4 --runs 1 --master-seed 3``;
 * two generated ER factors, and ``estimate`` on them with and without
   ``--ordering``, each to stdout and to a file;
@@ -81,6 +82,7 @@ def corpus_configs() -> dict[str, dict]:
         "cycle_3x3": {"model": "CYCLE", "orders": [3, 3], "density": 0.5, "runs": 2},
         "cycle_14x15": {"model": "CYCLE", "orders": [14, 15], "density": 0.5, "runs": 2},
         "ws_ordering": er | {"model": "WS", "ordering": ordering},
+        "er_4x5_redraw": er | {"orders": [4, 5], "density": 0.5, "runs": 20},
     }
 
 
